@@ -1,18 +1,40 @@
-"""Vectorized argmax of the rectangle contrast over product candidate sets.
+"""Exact branch-and-bound argmax of the rectangle contrast over product candidate sets.
 
 The search space is the Cartesian product of per-axis lower-corner candidates
-and per-axis upper-corner candidates.  Scoring is chunked so memory stays flat
-regardless of candidate count; a broadcast fast path covers d=2 (the common
-case) and a gather path covers the other ranks.
+and per-axis upper-corner candidates.  A pair is scored by its squared contrast
+(S - v*tbar)^2 / (v*(n - v)) (S = sum inside, v = volume, n = cell count,
+tbar = grand mean), read off the prefix table in 2^d terms.
 
-Scoring uses the identity |contrast| = |S - v*T/n| / sqrt(v*(n-v)) (S = sum
-inside, v = volume, T = grand total), and compares squared scores, so the hot
-loop is a handful of fused array passes.
+Rather than score every pair, the search works on nodes: a node holds one
+index range of lo candidates and one of hi candidates per axis.  Every
+rectangle of a node contains its smallest rectangle R_min (largest lo, smallest
+hi) and lies inside its largest R_max (smallest lo, largest hi).  With Y+ and
+Y- the prefix tables of max(+(x - tbar), 0) and max(-(x - tbar), 0), built from
+the cell values the prefix table encodes, every rectangle R of the node has
+
+    |S - v*tbar| <= max(Y+(R_max) - Y-(R_min), Y-(R_max) - Y+(R_min))
+
+and v*(n - v) is at least its minimum over the node's admissible integer
+volumes, which is reached at an end of that volume interval.  The ratio of the
+two, with the numerator widened by a worst-case allowance for rounding in the
+tables, bounds every squared score the node can produce: the subwindow bound of
+Lampert, Blaschko & Hofmann (CVPR 2008), as used for rectangular scan
+statistics by Neill & Moore (KDD 2004).
+
+A node is dropped only when its bound is below incumbent * (1 - _EPS), where
+the incumbent is the best squared score actually computed so far, seeded by
+scoring every node's R_max and R_min.  A pair that ties or beats the incumbent
+therefore always survives, and the result is the exhaustive argmax.  Nodes are
+split in two along their longest range until at most _LEAF_PAIRS pairs remain;
+the leaves are then scored highest-bound-first in batches of at most
+_BATCH_PAIRS pairs, leaves of a batch with equal range lengths sharing one
+vectorized gather, and the bound is re-checked against the rising incumbent
+before each batch.
 
 Tie-breaking is deterministic: maximal |contrast|, then smallest volume, then
-lexicographically smallest lower corner, then upper corner.  Chunks iterate in
-C order with ascending per-axis candidates, so the first hit inside a chunk is
-already the lexicographic minimum.
+lexicographically smallest lower corner, then upper corner.
+
+All state lives in one ``_Search`` per call, so concurrent calls share nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +46,10 @@ import numpy as np
 
 from .lattice import PrefixSum, Rect
 
-_CHUNK_ELEMS = 1 << 19
+_LEAF_PAIRS = 256
+_BATCH_PAIRS = 1 << 18
+_EPS = 1e-9
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 class NoAdmissibleRectError(ValueError):
@@ -53,63 +78,6 @@ class _Best:
             self.score_sq, self.vol, self.lo, self.hi = score_sq, vol, lo, hi
 
 
-class _Scratch:
-    """Flat scratch arrays reused across chunks (allocation is the hot cost)."""
-
-    def __init__(self):
-        self._f8 = {}
-        self._b1 = {}
-
-    def f8(self, key, shape):
-        need = int(np.prod(shape))
-        buf = self._f8.get(key)
-        if buf is None or buf.size < need:
-            buf = np.empty(need, dtype=np.float64)
-            self._f8[key] = buf
-        return buf[:need].reshape(shape)
-
-    def boolean(self, key, shape):
-        need = int(np.prod(shape))
-        buf = self._b1.get(key)
-        if buf is None or buf.size < need:
-            buf = np.empty(need, dtype=bool)
-            self._b1[key] = buf
-        return buf[:need].reshape(shape)
-
-
-def _score_sq_inplace(s, volf, n, tbar, vmin, vmax, scratch):
-    """Turn a buffer of rectangle sums into squared contrasts, in place."""
-    tmp = scratch.f8("tmp", s.shape)
-    np.multiply(volf, tbar, out=tmp)
-    s -= tmp
-    np.square(s, out=s)
-    np.subtract(n, volf, out=tmp)
-    tmp *= volf
-    np.maximum(tmp, 1e-300, out=tmp)
-    s /= tmp
-    bad = scratch.boolean("bad", s.shape)
-    np.less_equal(volf, vmin, out=bad)
-    bad2 = scratch.boolean("bad2", s.shape)
-    np.greater_equal(volf, vmax, out=bad2)
-    bad |= bad2
-    s[bad] = -1.0
-    return s
-
-
-def _offer_chunk(best, score_sq, volf, extract):
-    m = float(score_sq.max())
-    if m < 0.0 or m < best.score_sq:
-        return
-    sel = score_sq == m
-    vmin = int(volf[sel].min())
-    if m == best.score_sq and best.lo is not None and vmin > best.vol:
-        return
-    sel &= volf == vmin
-    flat = int(np.argmax(sel))  # first True in C order == lexicographic minimum
-    lo, hi = extract(flat)
-    best.offer(m, vmin, lo, hi)
-
-
 def best_rectangle(ps: PrefixSum, lo_axes, hi_axes, vol_min: float, vol_max: float) -> tuple[Rect, float]:
     """Return the admissible (lo, hi) pair maximizing |contrast|, with its score.
 
@@ -125,12 +93,7 @@ def best_rectangle(ps: PrefixSum, lo_axes, hi_axes, vol_min: float, vol_max: flo
     if any(a.size == 0 for a in lo_axes) or any(a.size == 0 for a in hi_axes):
         raise NoAdmissibleRectError("empty candidate axis")
 
-    best = _Best()
-    if len(ps.dims) == 2:
-        _scan_2d(ps, lo_axes, hi_axes, vmin, vmax, best)
-    else:
-        _scan_nd(ps, lo_axes, hi_axes, vmin, vmax, best)
-
+    best = _Search(ps, lo_axes, hi_axes, vmin, vmax).run()
     if best.lo is None:
         raise NoAdmissibleRectError(
             f"no candidate with volume in ({vmin}, {vmax}) and lo < hi"
@@ -140,95 +103,199 @@ def best_rectangle(ps: PrefixSum, lo_axes, hi_axes, vol_min: float, vol_max: flo
     return Rect(best.lo, best.hi), math.sqrt(best.score_sq)
 
 
-def _scan_2d(ps, lo_axes, hi_axes, vmin, vmax, best):
-    n = ps.size
-    tbar = ps.total / n
-    l1, l2 = lo_axes
-    h1, h2 = hi_axes
-    p = ps.table
-    p_ll = p[np.ix_(l1, l2)]
-    p_lh = p[np.ix_(l1, h2)]
-    p_hl_t = np.ascontiguousarray(p[np.ix_(h1, l2)].T)  # (l2, h1)
-    p_hh = p[np.ix_(h1, h2)]
-    # non-positive widths zero out the volume so inverted pairs never score
-    w1 = np.maximum(h1[None, :] - l1[:, None], 0).astype(np.float64)  # (l1, h1)
-    w2 = np.maximum(h2[None, :] - l2[:, None], 0).astype(np.float64)  # (l2, h2)
-    tail = h1.size * h2.size
-    step2 = max(1, _CHUNK_ELEMS // max(tail, 1))
-    step1 = max(1, _CHUNK_ELEMS // max(step2 * tail, 1))
-    scratch = _Scratch()
-    for s1 in range(0, l1.size, step1):
-        sl1 = slice(s1, min(s1 + step1, l1.size))
-        c1 = sl1.stop - sl1.start
-        # hi candidates at or below the chunk's smallest lo can never pair
-        b1_from = int(np.searchsorted(h1, l1[s1], side="right"))
-        if b1_from >= h1.size:
-            continue
-        b1 = slice(b1_from, h1.size)
-        nb1 = h1.size - b1_from
-        for s2 in range(0, l2.size, step2):
-            sl2 = slice(s2, min(s2 + step2, l2.size))
-            c2 = sl2.stop - sl2.start
-            b2_from = int(np.searchsorted(h2, l2[s2], side="right"))
-            if b2_from >= h2.size:
-                continue
-            b2 = slice(b2_from, h2.size)
-            shape = (c1, c2, nb1, h2.size - b2_from)
-            s = scratch.f8("s", shape)
-            np.subtract(p_hh[None, None, b1, b2], p_lh[sl1, None, None, b2], out=s)
-            s -= p_hl_t[None, sl2, b1, None]
-            s += p_ll[sl1, sl2][:, :, None, None]
-            volf = scratch.f8("volf", shape)
-            np.multiply(
-                w1[sl1, None, b1, None], w2[None, sl2, None, b2], out=volf
-            )
-            score_sq = _score_sq_inplace(s, volf, n, tbar, vmin, vmax, scratch)
+class _Search:
+    """One branch-and-bound search; see the module docstring."""
 
-            def extract(flat, _shape=shape, _s1=s1, _s2=s2, _b1=b1_from, _b2=b2_from):
-                a1, a2, b1i, b2i = np.unravel_index(flat, _shape)
-                return (
-                    (int(l1[_s1 + a1]), int(l2[_s2 + a2])),
-                    (int(h1[_b1 + b1i]), int(h2[_b2 + b2i])),
-                )
+    def __init__(self, ps, lo_axes, hi_axes, vmin, vmax):
+        d = len(ps.dims)
+        self.d = d
+        self.n = ps.size
+        self.tbar = ps.total / self.n
+        self.table = ps.table
+        self.cands = lo_axes + hi_axes  # slot k < d: lo on axis k; slot d + k: hi
+        self.vmin, self.vmax = vmin, vmax
+        # integer volumes v with vmin < v < vmax
+        self.v_first = max(math.floor(vmin) + 1, 1)
+        self.v_last = math.ceil(vmax) - 1
+        self.corners = list(product((0, 1), repeat=d))  # 1 -> take lo on that axis
 
-            _offer_chunk(best, score_sq, volf, extract)
+        # Y+ and Y- over the hull of the candidates, stacked on a last axis of 2.
+        self.origin = np.array([min(int(lo[0]), int(hi[0])) for lo, hi in zip(lo_axes, hi_axes)])
+        top = np.array([max(int(lo[-1]), int(hi[-1])) for lo, hi in zip(lo_axes, hi_axes)])
+        sub = ps.table[tuple(slice(o, t + 1) for o, t in zip(self.origin, top))]
+        y = sub
+        for ax in range(d):
+            y = np.diff(y, axis=ax)
+        y = y - self.tbar
+        ytab = np.zeros(tuple(int(t - o) + 1 for o, t in zip(self.origin, top)) + (2,))
+        inner = ytab[(slice(1, None),) * d]
+        inner[..., 0] = np.maximum(y, 0.0)
+        inner[..., 1] = np.maximum(-y, 0.0)
+        for ax in range(d):
+            np.cumsum(inner, axis=ax, out=inner)
+        self.ytab = ytab
+        # Rounding in the prefix table, the differencing, the Y tables and the
+        # scorer's own sums, bounded for the worst case: at most
+        # 4^d * (cells + 1) unit roundoffs of the largest magnitude involved.
+        scale = (
+            (float(np.abs(sub).max()) if sub.size else 0.0)
+            + abs(ps.total)
+            + float(ytab[(-1,) * d].sum())
+        )
+        self.slack = 4.0**d * (y.size + 1) * _UNIT_ROUNDOFF * scale
 
+    def run(self) -> _Best:
+        best = _Best()
+        incumbent = -1.0
+        nodes = np.array([[[0, a.size] for a in self.cands]], dtype=np.int32)
+        leaves, leaf_bounds = [], []
+        while len(nodes):
+            bound, seed = self._bound(nodes)
+            incumbent = max(incumbent, seed)
+            keep = bound >= incumbent * (1.0 - _EPS)
+            nodes, bound = nodes[keep], bound[keep]
+            is_leaf = _pairs(nodes) <= _LEAF_PAIRS
+            leaves.append(nodes[is_leaf])
+            leaf_bounds.append(bound[is_leaf])
+            nodes = _split(nodes[~is_leaf])
 
-def _scan_nd(ps, lo_axes, hi_axes, vmin, vmax, best):
-    d = len(ps.dims)
-    n = ps.size
-    tbar = ps.total / n
-    lo_grid = np.stack(np.meshgrid(*lo_axes, indexing="ij"), axis=-1).reshape(-1, d)
-    hi_grid = np.stack(np.meshgrid(*hi_axes, indexing="ij"), axis=-1).reshape(-1, d)
-    nh = hi_grid.shape[0]
-    step = max(1, _CHUNK_ELEMS // max(nh, 1))
-    corners = list(product((0, 1), repeat=d))  # 1 -> take lo on that axis
-    scratch = _Scratch()
-    for start in range(0, lo_grid.shape[0], step):
-        lo_c = lo_grid[start : start + step]
-        c = lo_c.shape[0]
-        s = scratch.f8("s", (c, nh))
-        s[...] = 0.0
-        for mask in corners:
-            idx = tuple(
-                lo_c[:, k, None] if mask[k] else hi_grid[None, :, k] for k in range(d)
-            )
-            term = ps.table[idx]
-            s += -term if sum(mask) & 1 else term
-        volf = scratch.f8("volf", (c, nh))
-        volf[...] = 1.0
+        leaf_bounds = np.concatenate(leaf_bounds)
+        order = np.argsort(-leaf_bounds, kind="stable")
+        leaves = np.concatenate(leaves)[order]
+        leaf_bounds = leaf_bounds[order]
+        ends = np.cumsum(_pairs(leaves))
+        start = 0
+        while start < len(leaves):
+            threshold = incumbent * (1.0 - _EPS)
+            if leaf_bounds[start] < threshold:
+                break
+            done = ends[start - 1] if start else 0
+            stop = max(int(np.searchsorted(ends, done + _BATCH_PAIRS, side="right")), start + 1)
+            batch = leaves[start:stop][leaf_bounds[start:stop] >= threshold]
+            self._score_leaves(batch, best)
+            incumbent = max(incumbent, best.score_sq)
+            start = stop
+        return best
+
+    def _score(self, lo, hi):
+        """Squared contrasts and volumes of the pairs given by per-axis corner arrays.
+
+        ``lo[k]`` / ``hi[k]`` broadcast to one shape.  Inadmissible pairs score -1.
+        """
+        s = self._box_sums(self.table, lo, hi)
+        vol = np.maximum(hi[0] - lo[0], 0)
+        for k in range(1, self.d):
+            vol = vol * np.maximum(hi[k] - lo[k], 0)
+        volf = vol.astype(np.float64)
+        s -= volf * self.tbar
+        np.square(s, out=s)
+        with np.errstate(over="ignore"):  # only empty pairs, about to be masked
+            s /= np.maximum((self.n - volf) * volf, 1e-300)
+        s[(volf <= self.vmin) | (volf >= self.vmax)] = -1.0
+        return s, volf
+
+    def _box_sums(self, table, lo, hi):
+        """Sums over the boxes (lo, hi] of the cells that a prefix table encodes.
+
+        ``lo[k]`` / ``hi[k]`` are per-axis corner arrays that broadcast
+        together; trailing axes of ``table`` beyond the first d carry through.
+        """
+        shape = np.broadcast_shapes(*(a.shape for a in lo + hi)) + table.shape[self.d :]
+        s = np.zeros(shape)
+        for mask in self.corners:
+            term = table[tuple(lo[k] if mask[k] else hi[k] for k in range(self.d))]
+            if sum(mask) & 1:
+                s -= term
+            else:
+                s += term
+        return s
+
+    def _ysum(self, lo, hi):
+        """(Y+, Y-) sums over the rectangles (lo, hi]; shape (m, 2)."""
+        o = self.origin
+        return self._box_sums(self.ytab, [a - b for a, b in zip(lo, o)], [a - b for a, b in zip(hi, o)])
+
+    def _bound(self, nodes):
+        """Each node's squared-score bound (-inf when no volume is admissible),
+        and the best squared score among the nodes' R_max and R_min."""
+        d = self.d
+        c = self.cands
+        first = [c[j][nodes[:, j, 0]] for j in range(2 * d)]
+        last = [c[j][nodes[:, j, 1] - 1] for j in range(2 * d)]
+        out_lo, out_hi = first[:d], last[d:]  # R_max
+        in_lo, in_hi = last[:d], first[d:]  # R_min (may be empty)
+        v_out = np.ones(len(nodes), dtype=np.int64)
+        v_in = np.ones(len(nodes), dtype=np.int64)
         for k in range(d):
-            volf *= np.maximum(hi_grid[None, :, k] - lo_c[:, k, None], 0)
-        score_sq = _score_sq_inplace(s, volf, n, tbar, vmin, vmax, scratch)
+            v_out *= np.maximum(out_hi[k] - out_lo[k], 0)
+            v_in *= np.maximum(in_hi[k] - in_lo[k], 0)
+        va = np.maximum(v_in, self.v_first).astype(np.float64)
+        vb = np.minimum(v_out, self.v_last).astype(np.float64)
+        den = np.minimum(va * (self.n - va), vb * (self.n - vb))
 
-        def extract(flat, _start=start, _c=c):
-            i, j = np.unravel_index(flat, (_c, nh))
-            return (
-                tuple(int(x) for x in lo_grid[_start + i]),
-                tuple(int(x) for x in hi_grid[j]),
+        y_out = self._ysum(out_lo, out_hi)
+        y_in = self._ysum(in_lo, in_hi)
+        y_in[v_in == 0] = 0.0
+        num = np.maximum(y_out[:, 0] - y_in[:, 1], y_out[:, 1] - y_in[:, 0]) + self.slack
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = np.where(va <= vb, num * num / den, -np.inf)
+
+        seed = max(float(self._score(out_lo, out_hi)[0].max()), float(self._score(in_lo, in_hi)[0].max()))
+        return bound, seed
+
+    def _score_leaves(self, leaves, best):
+        """Score every pair of the leaves and offer the winner to ``best``."""
+        lens = leaves[:, :, 1] - leaves[:, :, 0]
+        sigs, group = np.unique(lens, axis=0, return_inverse=True)
+        group = group.reshape(-1)
+        nslots = 2 * self.d
+        for g, sig in enumerate(sigs):
+            members = leaves[group == g]
+            m = len(members)
+            # candidate values per slot; the leaf axis goes last so the
+            # broadcast passes run long inner loops
+            axes = []
+            for j in range(nslots):
+                shape = [1] * nslots + [m]
+                shape[j] = int(sig[j])
+                vals = self.cands[j][np.arange(sig[j])[:, None] + members[:, j, 0]]
+                axes.append(vals.reshape(shape))
+            score, volf = self._score(axes[: self.d], axes[self.d :])
+            top = float(score.max())
+            if top < 0.0 or top < best.score_sq:
+                continue
+            sel = score == top
+            vmin = float(volf[sel].min())
+            if top == best.score_sq and best.lo is not None and vmin > best.vol:
+                continue
+            sel &= volf == vmin
+            hits = np.nonzero(sel)
+            corners = min(
+                tuple(int(axes[j].reshape(-1, m)[hits[j][h], i]) for j in range(nslots))
+                for h, i in enumerate(hits[-1])
             )
+            best.offer(top, int(vmin), corners[: self.d], corners[self.d :])
 
-        _offer_chunk(best, score_sq, volf, extract)
+
+def _pairs(nodes):
+    return np.prod(nodes[:, :, 1] - nodes[:, :, 0], axis=1, dtype=np.int64)
+
+
+def _split(nodes):
+    """Split every node in two along its longest candidate range.
+
+    The cut falls at the largest power of two below the range length, so most
+    leaves get power-of-two lengths and a batch has few distinct leaf shapes.
+    """
+    rows = np.arange(len(nodes))
+    lengths = nodes[:, :, 1] - nodes[:, :, 0]
+    slot = np.argmax(lengths, axis=1)
+    _, exp = np.frexp(lengths[rows, slot] - 1)
+    mid = nodes[rows, slot, 0] + (1 << (exp - 1))
+    left, right = nodes.copy(), nodes.copy()
+    left[rows, slot, 1] = mid
+    right[rows, slot, 0] = mid
+    return np.concatenate([left, right])
 
 
 def window_half_width(stride: int, axis_len: int, grid_size: int, d: int, kappa: float, const: float) -> int:

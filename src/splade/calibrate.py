@@ -146,7 +146,9 @@ def threshold_q(sigma: float, block_volume: float, num_blocks: int, kappa_level:
     Increments of a Brownian sheet over disjoint blocks are independent
     N(0, volume), so the normalized statistic per block is sigma*|Z|/sqrt(v)
     and the max quantile has the exact closed form
-    sigma / sqrt(v) * PhiInv((1 + (1 - kappa)^(1/M)) / 2).
+    sigma / sqrt(v) * PhiInv((1 + (1 - kappa)^(1/M)) / 2).  It is evaluated
+    as -PhiInv(tail) with tail = -expm1(log1p(-kappa) / M) / 2, the same value
+    without the cancellation that forming 1 - tail loses for large M.
     """
     if sigma <= 0.0:
         raise CalibrationError(f"sigma must be > 0, got {sigma}")
@@ -156,8 +158,8 @@ def threshold_q(sigma: float, block_volume: float, num_blocks: int, kappa_level:
         raise CalibrationError(f"num_blocks must be >= 1, got {num_blocks}")
     if not 0.0 < kappa_level < 1.0:
         raise CalibrationError(f"kappa_level must be in (0, 1), got {kappa_level}")
-    p = (1.0 + (1.0 - kappa_level) ** (1.0 / num_blocks)) / 2.0
-    return sigma / math.sqrt(block_volume) * _NORMAL.inv_cdf(p)
+    tail = -math.expm1(math.log1p(-kappa_level) / num_blocks) / 2.0
+    return -sigma / math.sqrt(block_volume) * _NORMAL.inv_cdf(tail)
 
 
 def empirical_variogram(grid: Grid, axis: int, max_lag: int) -> tuple[float, np.ndarray]:

@@ -338,10 +338,14 @@ def _blocks_cell_mask(flags: np.ndarray, part: BlockPartition) -> np.ndarray:
 def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
     """Run the full pipeline and return the detected patches.
 
-    Deterministic given (grid, cfg); repeated calls are identical.
+    Deterministic given (grid, cfg); repeated calls are identical.  A grid
+    with a NaN or infinite cell is rejected with ``DetectionError``.
     """
     if cfg is None:
         cfg = SpladeConfig()
+    non_finite = grid.size - int(np.count_nonzero(np.isfinite(grid.data)))
+    if non_finite:
+        raise DetectionError(f"grid has {non_finite} non-finite cells (NaN or inf)")
     part = BlockPartition.build(grid.dims, cfg.alpha)
     if any(m < 4 for m in part.counts):
         raise DetectionError(

@@ -1,10 +1,11 @@
 """Single-patch estimators.
 
-``naive_ls`` scores every rectangle in the grid (the exhaustive least-squares
-estimator, equivalently the |contrast| argmax).  ``algorithm1`` is the
-two-stage accelerated version: a coarse pass on a strided subsample localizes
-the corners, then an exhaustive pass restricted to windows around those
-corners refines them on the full grid.
+``naive_ls`` is the least-squares estimator over every rectangle in the grid
+(equivalently the |contrast| argmax).  ``algorithm1`` is the two-stage
+accelerated version: a coarse pass on a strided subsample localizes the
+corners, then a search restricted to windows around those corners refines them
+on the full grid.  Both searches are exact: the branch-and-bound search in
+``_scan`` returns the same rectangle as scoring every candidate would.
 """
 
 from __future__ import annotations
@@ -90,10 +91,12 @@ def subsample(grid: Grid, alpha: float) -> tuple[Grid, tuple[int, ...]]:
 
 
 def naive_ls(grid: Grid, bounds: SearchBounds) -> Rect:
-    """Exhaustive |contrast| argmax over all admissible rectangles.
+    """Exact |contrast| argmax over all admissible rectangles.
 
-    Costs O(prod(n_k^2)) candidate evaluations, each O(2^d) via the prefix
-    table.  Ties break to the smallest volume, then lexicographic corners.
+    Branch and bound skips candidates that provably cannot win, so the worst
+    case (constant or near-constant data) is O(prod(n_k^2)) candidate
+    evaluations, each O(2^d) via the prefix table.  Ties break to the smallest
+    volume, then lexicographic corners.
     """
     ps = build_prefix_sum(grid)
     lo_axes = [np.arange(0, n, dtype=np.int64) for n in grid.dims]
@@ -120,11 +123,12 @@ def algorithm1(grid: Grid, params: Stage1Params, bounds: SearchBounds | None = N
 
     Stage 1 runs ``naive_ls`` on the subsampled grid (with conservative default
     volume bounds that exclude only near-degenerate candidates).  Stage 2
-    exhaustively scores every (lo, hi) pair whose corners fall in windows
-    around the stage-1 corners, clipped to the domain, using the full-grid
-    contrast.  ``bounds``, when given, constrains stage-2 volumes relative to
-    the full grid size; windows wide enough to cover the whole grid therefore
-    make the output identical to ``naive_ls(grid, bounds)``.
+    returns the argmax of the full-grid contrast over every (lo, hi) pair whose
+    corners fall in windows around the stage-1 corners, clipped to the domain;
+    the branch-and-bound search finds it without scoring most of the pairs.
+    ``bounds``, when given, constrains stage-2 volumes relative to the full
+    grid size; windows wide enough to cover the whole grid therefore make the
+    output identical to ``naive_ls(grid, bounds)``.
     """
     sub, strides = subsample(grid, params.alpha)
     coarse = naive_ls(sub, _stage1_bounds(sub.size))

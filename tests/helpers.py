@@ -8,7 +8,7 @@ reference implementations no matter how the production code evolves.
 from __future__ import annotations
 
 import itertools
-import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -21,15 +21,6 @@ def direct_rect_sum(grid: Grid, r: Rect) -> float:
     return float(grid.data[r.slices()].sum())
 
 
-def direct_contrast(grid: Grid, r: Rect) -> float:
-    n = grid.size
-    v = r.volume()
-    inside = direct_rect_sum(grid, r)
-    total = float(grid.data.sum())
-    b = math.sqrt(v * (n - v)) / n
-    return b * (inside / v - (total - inside) / (n - v))
-
-
 def all_rects(dims):
     axes = [
         [(lo, hi) for lo in range(n) for hi in range(lo + 1, n + 1)] for n in dims
@@ -38,20 +29,42 @@ def all_rects(dims):
         yield Rect(tuple(c[0] for c in combo), tuple(c[1] for c in combo))
 
 
-def brute_force_ls(grid: Grid, lambda1: float, lambda2: float) -> Rect:
-    """Exhaustive argmax by direct summation; same tie-break as production."""
+def brute_force_search(grid: Grid, lambda1: float, lambda2: float, lo_axes=None, hi_axes=None):
+    """Exhaustive argmax by direct summation; same tie-break as production.
+
+    Corners range over ``lo_axes[k]`` / ``hi_axes[k]`` per axis (default: every
+    corner).  The squared contrast is compared exactly, as the rational
+    (n*S - v*T)^2 / (v*(n - v)) of the float sums, so rectangles whose scores
+    tie in exact arithmetic (integer data) fall to the volume and corner
+    tie-break.  Returns ``(score_sq, rect)``, or None when no candidate is
+    admissible.
+    """
     n = grid.size
+    total = Fraction(float(grid.data.sum()))
+    if lo_axes is None:
+        lo_axes = [range(m) for m in grid.dims]
+    if hi_axes is None:
+        hi_axes = [range(1, m + 1) for m in grid.dims]
     best = None
-    for r in all_rects(grid.dims):
-        v = r.volume()
-        if not n * lambda1 < v < n * lambda2 or v >= n:
-            continue
-        score = abs(direct_contrast(grid, r))
-        key = (-score, v, r.lo, r.hi)
-        if best is None or key < best[0]:
-            best = (key, r)
-    assert best is not None and -best[0][0] > 0.0
-    return best[1]
+    for lo in itertools.product(*lo_axes):
+        for hi in itertools.product(*hi_axes):
+            r = Rect(lo, hi)
+            v = r.volume()
+            if r.is_empty or not n * lambda1 < v < n * lambda2 or v >= n:
+                continue
+            s = Fraction(direct_rect_sum(grid, r))
+            score_sq = Fraction((n * s - v * total) ** 2, v * (n - v))
+            key = (-score_sq, v, r.lo, r.hi)
+            if best is None or key < best[0]:
+                best = (key, r)
+    return None if best is None else (-best[0][0], best[1])
+
+
+def brute_force_ls(grid: Grid, lambda1: float, lambda2: float, lo_axes=None, hi_axes=None) -> Rect:
+    """The rectangle of ``brute_force_search``, which must exist and score above zero."""
+    found = brute_force_search(grid, lambda1, lambda2, lo_axes, hi_axes)
+    assert found is not None and found[0] > 0
+    return found[1]
 
 
 def rect_mask(dims, r: Rect) -> np.ndarray:

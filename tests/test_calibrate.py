@@ -134,6 +134,28 @@ def test_threshold_monotonicity_grid():
             assert threshold_q(3.0, v, m, 0.05) == pytest.approx(3 * q1)
 
 
+def test_threshold_large_block_counts():
+    # defined and increasing up to M = 1e15, where (1 + (1 - kappa)^(1/M)) / 2
+    # rounds to 1 and inv_cdf of it is undefined
+    ms = [10**e for e in range(3, 16)]
+    qs = [threshold_q(1.0, 1.0, m, 0.05) for m in ms]
+    assert all(a < b for a, b in zip(qs, qs[1:]))
+    for m, q in zip(ms, qs):
+        # P(max of M iid |Z| <= q) = (1 - erfc(q / sqrt 2))^M must be 1 - kappa
+        log_cdf = m * math.log1p(-math.erfc(q / math.sqrt(2.0)))
+        assert log_cdf == pytest.approx(math.log1p(-0.05), rel=1e-9)
+
+
+def test_threshold_agrees_with_closed_form_for_few_blocks():
+    from statistics import NormalDist
+
+    for m in (1, 2, 7, 64, 1000, 10**4):
+        for kappa in (0.01, 0.05, 0.5):
+            p = (1.0 + (1.0 - kappa) ** (1.0 / m)) / 2.0
+            old = 2.5 / math.sqrt(9.0) * NormalDist().inv_cdf(p)
+            assert threshold_q(2.5, 9.0, m, kappa) == pytest.approx(old, rel=1e-12, abs=0.0)
+
+
 def test_threshold_domain_errors():
     for bad in [(0.0, 4, 4, 0.05), (1.0, 0.5, 4, 0.05), (1.0, 4, 0, 0.05), (1.0, 4, 4, 1.0)]:
         with pytest.raises(CalibrationError):

@@ -211,6 +211,16 @@ def test_detect_determinism():
     assert d1 == d2
 
 
+def test_detect_identical_across_thread_counts(monkeypatch):
+    truth = canonical_scenario("config2", 128, 1.0)
+    x = inject_patches(gen_field(FieldSpec(kind="sar", seed=8, rho=0.2), (128, 128)), truth)
+    monkeypatch.setenv("SPLADE_THREADS", "1")
+    one = splade_detect(x)
+    monkeypatch.setenv("SPLADE_THREADS", "2")
+    assert splade_detect(x) == one
+    assert one.k_hat > 1  # several envelopes, so two threads refine at once
+
+
 def test_detect_given_mu0_sigma_skips_estimation():
     truth = canonical_scenario("config1", 128, 1.0)
     noise = gen_field(FieldSpec(kind="iid-gaussian", seed=6), (128, 128))
@@ -233,6 +243,17 @@ def test_detect_pure_noise_mostly_empty():
 def test_detect_rejects_small_grids():
     with pytest.raises(DetectionError):
         splade_detect(Grid.from_array(np.zeros((8, 8))), SpladeConfig(alpha=0.9))
+
+
+def test_detect_rejects_non_finite_cells():
+    data = gen_field(FieldSpec(kind="iid-gaussian", seed=1), (64, 64)).data.copy()
+    data[3, 4] = np.nan
+    with pytest.raises(DetectionError, match="1 non-finite"):
+        splade_detect(Grid.from_array(data))
+    data[10, 11] = np.inf
+    data[20, 21] = -np.inf
+    with pytest.raises(DetectionError, match="3 non-finite"):
+        splade_detect(Grid.from_array(data))
 
 
 def test_min_component_cells_formula():
