@@ -31,6 +31,8 @@ _BATCH_PAIRS pairs, leaves of a batch with equal range lengths sharing one
 vectorized gather, and the bound is re-checked against the rising incumbent
 before each batch.
 
+A search space of at most _BATCH_PAIRS pairs is scored whole, as one leaf.
+
 Tie-breaking is deterministic: maximal |contrast|, then smallest volume, then
 lexicographically smallest lower corner, then upper corner.
 
@@ -148,6 +150,9 @@ class _Search:
         best = _Best()
         incumbent = -1.0
         nodes = np.array([[[0, a.size] for a in self.cands]], dtype=np.int32)
+        if _pairs(nodes)[0] <= _BATCH_PAIRS:  # bounding would cost more than it saves
+            self._score_leaves(nodes, best)
+            return best
         leaves, leaf_bounds = [], []
         while len(nodes):
             bound, seed = self._bound(nodes)
@@ -183,10 +188,9 @@ class _Search:
         ``lo[k]`` / ``hi[k]`` broadcast to one shape.  Inadmissible pairs score -1.
         """
         s = self._box_sums(self.table, lo, hi)
-        vol = np.maximum(hi[0] - lo[0], 0)
+        volf = np.maximum(hi[0] - lo[0], 0).astype(np.float64)
         for k in range(1, self.d):
-            vol = vol * np.maximum(hi[k] - lo[k], 0)
-        volf = vol.astype(np.float64)
+            volf = volf * np.maximum(hi[k] - lo[k], 0)
         s -= volf * self.tbar
         np.square(s, out=s)
         with np.errstate(over="ignore"):  # only empty pairs, about to be masked
@@ -269,7 +273,7 @@ class _Search:
             if top == best.score_sq and best.lo is not None and vmin > best.vol:
                 continue
             sel &= volf == vmin
-            hits = np.nonzero(sel)
+            hits = np.unravel_index(np.flatnonzero(sel), sel.shape)
             corners = min(
                 tuple(int(axes[j].reshape(-1, m)[hits[j][h], i]) for j in range(nslots))
                 for h, i in enumerate(hits[-1])

@@ -5,9 +5,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from splade import _scan
 from splade._scan import DegenerateScanError, NoAdmissibleRectError, best_rectangle
 from splade.lattice import Grid, LatticeError, build_prefix_sum
 from splade.single import DegenerateGridError, SearchBounds, naive_ls
@@ -16,6 +17,15 @@ from helpers import brute_force_search
 
 # largest tiny grid per rank; cases draw each side from 2..this
 TINY = {1: (13,), 2: (6, 5), 3: (4, 3, 4), 4: (3, 3, 2, 3)}
+
+
+@pytest.fixture(params=["whole", "branch-and-bound"])
+def search(request, monkeypatch):
+    # Tiny search spaces fit in one batch and are scored whole; with smaller
+    # leaves and batches they go through the branch and bound instead.
+    if request.param == "branch-and-bound":
+        monkeypatch.setattr(_scan, "_LEAF_PAIRS", 4)
+        monkeypatch.setattr(_scan, "_BATCH_PAIRS", 64)
 
 
 def _zero_sum_integers(rng, dims):
@@ -69,7 +79,7 @@ def _check(x, lam1, lam2, lo_axes, hi_axes, exact):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("kind", ["gaussian", "integer"])
-def test_best_rectangle_matches_oracle(d, kind):
+def test_best_rectangle_matches_oracle(d, kind, search):
     rng = np.random.default_rng(10 * d + (kind == "integer"))
     for case in range(12):
         dims = tuple(int(rng.integers(2, m + 1)) for m in TINY[d])
@@ -87,9 +97,9 @@ def test_best_rectangle_matches_oracle(d, kind):
         _check(x, lam1, lam2, [lo for lo, _ in axes], [hi for _, hi in axes], kind == "integer")
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
-def test_best_rectangle_oracle_hypothesis(data):
+def test_best_rectangle_oracle_hypothesis(search, data):
     d = data.draw(st.integers(1, 4))
     dims = tuple(data.draw(st.integers(1, m)) for m in TINY[d])
     size = math.prod(dims)
@@ -107,7 +117,7 @@ def test_best_rectangle_oracle_hypothesis(data):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_naive_ls_matches_oracle_with_bounds(d):
+def test_naive_ls_matches_oracle_with_bounds(d, search):
     rng = np.random.default_rng(40 + d)
     for case in range(6):
         dims = tuple(int(rng.integers(2, m + 1)) for m in TINY[d])
@@ -126,7 +136,7 @@ def test_naive_ls_matches_oracle_with_bounds(d):
             _assert_argmax(grid, bounds.lambda1, bounds.lambda2, rect, found, case % 2 == 1)
 
 
-def test_best_rectangle_no_admissible_candidate():
+def test_best_rectangle_no_admissible_candidate(search):
     ps = build_prefix_sum(Grid.from_array(np.arange(24.0).reshape(2, 3, 4)))
     lo = [np.arange(2), np.arange(3), np.arange(4)]
     hi = [np.arange(1, 3), np.arange(1, 4), np.arange(1, 5)]
@@ -139,7 +149,7 @@ def test_best_rectangle_no_admissible_candidate():
 
 
 @pytest.mark.parametrize("dims", [(9,), (5, 4), (3, 4, 3), (3, 2, 3, 2)])
-def test_constant_grid_is_degenerate(dims):
+def test_constant_grid_is_degenerate(dims, search):
     grid = Grid.from_array(np.full(dims, 2.5))
     ps = build_prefix_sum(grid)
     lo = [np.arange(m) for m in dims]
