@@ -23,18 +23,20 @@ statistics by Neill & Moore (KDD 2004).
 
 A node is dropped only when its bound is below incumbent * (1 - _EPS), where
 the incumbent is the best squared score actually computed so far, seeded by
-scoring every node's R_max and R_min.  A pair that ties or beats the incumbent
-therefore always survives, and the result is the exhaustive argmax.  Nodes are
-split in two along their longest range until at most _LEAF_PAIRS pairs remain;
-the leaves are then scored highest-bound-first in batches of at most
+scoring every node's R_max and R_min.  The rounding allowance covers the
+absolute error of the sums and _EPS the relative error of the score
+arithmetic, so no pair that ties or beats the incumbent is ever dropped.  Nodes
+are split in two along their longest range until at most _LEAF_PAIRS pairs
+remain; the leaves are then scored highest-bound-first in batches of at most
 _BATCH_PAIRS pairs, leaves of a batch with equal range lengths sharing one
 vectorized gather, and the bound is re-checked against the rising incumbent
-before each batch.
+before each batch.  A search space of at most _BATCH_PAIRS pairs is scored
+whole, as one leaf, since bounding it would cost more than it saves.
 
-A search space of at most _BATCH_PAIRS pairs is scored whole, as one leaf.
-
-Tie-breaking is deterministic: maximal |contrast|, then smallest volume, then
-lexicographically smallest lower corner, then upper corner.
+Every scored pair goes through one deterministic tie rule: maximal |contrast|,
+then smallest volume, then lexicographically smallest lower corner, then upper
+corner.  The result is therefore exactly the pair that scoring every candidate
+would return.
 
 All state lives in one ``_Search`` per call, so concurrent calls share nothing.
 """
@@ -148,11 +150,11 @@ class _Search:
 
     def run(self) -> _Best:
         best = _Best()
-        incumbent = -1.0
         nodes = np.array([[[0, a.size] for a in self.cands]], dtype=np.int32)
-        if _pairs(nodes)[0] <= _BATCH_PAIRS:  # bounding would cost more than it saves
+        if _pairs(nodes)[0] <= _BATCH_PAIRS:
             self._score_leaves(nodes, best)
             return best
+        incumbent = -1.0
         leaves, leaf_bounds = [], []
         while len(nodes):
             bound, seed = self._bound(nodes)

@@ -343,9 +343,12 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
     """
     if cfg is None:
         cfg = SpladeConfig()
-    non_finite = grid.size - int(np.count_nonzero(np.isfinite(grid.data)))
-    if non_finite:
-        raise DetectionError(f"grid has {non_finite} non-finite cells (NaN or inf)")
+    # A NaN or inf cell makes the sum non-finite, and the sum needs no
+    # grid-sized temporary; cells are counted only on that rare path.
+    if not math.isfinite(float(grid.data.sum())):
+        non_finite = grid.size - int(np.count_nonzero(np.isfinite(grid.data)))
+        if non_finite:
+            raise DetectionError(f"grid has {non_finite} non-finite cells (NaN or inf)")
     part = BlockPartition.build(grid.dims, cfg.alpha)
     if any(m < 4 for m in part.counts):
         raise DetectionError(

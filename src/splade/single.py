@@ -93,9 +93,9 @@ def subsample(grid: Grid, alpha: float) -> tuple[Grid, tuple[int, ...]]:
 def naive_ls(grid: Grid, bounds: SearchBounds) -> Rect:
     """Exact |contrast| argmax over all admissible rectangles.
 
-    Branch and bound skips candidates that provably cannot win, so the worst
-    case (constant or near-constant data) is O(prod(n_k^2)) candidate
-    evaluations, each O(2^d) via the prefix table.  Ties break to the smallest
+    Branch and bound skips candidates that provably cannot win; the worst
+    case, such as constant data, is O(prod(n_k^2)) candidate evaluations,
+    each O(2^d) via the prefix table.  Ties break to the smallest
     volume, then lexicographic corners.
     """
     ps = build_prefix_sum(grid)

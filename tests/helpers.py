@@ -33,11 +33,11 @@ def brute_force_search(grid: Grid, lambda1: float, lambda2: float, lo_axes=None,
     """Exhaustive argmax by direct summation; same tie-break as production.
 
     Corners range over ``lo_axes[k]`` / ``hi_axes[k]`` per axis (default: every
-    corner).  The squared contrast is compared exactly, as the rational
-    (n*S - v*T)^2 / (v*(n - v)) of the float sums, so rectangles whose scores
-    tie in exact arithmetic (integer data) fall to the volume and corner
-    tie-break.  Returns ``(score_sq, rect)``, or None when no candidate is
-    admissible.
+    corner).  Scores are compared exactly, as the rational
+    score_sq = (n*S - v*T)^2 / (v*(n - v)) of the float sums (n^2 times the
+    squared contrast), so rectangles whose scores tie in exact arithmetic
+    (integer data) fall to the volume and corner tie-break.  Returns
+    ``(score_sq, rect)``, or None when no candidate is admissible.
     """
     n = grid.size
     total = Fraction(float(grid.data.sum()))

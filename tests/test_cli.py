@@ -94,6 +94,16 @@ def test_missing_file_nonzero_exit(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_detect_non_finite_grid_fails_cleanly(tmp_path, capsys):
+    data = gen_field(FieldSpec(kind="iid-gaussian", seed=3), (64, 64)).data.copy()
+    data[5, 6] = np.nan
+    grid_path = str(tmp_path / "nan.splg")
+    write_grid(grid_path, Grid.from_array(data))
+    rc = main(["detect", "--in", grid_path, "--out", str(tmp_path / "o.json")])
+    assert rc != 0
+    assert "error: grid has 1 non-finite cells" in capsys.readouterr().err
+
+
 def test_simulate_explicit_patchset(tmp_path):
     spec = {
         "dims": [64, 64],
