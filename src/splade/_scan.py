@@ -123,37 +123,13 @@ class _Search:
         self.v_last = math.ceil(vmax) - 1
         self.corners = list(product((0, 1), repeat=d))  # 1 -> take lo on that axis
 
-        # Y+ and Y- over the hull of the candidates, stacked on a last axis of 2.
-        self.origin = np.array([min(int(lo[0]), int(hi[0])) for lo, hi in zip(lo_axes, hi_axes)])
-        top = np.array([max(int(lo[-1]), int(hi[-1])) for lo, hi in zip(lo_axes, hi_axes)])
-        sub = ps.table[tuple(slice(o, t + 1) for o, t in zip(self.origin, top))]
-        y = sub
-        for ax in range(d):
-            y = np.diff(y, axis=ax)
-        y = y - self.tbar
-        ytab = np.zeros(tuple(int(t - o) + 1 for o, t in zip(self.origin, top)) + (2,))
-        inner = ytab[(slice(1, None),) * d]
-        inner[..., 0] = np.maximum(y, 0.0)
-        inner[..., 1] = np.maximum(-y, 0.0)
-        for ax in range(d):
-            np.cumsum(inner, axis=ax, out=inner)
-        self.ytab = ytab
-        # Rounding in the prefix table, the differencing, the Y tables and the
-        # scorer's own sums, bounded for the worst case: at most
-        # 4^d * (cells + 1) unit roundoffs of the largest magnitude involved.
-        scale = (
-            (float(np.abs(sub).max()) if sub.size else 0.0)
-            + abs(ps.total)
-            + float(ytab[(-1,) * d].sum())
-        )
-        self.slack = 4.0**d * (y.size + 1) * _UNIT_ROUNDOFF * scale
-
     def run(self) -> _Best:
         best = _Best()
         nodes = np.array([[[0, a.size] for a in self.cands]], dtype=np.int32)
         if _pairs(nodes)[0] <= _BATCH_PAIRS:
             self._score_leaves(nodes, best)
             return best
+        self._build_bound_tables()
         incumbent = -1.0
         leaves, leaf_bounds = [], []
         while len(nodes):
@@ -183,6 +159,31 @@ class _Search:
             incumbent = max(incumbent, best.score_sq)
             start = stop
         return best
+
+    def _build_bound_tables(self):
+        """Y+ and Y- over the hull of the candidates (stacked on a last axis of
+        2), and the rounding allowance for the bound's numerator."""
+        d = self.d
+        lo_axes, hi_axes = self.cands[:d], self.cands[d:]
+        self.origin = np.array([min(int(lo[0]), int(hi[0])) for lo, hi in zip(lo_axes, hi_axes)])
+        top = np.array([max(int(lo[-1]), int(hi[-1])) for lo, hi in zip(lo_axes, hi_axes)])
+        sub = self.table[tuple(slice(o, t + 1) for o, t in zip(self.origin, top))]
+        y = sub
+        for ax in range(d):
+            y = np.diff(y, axis=ax)
+        y = y - self.tbar
+        ytab = np.zeros(tuple(int(t - o) + 1 for o, t in zip(self.origin, top)) + (2,))
+        inner = ytab[(slice(1, None),) * d]
+        inner[..., 0] = np.maximum(y, 0.0)
+        inner[..., 1] = np.maximum(-y, 0.0)
+        for ax in range(d):
+            np.cumsum(inner, axis=ax, out=inner)
+        self.ytab = ytab
+        # Rounding in the prefix table, the differencing, the Y tables and the
+        # scorer's own sums, bounded for the worst case: at most
+        # 4^d * (cells + 1) unit roundoffs of the largest magnitude involved.
+        scale = float(np.abs(sub).max()) + abs(self.tbar * self.n) + float(ytab[(-1,) * d].sum())
+        self.slack = 4.0**d * (y.size + 1) * _UNIT_ROUNDOFF * scale
 
     def _score(self, lo, hi):
         """Squared contrasts and volumes of the pairs given by per-axis corner arrays.
