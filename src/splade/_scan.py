@@ -3,7 +3,9 @@
 The search space is the Cartesian product of per-axis lower-corner candidates
 and per-axis upper-corner candidates.  A pair is scored by its squared contrast
 (S - v*tbar)^2 / (v*(n - v)) (S = sum inside, v = volume, n = cell count,
-tbar = grand mean), read off the prefix table in 2^d terms.
+tbar = grand mean), read off the prefix table in 2^d terms.  Corners, n and
+tbar are relative to the table's window; the candidates are shifted by its
+origin once, so the search indexes the table directly.
 
 Rather than score every pair, the search works on nodes: a node holds one
 index range of lo candidates and one of hi candidates per axis.  Every
@@ -104,7 +106,7 @@ def best_rectangle(ps: PrefixSum, lo_axes, hi_axes, vol_min: float, vol_max: flo
         )
     if best.score_sq == 0.0:
         raise DegenerateScanError("all admissible contrasts are zero")
-    return Rect(best.lo, best.hi), math.sqrt(best.score_sq)
+    return Rect(best.lo, best.hi).shift(tuple(-o for o in ps.origin)), math.sqrt(best.score_sq)
 
 
 class _Search:
@@ -116,7 +118,8 @@ class _Search:
         self.n = ps.size
         self.tbar = ps.total / self.n
         self.table = ps.table
-        self.cands = lo_axes + hi_axes  # slot k < d: lo on axis k; slot d + k: hi
+        # slot k < d: lo on axis k; slot d + k: hi; as table indices
+        self.cands = [a + o for a, o in zip(lo_axes + hi_axes, ps.origin + ps.origin)]
         self.vmin, self.vmax = vmin, vmax
         # integer volumes v with vmin < v < vmax
         self.v_first = max(math.floor(vmin) + 1, 1)
@@ -165,14 +168,14 @@ class _Search:
         2), and the rounding allowance for the bound's numerator."""
         d = self.d
         lo_axes, hi_axes = self.cands[:d], self.cands[d:]
-        self.origin = np.array([min(int(lo[0]), int(hi[0])) for lo, hi in zip(lo_axes, hi_axes)])
-        top = np.array([max(int(lo[-1]), int(hi[-1])) for lo, hi in zip(lo_axes, hi_axes)])
-        sub = self.table[tuple(slice(o, t + 1) for o, t in zip(self.origin, top))]
+        self.hull = np.array([min(int(lo[0]), int(hi[0])) for lo, hi in zip(lo_axes, hi_axes)])
+        top = [max(int(lo[-1]), int(hi[-1])) for lo, hi in zip(lo_axes, hi_axes)]
+        sub = self.table[tuple(slice(o, t + 1) for o, t in zip(self.hull, top))]
         y = sub
         for ax in range(d):
             y = np.diff(y, axis=ax)
         y = y - self.tbar
-        ytab = np.zeros(tuple(int(t - o) + 1 for o, t in zip(self.origin, top)) + (2,))
+        ytab = np.zeros(tuple(int(t - o) + 1 for o, t in zip(self.hull, top)) + (2,))
         inner = ytab[(slice(1, None),) * d]
         inner[..., 0] = np.maximum(y, 0.0)
         inner[..., 1] = np.maximum(-y, 0.0)
@@ -182,8 +185,9 @@ class _Search:
         # Rounding in the prefix table, the differencing, the Y tables and the
         # scorer's own sums, bounded for the worst case: at most
         # 4^d * (cells + 1) unit roundoffs of the largest magnitude involved.
+        # The entries read accumulate every cell below ``top``, not only the hull's.
         scale = float(np.abs(sub).max()) + abs(self.tbar * self.n) + float(ytab[(-1,) * d].sum())
-        self.slack = 4.0**d * (y.size + 1) * _UNIT_ROUNDOFF * scale
+        self.slack = 4.0**d * (math.prod(top) + 1) * _UNIT_ROUNDOFF * scale
 
     def _score(self, lo, hi):
         """Squared contrasts and volumes of the pairs given by per-axis corner arrays.
@@ -219,7 +223,7 @@ class _Search:
 
     def _ysum(self, lo, hi):
         """(Y+, Y-) sums over the rectangles (lo, hi]; shape (m, 2)."""
-        o = self.origin
+        o = self.hull
         return self._box_sums(self.ytab, [a - b for a, b in zip(lo, o)], [a - b for a, b in zip(hi, o)])
 
     def _bound(self, nodes):

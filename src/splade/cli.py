@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 
 from . import bench as bench_mod
 from . import frames as frames_mod
@@ -39,6 +40,9 @@ from .single import Stage1Params
 
 
 def _field_spec_from_json(obj, seed_default=0) -> FieldSpec:
+    unknown = set(obj) - {f.name for f in fields(FieldSpec)}
+    if unknown:
+        raise LatticeError(f"unknown field spec keys {sorted(unknown)}")
     if "stencil" in obj:
         obj = dict(obj)
         obj["stencil"] = tuple(
@@ -94,10 +98,18 @@ def _config_from_args(args) -> SpladeConfig:
         ),
         envelope_margin_blocks=args.margin_blocks,
         min_size_factor=args.min_size_factor,
-        mu0=None if args.mu0 == "auto" else float(args.mu0),
-        sigma=None if args.sigma == "auto" else float(args.sigma),
+        mu0=args.mu0,
+        sigma=args.sigma,
         connectivity=args.connectivity,
     )
+
+
+def _auto_or_float(text: str) -> float | None:
+    """Flag value 'auto' (None: estimate from the data) or a number."""
+    try:
+        return None if text == "auto" else float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'auto' or a number, got {text!r}") from None
 
 
 def _add_detect_flags(p: argparse.ArgumentParser) -> None:
@@ -106,8 +118,8 @@ def _add_detect_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kappa2", type=float, default=0.01)
     p.add_argument("--window-const", type=float, default=1.0)
     p.add_argument("--level", type=float, default=0.05)
-    p.add_argument("--mu0", default="auto")
-    p.add_argument("--sigma", default="auto")
+    p.add_argument("--mu0", type=_auto_or_float, default="auto")
+    p.add_argument("--sigma", type=_auto_or_float, default="auto")
     p.add_argument("--margin-blocks", type=int, default=2)
     p.add_argument("--min-size-factor", type=float, default=1.0)
     p.add_argument("--connectivity", choices=("faces", "faces+corners"), default="faces")

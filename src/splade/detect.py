@@ -12,6 +12,9 @@ When the baseline mean or the long-run variance is estimated and a surviving
 component touches the boundary calibration layer, the layer estimates are
 treated as contaminated: the pipeline re-estimates both quantities on the
 cells outside all flagged blocks and re-runs the first stage once.
+
+Each call builds one prefix table of the whole grid; the block means, every
+envelope's stage-2 search (through a window of the table) and the jumps read it.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from .calibrate import (
     masked_lrv,
     threshold_q,
 )
-from .lattice import Grid, LatticeError, Rect, build_prefix_sum, rect_sum
-from .single import DegenerateGridError, Stage1Params, SubsampleError, algorithm1
+from .lattice import BlockPartition, Grid, LatticeError, PrefixSum, Rect, build_prefix_sum, rect_sum
+from .single import DegenerateGridError, Stage1Params, SubsampleError, _two_stage
+from .single import algorithm1  # noqa: F401  perfbench/tracer.py looks it up here
 
 _FALLBACK_MIN_CELLS = 256  # below this, a masked re-estimate is too thin to trust
 
@@ -46,64 +50,18 @@ class DetectionError(LatticeError):
 def worker_count(n_tasks: int) -> int:
     """Parallelism cap: SPLADE_THREADS when set, else the core count."""
     env = os.environ.get("SPLADE_THREADS", "")
-    cap = int(env) if env.strip() else (os.cpu_count() or 1)
+    try:
+        cap = int(env) if env.strip() else (os.cpu_count() or 1)
+    except ValueError:
+        raise DetectionError(f"SPLADE_THREADS must be an integer, got {env!r}") from None
     return max(1, min(cap, n_tasks))
 
 
-@dataclass(frozen=True)
-class BlockPartition:
-    """Tiling of the lattice into rectangles of side floor(n_k^alpha).
-
-    Edge blocks are truncated to the domain, so the blocks tile the lattice
-    exactly: disjoint, union covering every cell.
-    """
-
-    dims: tuple[int, ...]
-    strides: tuple[int, ...]
-    counts: tuple[int, ...]
-
-    @classmethod
-    def build(cls, dims, alpha: float) -> "BlockPartition":
-        if not 0.0 < alpha < 1.0:
-            raise DetectionError(f"alpha must be in (0, 1), got {alpha}")
-        dims = tuple(int(x) for x in dims)
-        strides = tuple(max(1, int(math.floor(n**alpha))) for n in dims)
-        counts = tuple(-(-n // l) for n, l in zip(dims, strides))
-        return cls(dims=dims, strides=strides, counts=counts)
-
-    def edges(self, axis: int) -> np.ndarray:
-        l, n, m = self.strides[axis], self.dims[axis], self.counts[axis]
-        e = np.minimum(np.arange(m + 1, dtype=np.int64) * l, n)
-        return e
-
-    def block(self, index) -> Rect:
-        lo = tuple(int(self.edges(k)[s]) for k, s in enumerate(index))
-        hi = tuple(int(self.edges(k)[s + 1]) for k, s in enumerate(index))
-        return Rect(lo, hi)
-
-    def volumes(self) -> np.ndarray:
-        widths = [np.diff(self.edges(k)) for k in range(len(self.dims))]
-        out = widths[0].astype(np.int64)
-        for w in widths[1:]:
-            out = np.multiply.outer(out, w)
-        return out
-
-    @property
-    def num_blocks(self) -> int:
-        return int(np.prod(self.counts))
-
-
-def block_means(grid: Grid, part: BlockPartition) -> np.ndarray:
-    """Mean over each (possibly truncated) block, via the prefix table."""
-    ps = build_prefix_sum(grid)
-    sub = ps.table[np.ix_(*(part.edges(k) for k in range(grid.ndim)))]
-    sums = sub
-    for ax in range(grid.ndim):
-        head = [slice(None)] * grid.ndim
-        tail = [slice(None)] * grid.ndim
-        head[ax] = slice(1, None)
-        tail[ax] = slice(None, -1)
-        sums = sums[tuple(head)] - sums[tuple(tail)]
+def block_means(ps: PrefixSum, part: BlockPartition) -> np.ndarray:
+    """Mean over each (possibly truncated) block of ``part``, read off the table ``ps``."""
+    sums = ps.table[np.ix_(*(part.edges(k) + o for k, o in enumerate(ps.origin)))]
+    for ax in range(sums.ndim):
+        sums = np.diff(sums, axis=ax)
     return sums / part.volumes()
 
 
@@ -168,10 +126,7 @@ def components(mask: np.ndarray, part: BlockPartition, min_cells: int, connectiv
 
 
 def component_bbox(comp, part: BlockPartition) -> Rect:
-    d = len(part.dims)
-    lo = tuple(int(part.edges(k)[min(c[k] for c in comp)]) for k in range(d))
-    hi = tuple(int(part.edges(k)[max(c[k] for c in comp) + 1]) for k in range(d))
-    return Rect(lo, hi)
+    return Rect(part.block(np.min(comp, axis=0)).lo, part.block(np.max(comp, axis=0)).hi)
 
 
 def envelope(comp, part: BlockPartition, margin_blocks: int, dims) -> Rect:
@@ -301,38 +256,35 @@ def _block_thresholds(sigma: float, part: BlockPartition, kappa_level: float):
     return q
 
 
-def _first_stage(grid, part, mu0, sigma, cfg, min_cells):
-    means = block_means(grid, part)
+def _first_stage(data, ps, part, mu0, sigma, cfg, min_cells):
+    """Flag blocks and group them into components, split by contrast sign."""
+    means = block_means(ps, part)
     q = _block_thresholds(sigma, part, cfg.kappa_level)
     # floor at machine-noise scale so ulp residue (e.g. from baseline
-    # subtraction) never reads as signal when sigma-hat collapses to ~0
-    scale = float(np.max(np.abs(grid.data - mu0)))
+    # subtraction) never reads as signal when sigma-hat collapses to ~0;
+    # max |x - mu0| without a grid-sized temporary
+    scale = float(max(data.max() - mu0, mu0 - data.min()))
     q = np.maximum(q, 64.0 * np.finfo(np.float64).eps * scale)
-    pos = (means - mu0) > q
-    neg = (mu0 - means) > q
-    comps = components(pos, part, min_cells, cfg.connectivity) + components(
-        neg, part, min_cells, cfg.connectivity
+    flags = flag_blocks(means, q, mu0)
+    comps = components(flags & (means > mu0), part, min_cells, cfg.connectivity) + components(
+        flags & (means < mu0), part, min_cells, cfg.connectivity
     )
     comps.sort()
-    return means, q, pos | neg, comps
+    return flags, comps
 
 
-def _touches_layer(comp, part: BlockPartition, beta: float) -> bool:
-    for k, n in enumerate(part.dims):
-        t = n**beta
-        for c in comp:
-            b = part.block(c)
-            if b.lo[k] + 1 <= t or b.hi[k] >= n - t + 1.0:
-                return True
-    return False
+def _cells_to_blocks(mask: np.ndarray, part: BlockPartition) -> np.ndarray:
+    """Block-level mask: the blocks holding at least one cell of ``mask``."""
+    for ax in range(mask.ndim):
+        mask = np.logical_or.reduceat(mask, part.edges(ax)[:-1], axis=ax)
+    return mask
 
 
-def _blocks_cell_mask(flags: np.ndarray, part: BlockPartition) -> np.ndarray:
-    """Expand a block-level boolean mask to cell level."""
-    out = np.zeros(part.dims, dtype=bool)
-    for idx in np.argwhere(flags):
-        out[part.block(tuple(int(x) for x in idx)).slices()] = True
-    return out
+def _blocks_to_cells(flags: np.ndarray, part: BlockPartition) -> np.ndarray:
+    """Cell-level mask: every cell of the flagged blocks."""
+    for ax in range(flags.ndim):
+        flags = np.repeat(flags, np.diff(part.edges(ax)), axis=ax)
+    return flags
 
 
 def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
@@ -373,14 +325,15 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
     if sigma < 0.0:
         raise DetectionError("sigma must be >= 0")
 
-    _, _, flags, comps = _first_stage(grid, part, mu0, sigma, cfg, min_cells)
+    ps = build_prefix_sum(grid)
+    flags, comps = _first_stage(grid.data, ps, part, mu0, sigma, cfg, min_cells)
 
     fallback = False
-    if estimated and any(_touches_layer(c, part, cfg.boundary_beta) for c in comps):
+    if estimated and comps and _cells_to_blocks(layer, part)[tuple(np.concatenate(comps).T)].any():
         # Anomalies reach into the calibration layer: re-estimate on the cells
         # outside every flagged block, then redo the first stage once.
         fallback = True
-        clean = ~_blocks_cell_mask(flags, part)
+        clean = ~_blocks_to_cells(flags, part)
         clean_count = int(clean.sum())
         if cfg.mu0 is None:
             mu0 = float(
@@ -389,7 +342,7 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
         if cfg.sigma is None and clean_count >= _FALLBACK_MIN_CELLS:
             sigma2, lrv_clamped = masked_lrv(grid.data, clean, kernel)
             sigma = math.sqrt(max(sigma2, 0.0))
-        _, _, flags, comps = _first_stage(grid, part, mu0, sigma, cfg, min_cells)
+        flags, comps = _first_stage(grid.data, ps, part, mu0, sigma, cfg, min_cells)
 
     bboxes = [component_bbox(c, part) for c in comps]
     envs = [envelope(c, part, cfg.envelope_margin_blocks, grid.dims) for c in comps]
@@ -399,9 +352,8 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
         bbox, env = item
         if env.is_empty:
             return None, True
-        sub = Grid.from_array(grid.data[env.slices()].copy())
         try:
-            return algorithm1(sub, cfg.stage2).shift(env.lo), False
+            return _two_stage(grid.data[env.slices()], ps.window(env), cfg.stage2).shift(env.lo), False
         except (SubsampleError, DegenerateGridError, NoAdmissibleRectError):
             clipped = bbox.intersect(env)
             return (None if clipped.is_empty else clipped), True
@@ -417,7 +369,6 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
     patches = [r for r, _ in refined if r is not None]
 
     patches.sort(key=lambda r: (r.lo, r.hi))
-    ps = build_prefix_sum(grid)
     jumps = tuple(rect_sum(ps, r) / r.volume() - mu0 for r in patches)
 
     interior_vol = int(np.prod(part.strides))

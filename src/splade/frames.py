@@ -47,9 +47,10 @@ def read_pnm(path) -> np.ndarray:
     magic = token()
     if magic not in (b"P5", b"P6"):
         raise FrameError(f"{path}: unsupported format {magic!r} (binary P5/P6 only)")
-    width = int(token())
-    height = int(token())
-    maxval = int(token())
+    header = [token() for _ in range(3)]  # width, height, maxval
+    if not all(t.isdigit() for t in header):
+        raise FrameError(f"{path}: bad header {header!r}, expected three numbers")
+    width, height, maxval = (int(t) for t in header)
     if not 0 < maxval < 65536:
         raise FrameError(f"{path}: bad maxval {maxval}")
     pos += 1  # single whitespace byte before payload

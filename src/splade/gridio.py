@@ -8,6 +8,7 @@ in row-major order.  Round-trips are bitwise lossless.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -57,7 +58,7 @@ def read_grid(path) -> Grid:
     if len(raw) < head:
         raise TruncatedFileError(f"{path}: dims cut short")
     dims = struct.unpack_from(f"<{d}Q", raw, 12)
-    count = int(np.prod([int(x) for x in dims])) if d else 0
+    count = math.prod(dims) if d else 0  # Python ints: dims near 2^64 must not wrap
     expected = head + 8 * count
     if len(raw) < expected:
         raise TruncatedFileError(

@@ -1,10 +1,13 @@
-"""Dense lattice grids, axis-aligned rectangles, and prefix-sum machinery.
+"""Dense lattice grids, axis-aligned rectangles, prefix sums and block tilings.
 
 Indexing convention, used repo-wide: a rectangle is the half-open cell set
 ``(lo, hi]`` in 1-based lattice coordinates, which coincides with the 0-based
 NumPy slice ``lo:hi``.  ``lo`` is the exclusive lower corner, ``hi`` the
 inclusive upper corner, and the cell count is ``prod(hi - lo)``.  A rectangle
 with ``hi_k <= lo_k`` on any axis is empty.
+
+One ``PrefixSum`` table per grid serves every rectangle sum; ``window`` reads
+it through a sub-rectangle.  ``BlockPartition`` owns the stride arithmetic.
 
 All objects here are immutable after construction and safe to share across
 threads; every operation is pure.
@@ -145,38 +148,52 @@ class PatchSet:
 
 @dataclass(frozen=True)
 class PrefixSum:
-    """Cumulative-sum table with a zero-padded border.
+    """Cumulative-sum table with a zero-padded border, read through a window.
 
     ``table[i1, ..., id]`` is the sum of grid cells in the slice
     ``[0:i1, ..., 0:id]``, so any rectangle sum is a 2^d-term
-    inclusion-exclusion over corner entries.
+    inclusion-exclusion over corner entries.  ``dims``, ``size``, ``total`` and
+    the rectangles of ``rect_sum`` and ``contrast`` refer to the window of
+    ``dims`` cells at ``origin`` (default zeros: the whole grid).
     """
 
     dims: tuple[int, ...]
-    table: np.ndarray  # shape == dims + 1 per axis
+    table: np.ndarray  # shape == grid dims + 1 per axis
+    origin: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if not self.origin:
+            object.__setattr__(self, "origin", (0,) * len(self.dims))
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def total(self) -> float:
-        return float(self.table[tuple(self.dims)])
+        """Sum over the window; at origin zero this is exactly ``table[dims]``."""
+        return rect_sum(self, Rect((0,) * len(self.dims), self.dims))
+
+    def window(self, r: Rect) -> "PrefixSum":
+        """The same table read through the cells of ``r`` (in window coordinates)."""
+        if r.ndim != len(self.dims) or r.is_empty or not r.within(self.dims):
+            raise LatticeError(f"window {r} is empty or outside dims {self.dims}")
+        origin = tuple(o + l for o, l in zip(self.origin, r.lo))
+        return PrefixSum(tuple(h - l for l, h in zip(r.lo, r.hi)), self.table, origin)
 
 
 def build_prefix_sum(grid: Grid) -> PrefixSum:
-    """Summed table enabling O(2^d) rectangle sums; built in one pass per axis."""
+    """Summed table enabling O(2^d) rectangle sums; one in-place pass per axis."""
     n = grid.size
     if n > np.iinfo(np.int64).max:
         raise LatticeError("grid too large to address")
     acc_dtype = np.longdouble if n > _EXTENDED_PRECISION_CELLS else np.float64
-    t = grid.data.astype(acc_dtype)
+    table = np.zeros(tuple(d + 1 for d in grid.dims), dtype=acc_dtype)
+    inner = table[(slice(1, None),) * grid.ndim]
+    inner[...] = grid.data
     for ax in range(grid.ndim):
-        t = np.cumsum(t, axis=ax)
-    t = np.asarray(t, dtype=np.float64)
-    padded = np.zeros(tuple(d + 1 for d in grid.dims), dtype=np.float64)
-    padded[tuple(slice(1, None) for _ in grid.dims)] = t
-    return PrefixSum(dims=grid.dims, table=padded)
+        np.cumsum(inner, axis=ax, out=inner)
+    return PrefixSum(dims=grid.dims, table=np.asarray(table, dtype=np.float64))
 
 
 def rect_sum(ps: PrefixSum, r: Rect) -> float:
@@ -194,10 +211,10 @@ def rect_sum(ps: PrefixSum, r: Rect) -> float:
         neg = 0
         for k in range(d):
             if corner >> k & 1:
-                idx.append(r.lo[k])
+                idx.append(ps.origin[k] + r.lo[k])
                 neg += 1
             else:
-                idx.append(r.hi[k])
+                idx.append(ps.origin[k] + r.hi[k])
         term = float(ps.table[tuple(idx)])
         total += -term if neg & 1 else term
     return total
@@ -207,7 +224,7 @@ def contrast(ps: PrefixSum, r: Rect) -> float:
     """Signed scaled mean difference between ``r`` and its complement.
 
     Computes ``sqrt(v * (n - v)) / n * (mean_inside - mean_outside)`` where
-    ``v`` is the rectangle volume and ``n`` the grid size.  Estimators maximize
+    ``v`` is the rectangle volume and ``n`` the window size.  Estimators maximize
     the absolute value of this statistic.  Empty and full rectangles are domain
     errors (the complement mean would be undefined).
     """
@@ -223,3 +240,65 @@ def contrast(ps: PrefixSum, r: Rect) -> float:
 def sym_diff_volume(a: Rect, b: Rect) -> int:
     """Cell count of the symmetric difference of two rectangles."""
     return a.volume() + b.volume() - 2 * a.intersect(b).volume()
+
+
+@dataclass(frozen=True)
+class BlockPartition:
+    """Tiling of the lattice into rectangles of side floor(n_k^alpha).
+
+    Edge blocks are truncated to the domain, so the blocks tile the lattice
+    exactly: disjoint, union covering every cell.
+    """
+
+    dims: tuple[int, ...]
+    strides: tuple[int, ...]
+    counts: tuple[int, ...]
+
+    @classmethod
+    def build(cls, dims, alpha: float) -> "BlockPartition":
+        if not 0.0 < alpha < 1.0:
+            raise LatticeError(f"alpha must be in (0, 1), got {alpha}")
+        dims = tuple(int(x) for x in dims)
+        strides = tuple(max(1, int(math.floor(n**alpha))) for n in dims)
+        counts = tuple(-(-n // l) for n, l in zip(dims, strides))
+        return cls(dims=dims, strides=strides, counts=counts)
+
+    def edges(self, axis: int) -> np.ndarray:
+        l, n, m = self.strides[axis], self.dims[axis], self.counts[axis]
+        return np.minimum(np.arange(m + 1, dtype=np.int64) * l, n)
+
+    def block(self, index) -> Rect:
+        lo = tuple(int(self.edges(k)[s]) for k, s in enumerate(index))
+        hi = tuple(int(self.edges(k)[s + 1]) for k, s in enumerate(index))
+        return Rect(lo, hi)
+
+    def volumes(self) -> np.ndarray:
+        widths = [np.diff(self.edges(k)) for k in range(len(self.dims))]
+        out = widths[0].astype(np.int64)
+        for w in widths[1:]:
+            out = np.multiply.outer(out, w)
+        return out
+
+    @property
+    def num_blocks(self) -> int:
+        return int(np.prod(self.counts))
+
+
+class SubsampleError(LatticeError):
+    """Subsampling leaves too few points per axis for a first-stage search."""
+
+
+def subsample(cells, alpha: float) -> tuple[Grid, tuple[int, ...]]:
+    """Strided point sample of a ``Grid`` or of an array of cells (such as a view).
+
+    Keeps single observations (not block means) at the lower corner of every
+    block of ``BlockPartition.build(dims, alpha)``, so ceil(n_k / L_k) points.
+    """
+    data = cells.data if isinstance(cells, Grid) else cells
+    part = BlockPartition.build(data.shape, alpha)
+    if any(m < 4 for m in part.counts):
+        raise SubsampleError(
+            f"alpha={alpha} leaves counts {part.counts}; need >= 4 points per axis"
+        )
+    sampled = data[tuple(slice(None, None, l) for l in part.strides)]
+    return Grid.from_array(sampled), part.strides

@@ -6,11 +6,13 @@ accelerated version: a coarse pass on a strided subsample localizes the
 corners, then a search restricted to windows around those corners refines them
 on the full grid.  Both searches are exact: the branch-and-bound search in
 ``_scan`` returns the same rectangle as scoring every candidate would.
+
+The detector calls ``algorithm1``'s body, ``_two_stage``, with an envelope's
+cells and its window of the whole-grid table.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,15 +23,11 @@ from ._scan import (
     best_rectangle,
     window_half_width,
 )
-from .lattice import Grid, LatticeError, Rect, build_prefix_sum
+from .lattice import Grid, LatticeError, PrefixSum, Rect, SubsampleError, build_prefix_sum, subsample
 
 
 class DegenerateGridError(LatticeError):
     """All admissible contrasts vanish (constant grid)."""
-
-
-class SubsampleError(LatticeError):
-    """Subsampling leaves too few points per axis for a first-stage search."""
 
 
 @dataclass(frozen=True)
@@ -72,24 +70,6 @@ class Stage1Params:
             raise LatticeError("window_const must be > 0")
 
 
-def subsample(grid: Grid, alpha: float) -> tuple[Grid, tuple[int, ...]]:
-    """Strided point sample of the grid.
-
-    Keeps single observations (not block means) at positions 0, L_k, 2*L_k, ...
-    per axis with L_k = floor(n_k^alpha), yielding ceil(n_k / L_k) points.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise LatticeError(f"alpha must be in (0, 1), got {alpha}")
-    strides = tuple(max(1, int(math.floor(n**alpha))) for n in grid.dims)
-    counts = tuple(-(-n // l) for n, l in zip(grid.dims, strides))
-    if any(m < 4 for m in counts):
-        raise SubsampleError(
-            f"alpha={alpha} leaves counts {counts}; need >= 4 points per axis"
-        )
-    sampled = grid.data[tuple(slice(None, None, l) for l in strides)]
-    return Grid.from_array(np.ascontiguousarray(sampled)), strides
-
-
 def naive_ls(grid: Grid, bounds: SearchBounds) -> Rect:
     """Exact |contrast| argmax over all admissible rectangles.
 
@@ -130,14 +110,21 @@ def algorithm1(grid: Grid, params: Stage1Params, bounds: SearchBounds | None = N
     grid size; windows wide enough to cover the whole grid therefore make the
     output identical to ``naive_ls(grid, bounds)``.
     """
-    sub, strides = subsample(grid, params.alpha)
+    return _two_stage(grid.data, build_prefix_sum(grid), params, bounds)
+
+
+def _two_stage(
+    cells: np.ndarray, ps: PrefixSum, params: Stage1Params, bounds: SearchBounds | None = None
+) -> Rect:
+    """``algorithm1`` on ``cells`` (a view), whose table or window of one is ``ps``."""
+    sub, strides = subsample(cells, params.alpha)
     coarse = naive_ls(sub, _stage1_bounds(sub.size))
 
-    n = grid.size
-    d = grid.ndim
+    n = ps.size
+    d = len(ps.dims)
     lo_axes = []
     hi_axes = []
-    for k, (nk, lk) in enumerate(zip(grid.dims, strides)):
+    for k, (nk, lk) in enumerate(zip(ps.dims, strides)):
         hw = window_half_width(lk, nk, n, d, params.kappa, params.window_const)
         c_lo = lk * coarse.lo[k]
         c_hi = lk * coarse.hi[k]
@@ -146,7 +133,6 @@ def algorithm1(grid: Grid, params: Stage1Params, bounds: SearchBounds | None = N
 
     if bounds is None:
         bounds = SearchBounds()
-    ps = build_prefix_sum(grid)
     try:
         rect, _ = best_rectangle(
             ps, lo_axes, hi_axes, n * bounds.lambda1, n * bounds.lambda2

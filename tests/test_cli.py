@@ -187,3 +187,61 @@ def test_frames_command_jsonl(tmp_path):
     assert lines[3]["k_hat"] == 1
     lo, hi = lines[3]["patches"][0]["lo"], lines[3]["patches"][0]["hi"]
     assert lo == [10, 14] and hi == [26, 30]
+
+
+def _grid_file(tmp_path):
+    path = tmp_path / "g.splg"
+    write_grid(str(path), Grid.from_array(np.zeros((64, 64))))
+    return str(path)
+
+
+def _frames_dir(tmp_path, header):
+    d = tmp_path / "frames"
+    d.mkdir()
+    (d / "f00.pgm").write_bytes(header + b"\n" + bytes(16))
+    return str(d)
+
+
+def _spec_file(tmp_path, field):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"dims": [64, 64], "field": field, "patches": []}))
+    return str(path)
+
+
+def _overflowing_splg(tmp_path):
+    path = tmp_path / "huge.splg"
+    path.write_bytes(b"SPLG" + (1).to_bytes(4, "little") + (2).to_bytes(4, "little")
+                     + (2**32).to_bytes(8, "little") * 2)
+    return str(path)
+
+
+# case -> (environment, argv built from tmp_path); each must fail with one
+# "error: ..." line and no traceback
+CLI_ERRORS = {
+    "mu0 not a number": ({}, lambda t: ["detect", "--in", _grid_file(t), "--out", str(t / "o.json"),
+                                        "--mu0", "abc"]),
+    "SPLADE_THREADS not a number": ({"SPLADE_THREADS": "x"}, lambda t: [
+        "bench", "--scenario", "config1", "--grid", "64", "--reps", "1", "--out", str(t / "b.csv")]),
+    "unknown field spec key": ({}, lambda t: [
+        "simulate", "--spec", _spec_file(t, {"kind": "iid-gaussian", "bogus": 1}),
+        "--out", str(t / "g.splg")]),
+    "PNM header not a number": ({}, lambda t: [
+        "frames", "--dir", _frames_dir(t, b"P5\nabc 4\n255"), "--baseline", "0:1"]),
+    "SPLG dims overflow": ({}, lambda t: ["detect", "--in", _overflowing_splg(t),
+                                          "--out", str(t / "o.json")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_ERRORS))
+def test_cli_errors_are_one_line(case, tmp_path, monkeypatch, capsys):
+    env, argv = CLI_ERRORS[case]
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    try:
+        rc = main(argv(tmp_path))
+    except SystemExit as e:  # argparse rejects a bad flag value at parse time
+        rc = e.code
+    assert rc != 0
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+    assert "Traceback" not in err

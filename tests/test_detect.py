@@ -16,7 +16,7 @@ from splade.detect import (
     resolve_envelope_overlaps,
     splade_detect,
 )
-from splade.lattice import Grid, PatchSet, Rect
+from splade.lattice import Grid, PatchSet, Rect, build_prefix_sum
 from splade.simulate import FieldSpec, canonical_scenario, gen_field, inject_patches
 from splade.single import Stage1Params
 
@@ -43,14 +43,14 @@ def test_partition_tiles_exactly():
 def test_block_means_hand_example():
     g = Grid.from_array(np.arange(1.0, 17.0).reshape(4, 4))
     part = BlockPartition.build((4, 4), 0.5)  # stride 2
-    m = block_means(g, part)
+    m = block_means(build_prefix_sum(g), part)
     assert np.allclose(m, [[3.5, 5.5], [11.5, 13.5]])
 
 
 def test_block_means_constant_and_truncated():
     g = Grid.from_array(np.full((10, 10), 3.25))
     part = BlockPartition.build((10, 10), 0.5)  # stride 3, last block width 1
-    m = block_means(g, part)
+    m = block_means(build_prefix_sum(g), part)
     assert np.allclose(m, 3.25)
     assert part.block((3, 3)).volume() == 1
 
@@ -88,7 +88,7 @@ def test_flag_containment_noiseless_config1():
     truth = canonical_scenario("config1", n, 1.0)
     x = inject_patches(Grid.from_array(np.zeros((n, n))), truth)
     part = BlockPartition.build((n, n), 0.5)
-    means = block_means(x, part)
+    means = block_means(build_prefix_sum(x), part)
     flags = flag_blocks(means, 0.5, 0.0)
     for r, _ in truth.patches:
         for i in range(part.counts[0]):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splade import lattice
 from splade.lattice import (
     Grid,
     LatticeError,
@@ -148,9 +149,40 @@ def test_patchset_rejects_overlap_and_zero_jump():
         PatchSet(patches=((r1, 0.0),))
 
 
-def test_prefix_extended_precision_path():
+@pytest.mark.parametrize("accumulator", ["float64", "longdouble"])
+def test_prefix_extended_precision_path(accumulator, monkeypatch):
     # constant grid: rectangle sums must stay exact to ~1e-9 * |R|
+    if accumulator == "longdouble":
+        monkeypatch.setattr(lattice, "_EXTENDED_PRECISION_CELLS", 0)
     g = Grid.from_array(np.full((64, 64), 1.0 / 3.0))
     ps = build_prefix_sum(g)
+    assert ps.table.dtype == np.float64
     r = Rect((10, 10), (60, 60))
     assert rect_sum(ps, r) == pytest.approx(r.volume() / 3.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("dims", [(11,), (7, 9), (5, 6, 4)])
+def test_window_sums_match_copied_subgrid(dims):
+    rng = np.random.default_rng(len(dims))
+    g = Grid.from_array(rng.standard_normal(dims) + 1e3)
+    ps = build_prefix_sum(g)
+    assert ps.origin == (0,) * len(dims)
+    assert ps.total == ps.table[dims]  # the whole grid reads one entry
+    win = Rect(tuple(1 for _ in dims), tuple(m - 1 for m in dims))
+    w = ps.window(win)
+    sub = Grid.from_array(g.data[win.slices()].copy())
+    local = build_prefix_sum(sub)
+    assert w.origin == win.lo and w.dims == sub.dims and w.size == sub.size
+    assert w.total == pytest.approx(float(sub.data.sum()), rel=1e-12)
+    for r in all_rects(sub.dims):
+        assert rect_sum(w, r) == pytest.approx(direct_rect_sum(sub, r), rel=1e-12, abs=1e-9)
+        if r.volume() < sub.size:
+            assert contrast(w, r) == pytest.approx(contrast(local, r), rel=1e-9, abs=1e-9)
+    inner = Rect(tuple(1 for _ in dims), tuple(2 for _ in dims))
+    nested = w.window(inner)
+    assert nested.origin == tuple(2 for _ in dims)
+    assert nested.total == pytest.approx(float(g.data[(slice(2, 3),) * len(dims)].sum()))
+    with pytest.raises(LatticeError):
+        rect_sum(w, Rect(win.lo, win.hi))  # outside the window
+    with pytest.raises(LatticeError):
+        ps.window(Rect(win.lo, win.lo))  # empty

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from splade import _scan
 from splade._scan import DegenerateScanError, NoAdmissibleRectError, best_rectangle
-from splade.lattice import Grid, LatticeError, build_prefix_sum
+from splade.lattice import Grid, LatticeError, Rect, build_prefix_sum
 from splade.single import DegenerateGridError, SearchBounds, naive_ls
 
 from helpers import brute_force_search
@@ -59,22 +59,36 @@ def _assert_argmax(grid, lam1, lam2, rect, found, exact):
     assert own[0] == pytest.approx(found[0], rel=1e-12), (rect, found)
 
 
+def _tables(x, exact):
+    """The prefix table of ``x``, and a window holding ``x`` at origin (2, ..., 2)
+    of the table of a larger grid whose other cells sit near a large offset.
+
+    The offset is an integer for integer data, so every table entry stays
+    exact and so do the scores."""
+    shape = tuple(m + 3 for m in x.shape)
+    offset = 2.0**20 if exact else 1e3
+    big = offset + (np.arange(math.prod(shape)) % 5 - 2.0).reshape(shape)
+    big[tuple(slice(2, 2 + m) for m in x.shape)] = x
+    window = Rect((2,) * x.ndim, tuple(2 + m for m in x.shape))
+    return build_prefix_sum(Grid.from_array(x)), build_prefix_sum(Grid.from_array(big)).window(window)
+
+
 def _check(x, lam1, lam2, lo_axes, hi_axes, exact):
     grid = Grid.from_array(x)
     n = grid.size
     found = brute_force_search(grid, lam1, lam2, lo_axes, hi_axes)
-    ps = build_prefix_sum(grid)
-    args = (ps, lo_axes, hi_axes, n * lam1, n * lam2)
-    if found is None:
-        with pytest.raises(NoAdmissibleRectError):
-            best_rectangle(*args)
-    elif found[0] == 0:
-        with pytest.raises(DegenerateScanError):
-            best_rectangle(*args)
-    else:
-        rect, score = best_rectangle(*args)
-        _assert_argmax(grid, lam1, lam2, rect, found, exact)
-        assert score == pytest.approx(math.sqrt(found[0]) / n, rel=1e-9)
+    for ps in _tables(x, exact):
+        args = (ps, lo_axes, hi_axes, n * lam1, n * lam2)
+        if found is None:
+            with pytest.raises(NoAdmissibleRectError):
+                best_rectangle(*args)
+        elif found[0] == 0:
+            with pytest.raises(DegenerateScanError):
+                best_rectangle(*args)
+        else:
+            rect, score = best_rectangle(*args)
+            _assert_argmax(grid, lam1, lam2, rect, found, exact)
+            assert score == pytest.approx(math.sqrt(found[0]) / n, rel=1e-9)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -151,11 +165,11 @@ def test_best_rectangle_no_admissible_candidate(search):
 @pytest.mark.parametrize("dims", [(9,), (5, 4), (3, 4, 3), (3, 2, 3, 2)])
 def test_constant_grid_is_degenerate(dims, search):
     grid = Grid.from_array(np.full(dims, 2.5))
-    ps = build_prefix_sum(grid)
     lo = [np.arange(m) for m in dims]
     hi = [np.arange(1, m + 1) for m in dims]
-    with pytest.raises(DegenerateScanError):
-        best_rectangle(ps, lo, hi, 0.0, float(grid.size))
+    for ps in _tables(grid.data, exact=True):
+        with pytest.raises(DegenerateScanError):
+            best_rectangle(ps, lo, hi, 0.0, float(grid.size))
     with pytest.raises(DegenerateGridError):
         naive_ls(grid, SearchBounds())
 
