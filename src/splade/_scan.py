@@ -3,9 +3,8 @@
 The search space is the Cartesian product of per-axis lower-corner candidates
 and per-axis upper-corner candidates.  A pair is scored by its squared contrast
 (S - v*tbar)^2 / (v*(n - v)) (S = sum inside, v = volume, n = cell count,
-tbar = grand mean), read off the prefix table in 2^d terms.  Corners, n and
-tbar are relative to the table's window; the candidates are shifted by its
-origin once, so the search indexes the table directly.
+tbar = grand mean), read off the prefix table in 2^d terms, all relative to
+the table's window (the candidates are shifted by its origin once).
 
 Rather than score every pair, the search works on nodes: a node holds one
 index range of lo candidates and one of hi candidates per axis.  Every

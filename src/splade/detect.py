@@ -6,15 +6,13 @@ blocks into connected components (split by contrast sign, so adjacent patches
 with opposite jumps never merge); discard components covering too few cells;
 envelope each surviving component in a margin-expanded bounding box, shrinking
 pairs of envelopes until disjoint; and run the two-stage single-patch search
-independently inside each envelope.
+independently inside each envelope.  All of it reads one prefix table of the
+whole grid per call: block means, envelope searches (through windows) and jumps.
 
 When the baseline mean or the long-run variance is estimated and a surviving
 component touches the boundary calibration layer, the layer estimates are
 treated as contaminated: the pipeline re-estimates both quantities on the
 cells outside all flagged blocks and re-runs the first stage once.
-
-Each call builds one prefix table of the whole grid; the block means, every
-envelope's stage-2 search (through a window of the table) and the jumps read it.
 """
 
 from __future__ import annotations

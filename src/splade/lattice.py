@@ -1,13 +1,10 @@
-"""Dense lattice grids, axis-aligned rectangles, prefix sums and block tilings.
+"""Dense lattice grids, rectangles, prefix sums with windows, and block tilings.
 
 Indexing convention, used repo-wide: a rectangle is the half-open cell set
 ``(lo, hi]`` in 1-based lattice coordinates, which coincides with the 0-based
 NumPy slice ``lo:hi``.  ``lo`` is the exclusive lower corner, ``hi`` the
 inclusive upper corner, and the cell count is ``prod(hi - lo)``.  A rectangle
 with ``hi_k <= lo_k`` on any axis is empty.
-
-One ``PrefixSum`` table per grid serves every rectangle sum; ``window`` reads
-it through a sub-rectangle.  ``BlockPartition`` owns the stride arithmetic.
 
 All objects here are immutable after construction and safe to share across
 threads; every operation is pure.
@@ -154,7 +151,8 @@ class PrefixSum:
     ``[0:i1, ..., 0:id]``, so any rectangle sum is a 2^d-term
     inclusion-exclusion over corner entries.  ``dims``, ``size``, ``total`` and
     the rectangles of ``rect_sum`` and ``contrast`` refer to the window of
-    ``dims`` cells at ``origin`` (default zeros: the whole grid).
+    ``dims`` cells at ``origin`` (default zeros: the whole grid); one table per
+    grid thus serves every rectangle sum.
     """
 
     dims: tuple[int, ...]
@@ -171,7 +169,6 @@ class PrefixSum:
 
     @property
     def total(self) -> float:
-        """Sum over the window; at origin zero this is exactly ``table[dims]``."""
         return rect_sum(self, Rect((0,) * len(self.dims), self.dims))
 
     def window(self, r: Rect) -> "PrefixSum":

@@ -5,10 +5,8 @@
 accelerated version: a coarse pass on a strided subsample localizes the
 corners, then a search restricted to windows around those corners refines them
 on the full grid.  Both searches are exact: the branch-and-bound search in
-``_scan`` returns the same rectangle as scoring every candidate would.
-
-The detector calls ``algorithm1``'s body, ``_two_stage``, with an envelope's
-cells and its window of the whole-grid table.
+``_scan`` returns the same rectangle as scoring every candidate would.  The
+detector calls ``algorithm1``'s body, ``_two_stage``, on windows of one table.
 """
 
 from __future__ import annotations
