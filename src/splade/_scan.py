@@ -49,7 +49,7 @@ from itertools import product
 
 import numpy as np
 
-from .lattice import PrefixSum, Rect
+from .lattice import LatticeError, PrefixSum, Rect
 
 _LEAF_PAIRS = 256
 _BATCH_PAIRS = 1 << 18
@@ -57,11 +57,11 @@ _EPS = 1e-9
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-class NoAdmissibleRectError(ValueError):
+class NoAdmissibleRectError(LatticeError):
     """Candidate set empty after volume and ordering constraints."""
 
 
-class DegenerateScanError(ValueError):
+class DegenerateScanError(LatticeError):
     """Every admissible candidate has zero contrast (constant data)."""
 
 

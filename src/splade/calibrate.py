@@ -16,7 +16,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .lattice import Grid, LatticeError
+from .lattice import Grid, LatticeError, shifted
 
 _NORMAL = NormalDist()
 
@@ -106,23 +106,8 @@ def masked_lrv(data: np.ndarray, mask: np.ndarray, kernel: KernelSpec) -> tuple[
             w *= kernel.weight1d(lag[k] / bw[k])
         if w == 0.0:
             continue
-        src = []
-        dst = []
-        ok = True
-        for k, h in enumerate(lag):
-            n = data.shape[k]
-            if abs(h) >= n:
-                ok = False
-                break
-            if h <= 0:
-                src.append(slice(-h, n))
-                dst.append(slice(0, n + h))
-            else:
-                src.append(slice(0, n - h))
-                dst.append(slice(h, n))
-        if not ok:
-            continue
-        term = float(np.sum(centered[tuple(src)] * centered[tuple(dst)]))
+        dst, src = shifted(lag, data.shape)
+        term = float(np.sum(centered[src] * centered[dst]))
         total += w * term if lag == tuple([0] * d) else 2.0 * w * term
 
     sigma2 = total / count
@@ -175,10 +160,7 @@ def empirical_variogram(grid: Grid, axis: int, max_lag: int) -> tuple[float, np.
     x = grid.data
     gammas = np.empty(max_lag, dtype=np.float64)
     for h in range(1, max_lag + 1):
-        a = [slice(None)] * grid.ndim
-        b = [slice(None)] * grid.ndim
-        a[axis] = slice(h, None)
-        b[axis] = slice(None, -h)
-        diff = x[tuple(a)] - x[tuple(b)]
+        dst, src = shifted([h if k == axis else 0 for k in range(grid.ndim)], grid.dims)
+        diff = x[dst] - x[src]
         gammas[h - 1] = 0.5 * float(np.mean(diff**2))
     return float(np.var(x)), gammas

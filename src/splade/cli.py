@@ -43,20 +43,21 @@ def _field_spec_from_json(obj, seed_default=0) -> FieldSpec:
     unknown = set(obj) - {f.name for f in fields(FieldSpec)}
     if unknown:
         raise LatticeError(f"unknown field spec keys {sorted(unknown)}")
-    if "stencil" in obj:
-        obj = dict(obj)
-        obj["stencil"] = tuple(
-            (tuple(int(x) for x in off), float(c)) for off, c in obj["stencil"]
-        )
+    if "kind" not in obj:
+        raise LatticeError("field spec needs a 'kind'")
     return FieldSpec(seed=obj.pop("seed", seed_default), **obj)
 
 
 def _patchset_from_json(obj) -> PatchSet:
-    patches = tuple(
-        (Rect(tuple(p["lo"]), tuple(p["hi"])), float(p["jump"]))
-        for p in obj.get("patches", [])
-    )
-    return PatchSet(patches=patches, baseline=float(obj.get("mu0", 0.0)))
+    try:
+        patches = tuple(
+            (Rect(tuple(p["lo"]), tuple(p["hi"])), float(p["jump"]))
+            for p in obj.get("patches", [])
+        )
+        baseline = float(obj.get("mu0", 0.0))
+    except (TypeError, ValueError) as e:
+        raise LatticeError(f"malformed patch spec: {e}") from None
+    return PatchSet(patches=patches, baseline=baseline)
 
 
 def _truth_doc(patchset: PatchSet, dims) -> dict:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
@@ -35,6 +34,7 @@ from .calibrate import (
     threshold_q,
 )
 from .lattice import BlockPartition, Grid, LatticeError, PrefixSum, Rect, build_prefix_sum, rect_sum
+from .lattice import shifted
 from .single import DegenerateGridError, Stage1Params, SubsampleError, _two_stage
 from .single import algorithm1  # noqa: F401  perfbench/tracer.py looks it up here
 
@@ -91,36 +91,39 @@ def _neighbor_offsets(d: int, connectivity: str):
 def components(mask: np.ndarray, part: BlockPartition, min_cells: int, connectivity: str = "faces"):
     """Connected components of the flagged-block graph, small ones discarded.
 
-    A component survives when the total cell count covered by its blocks
-    exceeds ``min_cells``.  Returns components as sorted tuples of block
-    multi-indices, ordered by their smallest member.
+    ``mask`` is boolean, or signed (-1/0/+1): nonzero blocks are flagged, and
+    neighbours join only when their values agree, so patches of opposite sign
+    never merge.  A component survives when the total cell count covered by
+    its blocks exceeds ``min_cells``.  Returns components as sorted tuples of
+    block multi-indices, ordered by their smallest member.
     """
     offsets = _neighbor_offsets(mask.ndim, connectivity)
-    vols = part.volumes()
-    seen = np.zeros_like(mask, dtype=bool)
-    comps = []
-    for start in np.argwhere(mask):
-        start = tuple(int(x) for x in start)
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for off in offsets:
-                nxt = tuple(c + o for c, o in zip(cur, off))
-                if any(not 0 <= x < m for x, m in zip(nxt, mask.shape)):
-                    continue
-                if mask[nxt] and not seen[nxt]:
-                    seen[nxt] = True
-                    comp.append(nxt)
-                    queue.append(nxt)
-        covered = int(sum(vols[c] for c in comp))
-        if covered > min_cells:
-            comps.append(tuple(sorted(comp)))
-    comps.sort()
-    return comps
+    flagged = mask != 0
+    # Label propagation: every block starts with its own flat index; a pass
+    # takes the smallest label among same-valued neighbours, then the label's
+    # label.  At the fixed point a component carries its smallest member.
+    labels = np.arange(mask.size).reshape(mask.shape)
+    links = []
+    for off in offsets:
+        dst, src = shifted(off, mask.shape)
+        same = flagged[dst] & (mask[dst] == mask[src])
+        if same.any():
+            links.append((dst, src, same))
+    while True:
+        before = labels.copy()
+        for dst, src, same in links:
+            view = labels[dst]
+            np.minimum(view, labels[src], out=view, where=same)
+        labels = labels.ravel()[labels]
+        if np.array_equal(labels, before):
+            break
+    roots = labels[flagged]
+    covered = np.bincount(roots, weights=part.volumes()[flagged])
+    keep = covered[roots] > min_cells
+    comps = {}  # root -> members, in C order, which is sorted order
+    for root, block in zip(roots[keep].tolist(), np.argwhere(flagged)[keep].tolist()):
+        comps.setdefault(root, []).append(tuple(block))
+    return [tuple(comps[root]) for root in sorted(comps)]
 
 
 def component_bbox(comp, part: BlockPartition) -> Rect:
@@ -218,8 +221,12 @@ class SpladeConfig:
             raise DetectionError(f"alpha must be in (0, 1), got {self.alpha}")
         if not 0.0 < self.kappa_level < 1.0:
             raise DetectionError("kappa_level must be in (0, 1)")
-        if self.min_size_factor <= 0.0:
-            raise DetectionError("min_size_factor must be > 0")
+        if not 0.0 < self.min_size_factor < math.inf:
+            raise DetectionError(f"min_size_factor must be finite and > 0, got {self.min_size_factor}")
+        if self.mu0 is not None and not math.isfinite(self.mu0):
+            raise DetectionError(f"mu0 must be finite, got {self.mu0}")
+        if self.sigma is not None and not 0.0 <= self.sigma < math.inf:
+            raise DetectionError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.envelope_margin_blocks < 0:
             raise DetectionError("envelope_margin_blocks must be >= 0")
         _neighbor_offsets(1, self.connectivity)
@@ -264,11 +271,7 @@ def _first_stage(data, ps, part, mu0, sigma, cfg, min_cells):
     scale = float(max(data.max() - mu0, mu0 - data.min()))
     q = np.maximum(q, 64.0 * np.finfo(np.float64).eps * scale)
     flags = flag_blocks(means, q, mu0)
-    comps = components(flags & (means > mu0), part, min_cells, cfg.connectivity) + components(
-        flags & (means < mu0), part, min_cells, cfg.connectivity
-    )
-    comps.sort()
-    return flags, comps
+    return flags, components(np.sign(means - mu0) * flags, part, min_cells, cfg.connectivity)
 
 
 def _cells_to_blocks(mask: np.ndarray, part: BlockPartition) -> np.ndarray:
@@ -320,8 +323,6 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
             sigma = cfg.sigma
     else:
         mu0, sigma = cfg.mu0, cfg.sigma
-    if sigma < 0.0:
-        raise DetectionError("sigma must be >= 0")
 
     ps = build_prefix_sum(grid)
     flags, comps = _first_stage(grid.data, ps, part, mu0, sigma, cfg, min_cells)
@@ -370,6 +371,7 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
     jumps = tuple(rect_sum(ps, r) / r.volume() - mu0 for r in patches)
 
     interior_vol = int(np.prod(part.strides))
+    vols = part.volumes()
     diagnostics = {
         "mu0": mu0,
         "sigma": sigma,
@@ -379,9 +381,7 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
             else 0.0
         ),
         "flagged_blocks": int(flags.sum()),
-        "component_cells": [
-            int(sum(part.volumes()[c] for c in comp)) for comp in comps
-        ],
+        "component_cells": [int(vols[tuple(np.transpose(c))].sum()) for c in comps],
         "fallback": fallback,
         "lrv_clamped": lrv_clamped,
         "degenerate_envelopes": degenerate,

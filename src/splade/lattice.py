@@ -1,4 +1,4 @@
-"""Dense lattice grids, rectangles, prefix sums with windows, and block tilings.
+"""Dense lattice grids, rectangles, prefix sums with windows, block tilings and shifted views.
 
 Indexing convention, used repo-wide: a rectangle is the half-open cell set
 ``(lo, hi]`` in 1-based lattice coordinates, which coincides with the 0-based
@@ -232,6 +232,19 @@ def contrast(ps: PrefixSum, r: Rect) -> float:
     s = rect_sum(ps, r)
     b = math.sqrt(v * (n - v)) / n
     return b * (s / v - (ps.total - s) / (n - v))
+
+
+def shifted(offset, dims) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+    """Slices ``(dst, src)`` pairing each cell ``x`` of ``dst`` with the cell ``x - offset``.
+
+    Both views are empty on any axis where ``|offset_k| >= n_k``.
+    """
+    dst, src = [], []
+    for o, n in zip(offset, dims):
+        o = max(-n, min(n, o))  # unclamped, n - o would go negative and select cells
+        dst.append(slice(max(o, 0), n + min(o, 0)))
+        src.append(slice(max(-o, 0), n - max(o, 0)))
+    return tuple(dst), tuple(src)
 
 
 def sym_diff_volume(a: Rect, b: Rect) -> int:

@@ -19,11 +19,13 @@ bit-identical field.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Grid, LatticeError, PatchSet, Rect
+from .lattice import Grid, LatticeError, PatchSet, Rect, shifted
 
 FIELD_KINDS = ("iid-gaussian", "sar", "linear", "m-dependent", "max-stable")
 
@@ -51,10 +53,23 @@ class FieldSpec:
     def __post_init__(self):
         if self.kind not in FIELD_KINDS:
             raise SimulationError(f"unknown field kind {self.kind!r}")
+        for name, want in [("seed", numbers.Integral), ("m", numbers.Integral), ("rho", numbers.Real),
+                           ("tail_index", numbers.Real), ("decay_base", numbers.Real)]:
+            value = getattr(self, name)
+            if not isinstance(value, want):
+                what = "an integer" if want is numbers.Integral else "a number"
+                raise SimulationError(f"{name} must be {what}, got {value!r}")
+        try:
+            stencil = tuple((tuple(operator.index(x) for x in off), float(c)) for off, c in self.stencil)
+        except (TypeError, ValueError):
+            raise SimulationError(
+                f"stencil must be [[offset, coefficient], ...] with integer offsets, got {self.stencil!r}"
+            ) from None
+        object.__setattr__(self, "stencil", stencil)
         if self.kind == "sar" and not 0.0 <= self.rho < 1.0:
             raise SimulationError(f"sar needs 0 <= rho < 1, got {self.rho}")
         if self.kind == "max-stable":
-            if self.tail_index <= 2.0:
+            if not self.tail_index > 2.0:  # NaN too
                 raise SimulationError("max-stable needs tail_index > 2 (finite variance)")
             if not 0.0 < self.decay_base < 1.0:
                 raise SimulationError("decay_base must be in (0, 1)")
@@ -65,28 +80,17 @@ class FieldSpec:
 
 
 def _neighbor_stats(dims):
-    """Sum-of-neighbors operator and in-bounds neighbor counts."""
-    counts = np.zeros(dims, dtype=np.float64)
-    d = len(dims)
-    for ax in range(d):
-        sl = [slice(None)] * d
-        sl[ax] = slice(1, None)
-        counts[tuple(sl)] += 1.0
-        sl[ax] = slice(None, -1)
-        counts[tuple(sl)] += 1.0
-    return counts
+    """In-bounds neighbor count of every cell (2, 3 or 4 in 2-D), as float64."""
+    return _neighbor_sum(np.ones(dims), np.empty(dims))
 
 
 def _neighbor_sum(x, out):
+    """Sum over each cell's in-bounds nearest neighbors, written into ``out``."""
     out[...] = 0.0
-    d = x.ndim
-    for ax in range(d):
-        head = [slice(None)] * d
-        tail = [slice(None)] * d
-        head[ax] = slice(1, None)
-        tail[ax] = slice(None, -1)
-        out[tuple(head)] += x[tuple(tail)]
-        out[tuple(tail)] += x[tuple(head)]
+    for ax in range(x.ndim):
+        for step in (1, -1):  # this order fixes the float sums, hence every sar field
+            dst, src = shifted([step if k == ax else 0 for k in range(x.ndim)], x.shape)
+            out[dst] += x[src]
     return out
 
 
@@ -109,8 +113,7 @@ def _gen_sar(rng, dims, rho):
 
 
 def _gen_linear(rng, dims, stencil):
-    offsets = [tuple(int(x) for x in off) for off, _ in stencil]
-    coeffs = [float(c) for _, c in stencil]
+    offsets, coeffs = zip(*stencil)
     d = len(dims)
     if any(len(o) != d for o in offsets):
         raise SimulationError("stencil offset rank does not match dims")

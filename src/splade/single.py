@@ -11,21 +11,14 @@ detector calls ``algorithm1``'s body, ``_two_stage``, on windows of one table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._scan import (
-    DegenerateScanError,
-    NoAdmissibleRectError,
-    best_rectangle,
-    window_half_width,
-)
+from ._scan import DegenerateScanError as DegenerateGridError  # noqa: F401  re-exported
+from ._scan import best_rectangle, window_half_width
 from .lattice import Grid, LatticeError, PrefixSum, Rect, SubsampleError, build_prefix_sum, subsample
-
-
-class DegenerateGridError(LatticeError):
-    """All admissible contrasts vanish (constant grid)."""
 
 
 @dataclass(frozen=True)
@@ -60,12 +53,12 @@ class Stage1Params:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise LatticeError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.kappa < 0.0:
+        if not self.kappa >= 0.0:  # NaN too
             raise LatticeError(f"kappa must be >= 0, got {self.kappa}")
         if self.alpha + self.kappa >= 1.0:
             raise LatticeError("alpha + kappa must be < 1")
-        if self.window_const <= 0.0:
-            raise LatticeError("window_const must be > 0")
+        if not 0.0 < self.window_const < math.inf:
+            raise LatticeError(f"window_const must be finite and > 0, got {self.window_const}")
 
 
 def naive_ls(grid: Grid, bounds: SearchBounds) -> Rect:
@@ -80,14 +73,7 @@ def naive_ls(grid: Grid, bounds: SearchBounds) -> Rect:
     lo_axes = [np.arange(0, n, dtype=np.int64) for n in grid.dims]
     hi_axes = [np.arange(1, n + 1, dtype=np.int64) for n in grid.dims]
     n = grid.size
-    try:
-        rect, _ = best_rectangle(
-            ps, lo_axes, hi_axes, n * bounds.lambda1, n * bounds.lambda2
-        )
-    except DegenerateScanError as e:
-        raise DegenerateGridError(str(e)) from e
-    except NoAdmissibleRectError as e:
-        raise LatticeError(str(e)) from e
+    rect, _ = best_rectangle(ps, lo_axes, hi_axes, n * bounds.lambda1, n * bounds.lambda2)
     return rect
 
 
@@ -131,10 +117,5 @@ def _two_stage(
 
     if bounds is None:
         bounds = SearchBounds()
-    try:
-        rect, _ = best_rectangle(
-            ps, lo_axes, hi_axes, n * bounds.lambda1, n * bounds.lambda2
-        )
-    except DegenerateScanError as e:
-        raise DegenerateGridError(str(e)) from e
+    rect, _ = best_rectangle(ps, lo_axes, hi_axes, n * bounds.lambda1, n * bounds.lambda2)
     return rect

@@ -8,11 +8,13 @@ reference implementations no matter how the production code evolves.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
 
-from splade.lattice import Grid, Rect
+from splade.calibrate import KernelSpec
+from splade.lattice import BlockPartition, Grid, Rect
 
 
 def direct_rect_sum(grid: Grid, r: Rect) -> float:
@@ -102,3 +104,63 @@ def mask_hausdorff(truth_rects, est_rects, dims) -> float:
     fwd = max(min(mask_jaccard(x, y) for y in b) for x in a)
     bwd = max(min(mask_jaccard(y, x) for x in a) for y in b)
     return max(fwd, bwd)
+
+
+def brute_force_components(mask: np.ndarray, part: BlockPartition, min_cells: int, connectivity: str):
+    """Breadth-first search over the nonzero blocks of ``mask``.
+
+    Neighbours (sharing a face, or for "faces+corners" any face, edge or
+    corner) join when their mask values agree.  Components covering more than
+    ``min_cells`` cells are returned as sorted tuples of block indices, ordered
+    by their smallest member.
+    """
+    offsets = [
+        o for o in itertools.product((-1, 0, 1), repeat=mask.ndim)
+        if any(o) and (connectivity == "faces+corners" or sum(map(abs, o)) == 1)
+    ]
+    vols = part.volumes()
+    seen = np.zeros(mask.shape, dtype=bool)
+    comps = []
+    for start in np.argwhere(mask):
+        start = tuple(int(x) for x in start)
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        queue = deque([start])
+        while queue:
+            cur = queue.popleft()
+            for off in offsets:
+                nxt = tuple(c + o for c, o in zip(cur, off))
+                if any(not 0 <= x < m for x, m in zip(nxt, mask.shape)):
+                    continue
+                if mask[nxt] == mask[cur] and not seen[nxt]:
+                    seen[nxt] = True
+                    comp.append(nxt)
+                    queue.append(nxt)
+        if sum(int(vols[c]) for c in comp) > min_cells:
+            comps.append(tuple(sorted(comp)))
+    comps.sort()
+    return comps
+
+
+def brute_force_lrv(data: np.ndarray, mask: np.ndarray, kernel: KernelSpec) -> tuple[float, bool]:
+    """Kernel long-run variance as the direct double sum over masked cell pairs.
+
+    sum_{x, y} K(x - y) c(x) c(y) / count, with c the masked cells centred on
+    their mean and K the product kernel; a negative value is replaced by the
+    plain masked variance and flagged, as ``masked_lrv`` does.
+    """
+    cells = [tuple(int(i) for i in x) for x in np.argwhere(mask)]
+    mean = sum(float(data[x]) for x in cells) / len(cells)
+    total = 0.0
+    for x in cells:
+        for y in cells:
+            w = 1.0
+            for k, b in enumerate(kernel.bandwidths):
+                w *= kernel.weight1d((x[k] - y[k]) / b)
+            total += w * (float(data[x]) - mean) * (float(data[y]) - mean)
+    sigma2 = total / len(cells)
+    if sigma2 < 0.0:
+        return sum((float(data[x]) - mean) ** 2 for x in cells) / len(cells), True
+    return sigma2, False

@@ -17,6 +17,8 @@ from splade.calibrate import (
 from splade.lattice import Grid
 from splade.simulate import FieldSpec, gen_field
 
+from helpers import brute_force_lrv
+
 
 def test_boundary_layer_matches_direct_enumeration():
     dims = (20, 13)
@@ -113,6 +115,24 @@ def test_masked_lrv_negative_clamp_flag():
     assert sigma2 >= 0.0
     if clamped:
         assert sigma2 == pytest.approx(float(data.var()))
+
+
+@pytest.mark.parametrize("kind", ["bartlett", "parzen"])
+@pytest.mark.parametrize(
+    "dims, bandwidths",
+    [((7,), (3.0,)), ((6, 5), (2.5, 2.0)), ((3, 8), (5.0, 1.5)), ((3, 4, 3), (2.0, 1.0, 4.5))],
+)
+def test_masked_lrv_matches_double_sum(kind, dims, bandwidths):
+    # (3, 8) with bandwidth 5 on the short axis and (3, 4, 3) with 4.5 on the
+    # last have kernel lags as long as the axis, whose cell pairs are empty
+    rng = np.random.default_rng(len(dims) * 10 + len(kind))
+    data = rng.standard_normal(dims) + np.indices(dims).sum(axis=0) * 0.3
+    for mask in (np.ones(dims, dtype=bool), rng.random(dims) < 0.6):
+        kernel = KernelSpec(kind, bandwidths)
+        sigma2, clamped = masked_lrv(data, mask, kernel)
+        want, want_clamped = brute_force_lrv(data, mask, kernel)
+        assert clamped == want_clamped
+        assert sigma2 == pytest.approx(want, rel=1e-12)
 
 
 def test_threshold_single_block_is_normal_quantile():

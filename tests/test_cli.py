@@ -208,6 +208,12 @@ def _spec_file(tmp_path, field):
     return str(path)
 
 
+def _patch_spec_file(tmp_path, patch):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"dims": [64, 64], "field": {"kind": "iid-gaussian"}, "patches": [patch]}))
+    return str(path)
+
+
 def _overflowing_splg(tmp_path):
     path = tmp_path / "huge.splg"
     path.write_bytes(b"SPLG" + (1).to_bytes(4, "little") + (2).to_bytes(4, "little")
@@ -229,6 +235,27 @@ CLI_ERRORS = {
         "frames", "--dir", _frames_dir(t, b"P5\nabc 4\n255"), "--baseline", "0:1"]),
     "SPLG dims overflow": ({}, lambda t: ["detect", "--in", _overflowing_splg(t),
                                           "--out", str(t / "o.json")]),
+    **{
+        f"{flag} {value}": ({}, lambda t, flag=flag, value=value: [
+            "detect", "--in", _grid_file(t), "--out", str(t / "o.json"), flag, value])
+        for flag, value in [("--mu0", "nan"), ("--sigma", "nan"), ("--sigma", "inf"),
+                            ("--min-size-factor", "nan"), ("--min-size-factor", "inf"),
+                            ("--window-const", "nan"), ("--kappa2", "nan")]
+    },
+    **{
+        f"field spec {name}": ({}, lambda t, field=field: [
+            "simulate", "--spec", _spec_file(t, field), "--out", str(t / "g.splg")])
+        for name, field in [
+            ("sar rho not a number", {"kind": "sar", "rho": "abc"}),
+            ("seed not an integer", {"kind": "iid-gaussian", "seed": "x"}),
+            ("m not an integer", {"kind": "m-dependent", "m": 1.5}),
+            ("stencil offset not an integer", {"kind": "linear", "stencil": [[["a", 0], 1.0]]}),
+            ("without a kind", {"seed": 1}),
+        ]
+    },
+    "patch corner not a number": ({}, lambda t: [
+        "simulate", "--spec", _patch_spec_file(t, {"lo": ["x", 1], "hi": [3, 3], "jump": 1.0}),
+        "--out", str(t / "g.splg")]),
 }
 
 

@@ -20,6 +20,8 @@ from splade.lattice import Grid, PatchSet, Rect, build_prefix_sum
 from splade.simulate import FieldSpec, canonical_scenario, gen_field, inject_patches
 from splade.single import Stage1Params
 
+from helpers import brute_force_components
+
 
 def _sorted_rects(ps: PatchSet):
     return sorted(ps.rects, key=lambda r: (r.lo, r.hi))
@@ -121,6 +123,24 @@ def test_components_corner_touch_connectivity():
     part = BlockPartition.build((8, 8), 0.5)
     assert len(components(mask, part, 0, "faces")) == 2
     assert len(components(mask, part, 0, "faces+corners")) == 1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_components_match_bfs_oracle(d):
+    rng = np.random.default_rng(d)
+    max_count = {1: 40, 2: 12, 3: 6, 4: 4}[d]
+    for _ in range(60):
+        counts = rng.integers(1, max_count + 1, size=d)
+        strides = rng.integers(1, 4, size=d)
+        # edge blocks truncated by up to stride - 1 cells
+        dims = tuple(int(c * l - rng.integers(0, l)) for c, l in zip(counts, strides))
+        part = BlockPartition(dims, tuple(int(l) for l in strides), tuple(int(c) for c in counts))
+        signs = rng.choice([-1, 1], size=part.counts)
+        mask = np.where(rng.random(part.counts) < rng.uniform(0.1, 0.8), signs, 0)
+        for m in (mask, mask != 0):
+            min_cells = int(rng.integers(0, part.volumes()[m != 0].sum() // 2 + 2))
+            for conn in ("faces", "faces+corners"):
+                assert components(m, part, min_cells, conn) == brute_force_components(m, part, min_cells, conn)
 
 
 def test_components_min_cells_filter():
@@ -272,6 +292,9 @@ def test_config_validation():
         SpladeConfig(kappa_level=0.0)
     with pytest.raises(DetectionError):
         SpladeConfig(connectivity="diagonal")
+    for bad in ({"mu0": float("nan")}, {"sigma": float("inf")}, {"min_size_factor": float("nan")}):
+        with pytest.raises(DetectionError):
+            SpladeConfig(**bad)
 
 
 @given(seed=st.integers(0, 2**31 - 1))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from splade.lattice import (
     build_prefix_sum,
     contrast,
     rect_sum,
+    shifted,
     sym_diff_volume,
 )
 
@@ -186,3 +188,14 @@ def test_window_sums_match_copied_subgrid(dims):
         rect_sum(w, Rect(win.lo, win.hi))  # outside the window
     with pytest.raises(LatticeError):
         ps.window(Rect(win.lo, win.lo))  # empty
+
+
+@pytest.mark.parametrize("dims", [(5,), (4, 3), (3, 1, 4)])
+def test_shifted_pairs_cells_at_offset(dims):
+    idx = np.indices(dims)  # idx[k][x] == x_k
+    for offset in itertools.product(range(-4, 5), repeat=len(dims)):
+        dst, src = shifted(offset, dims)
+        pairs = int(np.prod([max(0, n - abs(o)) for o, n in zip(offset, dims)]))
+        for k, o in enumerate(offset):
+            assert idx[k][dst].size == idx[k][src].size == pairs
+            assert (idx[k][dst] - idx[k][src] == o).all()

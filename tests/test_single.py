@@ -40,6 +40,9 @@ def test_stage1_params_validation():
         Stage1Params(alpha=0.0)
     with pytest.raises(LatticeError):
         Stage1Params(alpha=0.5, kappa=-0.1)
+    for bad in ({"kappa": float("nan")}, {"window_const": float("nan")}, {"window_const": float("inf")}):
+        with pytest.raises(LatticeError):
+            Stage1Params(**bad)
 
 
 def test_subsample_arithmetic():
@@ -78,6 +81,12 @@ def test_naive_ls_no_admissible_candidate():
     g = Grid.from_array(np.arange(16.0).reshape(4, 4))
     with pytest.raises(LatticeError):
         naive_ls(g, SearchBounds(0.9, 0.95))  # needs 14.4 < v < 15.2: impossible
+
+
+def test_algorithm1_no_admissible_candidate_is_lattice_error():
+    g = gen_field(FieldSpec(kind="iid-gaussian", seed=0), (64, 64))
+    with pytest.raises(LatticeError, match="no candidate"):
+        algorithm1(g, Stage1Params(), SearchBounds(0.97, 1.0))
 
 
 def test_naive_ls_matches_brute_force_oracle():
