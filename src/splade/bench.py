@@ -2,19 +2,41 @@
 
 Each replicate is fully determined by (base seed XOR replicate index), so runs
 are reproducible and replicates can execute in any order or in parallel.  The
-worker count honors the SPLADE_THREADS environment variable.
+unit of parallel work is a whole grid: ``map_grids`` runs one replicate (or one
+video frame) per worker process, capped by the SPLADE_THREADS environment
+variable; a single ``splade_detect`` call always runs on the calling thread.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .detect import SpladeConfig, splade_detect, worker_count
+from .detect import SpladeConfig, splade_detect
 from .lattice import LatticeError
 from .metrics import BenchRecord, ari, hausdorff, labels_from_patches
 from .simulate import FieldSpec, canonical_scenario, gen_field, inject_patches
+
+
+def worker_count(n_tasks: int) -> int:
+    """Process cap: SPLADE_THREADS when set, else the core count."""
+    env = os.environ.get("SPLADE_THREADS", "")
+    try:
+        cap = int(env) if env.strip() else (os.cpu_count() or 1)
+    except ValueError:
+        raise LatticeError(f"SPLADE_THREADS must be an integer, got {env!r}") from None
+    return max(1, min(cap, n_tasks))
+
+
+def map_grids(fn, items: list) -> list:
+    """``[fn(it) for it in items]``, one item (one grid) per worker process."""
+    workers = worker_count(len(items))
+    if workers == 1:
+        return [fn(it) for it in items]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def parse_noise(text: str, seed: int = 0) -> FieldSpec:
@@ -69,7 +91,7 @@ def run_replicate(task: BenchTask) -> BenchRecord:
     )
 
 
-def run_bench(scenario, grid_n, noise, jump, reps, seed, config=None, parallel=True):
+def run_bench(scenario, grid_n, noise, jump, reps, seed, config=None):
     config = config or SpladeConfig()
     tasks = [
         BenchTask(
@@ -83,8 +105,4 @@ def run_bench(scenario, grid_n, noise, jump, reps, seed, config=None, parallel=T
         )
         for r in range(reps)
     ]
-    workers = worker_count(len(tasks)) if parallel else 1
-    if workers <= 1 or len(tasks) <= 1:
-        return [run_replicate(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_replicate, tasks))
+    return map_grids(run_replicate, tasks)

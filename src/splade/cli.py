@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 
 from . import bench as bench_mod
 from . import frames as frames_mod
-from .detect import Detection, SpladeConfig, splade_detect, worker_count
+from .detect import Detection, SpladeConfig, splade_detect
 from .gridio import (
     detection_to_doc,
     doc_to_detection,
@@ -40,12 +40,14 @@ from .single import Stage1Params
 
 
 def _field_spec_from_json(obj, seed_default=0) -> FieldSpec:
+    if not isinstance(obj, dict):
+        raise LatticeError(f"field spec must be a JSON object, got {obj!r}")
     unknown = set(obj) - {f.name for f in fields(FieldSpec)}
     if unknown:
         raise LatticeError(f"unknown field spec keys {sorted(unknown)}")
     if "kind" not in obj:
         raise LatticeError("field spec needs a 'kind'")
-    return FieldSpec(seed=obj.pop("seed", seed_default), **obj)
+    return FieldSpec(**{"seed": seed_default, **obj})
 
 
 def _patchset_from_json(obj) -> PatchSet:
@@ -73,14 +75,21 @@ def _truth_doc(patchset: PatchSet, dims) -> dict:
 def _cmd_simulate(args) -> int:
     with open(args.spec) as f:
         cfg = json.load(f)
-    if "scenario" in cfg:
-        n = int(cfg["n"])
-        dims = (n, n)
-        patchset = canonical_scenario(cfg["scenario"], n, float(cfg.get("jump", 1.0)))
-    else:
-        dims = tuple(int(x) for x in cfg["dims"])
-        patchset = _patchset_from_json(cfg)
-    spec = _field_spec_from_json(dict(cfg["field"]))
+    if not isinstance(cfg, dict):
+        raise LatticeError(f"spec must be a JSON object, got {type(cfg).__name__}")
+    try:  # operator.index: a fractional or string size is an error, not truncated
+        if "scenario" in cfg:
+            n = operator.index(cfg["n"])
+            dims = (n, n)
+            patchset = canonical_scenario(cfg["scenario"], n, float(cfg.get("jump", 1.0)))
+        else:
+            dims = tuple(operator.index(x) for x in cfg["dims"])
+            patchset = _patchset_from_json(cfg)
+    except LatticeError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise LatticeError(f"malformed spec: {e}") from None
+    spec = _field_spec_from_json(cfg["field"])
     noise = gen_field(spec, dims)
     grid = inject_patches(noise, patchset) if patchset.rects or patchset.baseline else noise
     write_grid(args.out, grid)
@@ -201,12 +210,7 @@ def _cmd_frames(args) -> int:
             args.dir, frames_mod.parse_range(args.baseline), args.channel
         )
     ]
-    workers = worker_count(len(items))
-    if workers > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            docs = list(pool.map(_detect_frame, items))
-    else:
-        docs = [_detect_frame(it) for it in items]
+    docs = bench_mod.map_grids(_detect_frame, items)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         for doc in docs:

@@ -18,8 +18,6 @@ cells outside all flagged blocks and re-runs the first stage once.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -45,16 +43,6 @@ class DetectionError(LatticeError):
     """Invalid detector configuration or undersized grid."""
 
 
-def worker_count(n_tasks: int) -> int:
-    """Parallelism cap: SPLADE_THREADS when set, else the core count."""
-    env = os.environ.get("SPLADE_THREADS", "")
-    try:
-        cap = int(env) if env.strip() else (os.cpu_count() or 1)
-    except ValueError:
-        raise DetectionError(f"SPLADE_THREADS must be an integer, got {env!r}") from None
-    return max(1, min(cap, n_tasks))
-
-
 def block_means(ps: PrefixSum, part: BlockPartition) -> np.ndarray:
     """Mean over each (possibly truncated) block of ``part``, read off the table ``ps``."""
     sums = ps.table[np.ix_(*(part.edges(k) + o for k, o in enumerate(ps.origin)))]
@@ -75,17 +63,11 @@ def flag_blocks(means: np.ndarray, q, mu0: float) -> np.ndarray:
 
 
 def _neighbor_offsets(d: int, connectivity: str):
-    if connectivity == "faces":
-        offs = []
-        for k in range(d):
-            for s in (-1, 1):
-                o = [0] * d
-                o[k] = s
-                offs.append(tuple(o))
-        return offs
-    if connectivity == "faces+corners":
-        return [o for o in product((-1, 0, 1), repeat=d) if any(o)]
-    raise DetectionError(f"unknown connectivity {connectivity!r}")
+    """Unit offsets to face neighbours, or to every neighbour in the 3^d cube."""
+    if connectivity not in ("faces", "faces+corners"):
+        raise DetectionError(f"unknown connectivity {connectivity!r}")
+    reach = 1 if connectivity == "faces" else d
+    return [o for o in product((-1, 0, 1), repeat=d) if 0 < sum(map(abs, o)) <= reach]
 
 
 def components(mask: np.ndarray, part: BlockPartition, min_cells: int, connectivity: str = "faces"):
@@ -347,25 +329,18 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
     envs = [envelope(c, part, cfg.envelope_margin_blocks, grid.dims) for c in comps]
     envs = resolve_envelope_overlaps(envs, bboxes)
 
-    def refine(item):
-        bbox, env = item
+    patches, degenerate = [], 0
+    for bbox, env in zip(bboxes, envs):
         if env.is_empty:
-            return None, True
+            degenerate += 1
+            continue
         try:
-            return _two_stage(grid.data[env.slices()], ps.window(env), cfg.stage2).shift(env.lo), False
+            patches.append(_two_stage(grid.data[env.slices()], ps.window(env), cfg.stage2).shift(env.lo))
         except (SubsampleError, DegenerateGridError, NoAdmissibleRectError):
+            degenerate += 1
             clipped = bbox.intersect(env)
-            return (None if clipped.is_empty else clipped), True
-
-    items = list(zip(bboxes, envs))
-    workers = worker_count(len(items))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            refined = list(pool.map(refine, items))
-    else:
-        refined = [refine(it) for it in items]
-    degenerate = sum(flag for _, flag in refined)
-    patches = [r for r, _ in refined if r is not None]
+            if not clipped.is_empty:
+                patches.append(clipped)
 
     patches.sort(key=lambda r: (r.lo, r.hi))
     jumps = tuple(rect_sum(ps, r) / r.volume() - mu0 for r in patches)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import struct
 
 import numpy as np
@@ -105,15 +106,18 @@ def detection_to_doc(det: Detection, dims) -> dict:
 
 
 def doc_to_detection(doc: dict) -> tuple[Detection, tuple[int, ...]]:
-    dims = tuple(int(x) for x in doc["dims"])
-    patches = tuple(Rect(tuple(p["lo"]), tuple(p["hi"])) for p in doc["patches"])
-    jumps = tuple(float(p["jump_estimate"]) for p in doc["patches"])
-    det = Detection(
-        k_hat=int(doc["k_hat"]),
-        patches=patches,
-        jumps=jumps,
-        diagnostics=dict(doc.get("diagnostics", {})),
-    )
+    try:  # operator.index: a fractional or string size is an error, not truncated
+        dims = tuple(operator.index(x) for x in doc["dims"])
+        patches = tuple(Rect(tuple(p["lo"]), tuple(p["hi"])) for p in doc["patches"])
+        jumps = tuple(float(p["jump_estimate"]) for p in doc["patches"])
+        det = Detection(
+            k_hat=operator.index(doc["k_hat"]),
+            patches=patches,
+            jumps=jumps,
+            diagnostics=dict(doc.get("diagnostics", {})),
+        )
+    except (TypeError, ValueError) as e:
+        raise LatticeError(f"malformed patch doc: {e}") from None
     return det, dims
 
 

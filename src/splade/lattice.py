@@ -13,6 +13,7 @@ threads; every operation is pure.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +74,11 @@ class Rect:
     hi: tuple[int, ...]
 
     def __post_init__(self):
-        lo = tuple(int(x) for x in self.lo)
-        hi = tuple(int(x) for x in self.hi)
+        try:  # operator.index: a fractional or string corner is an error, not truncated
+            lo = tuple(operator.index(x) for x in self.lo)
+            hi = tuple(operator.index(x) for x in self.hi)
+        except TypeError:
+            raise LatticeError(f"corners must be integers, got {self.lo!r} and {self.hi!r}") from None
         if len(lo) != len(hi):
             raise LatticeError(f"corner ranks differ: {lo} vs {hi}")
         object.__setattr__(self, "lo", lo)
@@ -102,7 +106,7 @@ class Rect:
         return Rect(lo, hi)
 
     def within(self, dims) -> bool:
-        return all(0 <= l and h <= n for l, h, n in zip(self.lo, self.hi, dims))
+        return len(dims) == self.ndim and all(0 <= l and h <= n for l, h, n in zip(self.lo, self.hi, dims))
 
     def shift(self, offset) -> "Rect":
         return Rect(

@@ -98,55 +98,21 @@ def hausdorff(truth, est, dims) -> float:
     ``truth`` and ``est`` may be PatchSet/Detection objects or plain rectangle
     sequences; rectangles within a collection must be pairwise disjoint.
     """
-    n = int(np.prod([int(x) for x in dims]))
-    tr = [r for r in _as_rects(truth) if not r.is_empty]
-    er = [r for r in _as_rects(est) if not r.is_empty]
-    tv = [r.volume() for r in tr]
-    ev = [r.volume() for r in er]
-    inter = [[r.intersect(s).volume() for s in er] for r in tr]
-    bg_t = n - sum(tv)  # |background(truth)|
-    bg_e = n - sum(ev)
-    cross = sum(sum(row) for row in inter)  # |union(truth) ∩ union(est)|
-
-    # members: rectangles, then the background set (dropped when empty)
-    def d_rect_rect(i, j):
-        union = tv[i] + ev[j] - inter[i][j]
-        return (tv[i] + ev[j] - 2 * inter[i][j]) / union if union else 0.0
-
-    def d_rect_bge(i):  # truth rect vs estimated background
-        cap = tv[i] - sum(inter[i])
-        union = tv[i] + bg_e - cap
-        return (tv[i] + bg_e - 2 * cap) / union if union else 0.0
-
-    def d_rect_bgt(j):  # estimated rect vs true background
-        cap = ev[j] - sum(inter[i][j] for i in range(len(tr)))
-        union = ev[j] + bg_t - cap
-        return (ev[j] + bg_t - 2 * cap) / union if union else 0.0
-
-    def d_bg_bg():
-        cap = n - sum(tv) - sum(ev) + cross
-        union = bg_t + bg_e - cap
-        return (bg_t + bg_e - 2 * cap) / union if union else 0.0
-
-    truth_members = [("r", i) for i in range(len(tr))] + ([("bg", None)] if bg_t else [])
-    est_members = [("r", j) for j in range(len(er))] + ([("bg", None)] if bg_e else [])
-    if not truth_members and not est_members:
-        return 0.0
-    if not truth_members or not est_members:
-        return 1.0
-
-    def dist(tm, em):
-        if tm[0] == "r" and em[0] == "r":
-            return d_rect_rect(tm[1], em[1])
-        if tm[0] == "r":
-            return d_rect_bge(tm[1])
-        if em[0] == "r":
-            return d_rect_bgt(em[1])
-        return d_bg_bg()
-
-    forward = max(min(dist(tm, em) for em in est_members) for tm in truth_members)
-    backward = max(min(dist(tm, em) for tm in truth_members) for em in est_members)
-    return max(forward, backward)
+    whole = Rect((0,) * len(dims), tuple(dims))
+    tr = [r for r in _as_rects(truth) if not r.is_empty] + [whole]
+    er = [r for r in _as_rects(est) if not r.is_empty] + [whole]
+    # Intersections of members: each side's rectangles, then its background.
+    # The last row and column start as the whole grid; subtracting the
+    # rectangles leaves the background.
+    cap = np.array([[r.intersect(s).volume() for s in er] for r in tr], dtype=np.int64)
+    cap[-1] -= cap[:-1].sum(axis=0)
+    cap[:, -1] -= cap[:, :-1].sum(axis=1)
+    cap = cap[cap.sum(axis=1) != 0][:, cap.sum(axis=0) != 0]  # drop an empty background
+    if 0 in cap.shape:  # a side without members: equal only when both are
+        return 0.0 if cap.shape == (0, 0) else 1.0
+    union = cap.sum(axis=1, keepdims=True) + cap.sum(axis=0) - cap
+    dist = np.divide(union - cap, union, out=np.zeros(union.shape), where=union != 0)
+    return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
 
 
 BENCH_CSV_HEADER = ("scenario", "seed", "k_hat", "k_true", "ari", "hausdorff", "time_s")

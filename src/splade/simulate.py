@@ -22,6 +22,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -99,6 +100,8 @@ def _gen_sar(rng, dims, rho):
     if rho == 0.0:
         return e
     counts = _neighbor_stats(dims)
+    if not counts.all():  # only a one-cell grid has a cell without neighbours
+        raise SimulationError(f"sar needs at least two cells, got dims {dims}")
     eps = e.copy()
     buf = np.empty_like(e)
     for _ in range(_SAR_MAX_SWEEPS):
@@ -130,16 +133,10 @@ def _gen_linear(rng, dims, stencil):
 
 
 def _gen_m_dependent(rng, dims, m):
-    d = len(dims)
-    padded = rng.standard_normal(tuple(n + 2 * m for n in dims))
-    out = np.zeros(dims, dtype=np.float64)
-    offsets = np.stack(
-        np.meshgrid(*[np.arange(-m, m + 1)] * d, indexing="ij"), axis=-1
-    ).reshape(-1, d)
-    for off in offsets:
-        sl = tuple(slice(m + off[k], m + off[k] + dims[k]) for k in range(d))
-        out += padded[sl]
-    return out / (2 * m + 1) ** (d / 2.0)
+    # _gen_linear reads the draw at x - offset, so offsets from +m down to -m
+    # sum the window [x - m, x + m]^d in ascending order, as they always have
+    stencil = [(off, 1.0) for off in product(range(m, -m - 1, -1), repeat=len(dims))]
+    return _gen_linear(rng, dims, stencil) / (2 * m + 1) ** (len(dims) / 2.0)
 
 
 def decay_stencil(base: float, d: int):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -140,7 +141,7 @@ def test_bench_deterministic_modulo_time(tmp_path):
 
 
 def test_splade_threads_env_caps_workers(monkeypatch):
-    from splade.detect import worker_count
+    from splade.bench import worker_count
 
     monkeypatch.setenv("SPLADE_THREADS", "1")
     assert worker_count(8) == 1
@@ -168,7 +169,8 @@ def test_simulate_linear_field_spec(tmp_path):
     assert read_grid(grid_path).dims == (48, 48)
 
 
-def test_frames_command_jsonl(tmp_path):
+def _hot_frames_dir(tmp_path):
+    """Three flat frames, then one with a bright 16x16 block at (10, 14)."""
     frames_dir = tmp_path / "frames"
     frames_dir.mkdir()
     base = np.full((48, 48, 3), 60, dtype=np.uint8)
@@ -177,8 +179,12 @@ def test_frames_command_jsonl(tmp_path):
     hot = base.copy()
     hot[10:26, 14:30, :] = 230
     write_ppm(frames_dir / "f03.ppm", hot)
+    return str(frames_dir)
+
+
+def test_frames_command_jsonl(tmp_path):
     out = str(tmp_path / "boxes.jsonl")
-    rc = main(["frames", "--dir", str(frames_dir), "--baseline", "0:3",
+    rc = main(["frames", "--dir", _hot_frames_dir(tmp_path), "--baseline", "0:3",
                "--channel", "mean", "--out", out])
     assert rc == 0
     lines = [json.loads(line) for line in open(out)]
@@ -187,6 +193,25 @@ def test_frames_command_jsonl(tmp_path):
     assert lines[3]["k_hat"] == 1
     lo, hi = lines[3]["patches"][0]["lo"], lines[3]["patches"][0]["hi"]
     assert lo == [10, 14] and hi == [26, 30]
+
+
+def test_bench_and_frames_identical_serial_and_pooled(tmp_path, monkeypatch):
+    """SPLADE_THREADS=1 runs in the calling process, 2 in a process pool."""
+    frames_dir = _hot_frames_dir(tmp_path)
+    results = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SPLADE_THREADS", threads)
+        csv_path, jsonl_path = str(tmp_path / f"b{threads}.csv"), str(tmp_path / f"f{threads}.jsonl")
+        assert main(["bench", "--scenario", "config2", "--grid", "64", "--noise", "sar:0.2",
+                     "--reps", "3", "--out", csv_path]) == 0
+        assert main(["frames", "--dir", frames_dir, "--baseline", "0:3", "--out", jsonl_path]) == 0
+        rows = [dataclasses.replace(r, time_s=0.0) for r in read_bench_csv(csv_path)]
+        docs = [json.loads(line) for line in open(jsonl_path)]
+        for doc in docs:
+            doc["diagnostics"].pop("time_s")
+        results.append((rows, docs))
+    assert results[0] == results[1]
+    assert len(results[0][0]) == 3 and len(results[0][1]) == 4
 
 
 def _grid_file(tmp_path):
@@ -202,16 +227,32 @@ def _frames_dir(tmp_path, header):
     return str(d)
 
 
-def _spec_file(tmp_path, field):
+def _spec_file(tmp_path, spec):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps({"dims": [64, 64], "field": field, "patches": []}))
+    path.write_text(json.dumps(spec))
     return str(path)
+
+
+def _field_spec_file(tmp_path, field):
+    return _spec_file(tmp_path, {"dims": [64, 64], "field": field, "patches": []})
 
 
 def _patch_spec_file(tmp_path, patch):
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps({"dims": [64, 64], "field": {"kind": "iid-gaussian"}, "patches": [patch]}))
-    return str(path)
+    return _spec_file(tmp_path, {"dims": [64, 64], "field": {"kind": "iid-gaussian"}, "patches": [patch]})
+
+
+_PATCH_DOC = {"dims": [64, 64], "k_hat": 1, "diagnostics": {},
+              "patches": [{"lo": [1, 2], "hi": [5, 5], "jump_estimate": 1.0}]}
+
+
+def _eval_argv(tmp_path, est):
+    """Eval a valid truth doc against the estimate doc ``est``."""
+    paths = []
+    for name, doc in [("truth", _PATCH_DOC), ("est", est)]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    return ["eval", "--truth", paths[0], "--est", paths[1], "--out", str(tmp_path / "r.csv")]
 
 
 def _overflowing_splg(tmp_path):
@@ -229,7 +270,7 @@ CLI_ERRORS = {
     "SPLADE_THREADS not a number": ({"SPLADE_THREADS": "x"}, lambda t: [
         "bench", "--scenario", "config1", "--grid", "64", "--reps", "1", "--out", str(t / "b.csv")]),
     "unknown field spec key": ({}, lambda t: [
-        "simulate", "--spec", _spec_file(t, {"kind": "iid-gaussian", "bogus": 1}),
+        "simulate", "--spec", _field_spec_file(t, {"kind": "iid-gaussian", "bogus": 1}),
         "--out", str(t / "g.splg")]),
     "PNM header not a number": ({}, lambda t: [
         "frames", "--dir", _frames_dir(t, b"P5\nabc 4\n255"), "--baseline", "0:1"]),
@@ -244,7 +285,7 @@ CLI_ERRORS = {
     },
     **{
         f"field spec {name}": ({}, lambda t, field=field: [
-            "simulate", "--spec", _spec_file(t, field), "--out", str(t / "g.splg")])
+            "simulate", "--spec", _field_spec_file(t, field), "--out", str(t / "g.splg")])
         for name, field in [
             ("sar rho not a number", {"kind": "sar", "rho": "abc"}),
             ("seed not an integer", {"kind": "iid-gaussian", "seed": "x"}),
@@ -256,6 +297,38 @@ CLI_ERRORS = {
     "patch corner not a number": ({}, lambda t: [
         "simulate", "--spec", _patch_spec_file(t, {"lo": ["x", 1], "hi": [3, 3], "jump": 1.0}),
         "--out", str(t / "g.splg")]),
+    "patch corner fractional": ({}, lambda t: [
+        "simulate", "--spec", _patch_spec_file(t, {"lo": [1.5, 2], "hi": [3, 3], "jump": 1.0}),
+        "--out", str(t / "g.splg")]),
+    **{
+        f"spec {name}": ({}, lambda t, spec=spec: [
+            "simulate", "--spec", _spec_file(t, spec), "--out", str(t / "g.splg")])
+        for name, spec in [
+            ("dims not a number", {"dims": ["x", 64], "field": {"kind": "iid-gaussian"}}),
+            ("dims fractional", {"dims": [64.7, 64], "field": {"kind": "iid-gaussian"}}),
+            ("n not a number", {"scenario": "config1", "n": "abc", "field": {"kind": "iid-gaussian"}}),
+            ("n fractional", {"scenario": "config1", "n": 100.9, "field": {"kind": "iid-gaussian"}}),
+            ("jump not a number", {"scenario": "config1", "n": 64, "jump": "big",
+                                   "field": {"kind": "iid-gaussian"}}),
+            ("not an object", [1, 2]),
+            ("field not an object", {"dims": [64, 64], "field": 5}),
+        ]
+    },
+    **{
+        f"eval estimate {name}": ({}, lambda t, est=est: _eval_argv(t, est))
+        for name, est in [
+            ("corner not an integer", {**_PATCH_DOC, "patches": [{"lo": [1.5, "2"], "hi": [5, 5],
+                                                                  "jump_estimate": 1.0}]}),
+            ("dims fractional", {**_PATCH_DOC, "dims": [64.5, 64]}),
+            ("k_hat not a number", {**_PATCH_DOC, "k_hat": "x"}),
+            ("jump not a number", {**_PATCH_DOC, "patches": [{"lo": [1, 2], "hi": [5, 5],
+                                                              "jump_estimate": "a"}]}),
+            ("patches not a list", {**_PATCH_DOC, "patches": 5}),
+            ("patch of another rank", {**_PATCH_DOC, "patches": [{"lo": [1, 2, 3], "hi": [5, 5, 5],
+                                                                  "jump_estimate": 1.0}]}),
+            ("not an object", [1]),
+        ]
+    },
 }
 
 

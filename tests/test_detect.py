@@ -231,16 +231,6 @@ def test_detect_determinism():
     assert d1 == d2
 
 
-def test_detect_identical_across_thread_counts(monkeypatch):
-    truth = canonical_scenario("config2", 128, 1.0)
-    x = inject_patches(gen_field(FieldSpec(kind="sar", seed=8, rho=0.2), (128, 128)), truth)
-    monkeypatch.setenv("SPLADE_THREADS", "1")
-    one = splade_detect(x)
-    monkeypatch.setenv("SPLADE_THREADS", "2")
-    assert splade_detect(x) == one
-    assert one.k_hat > 1  # several envelopes, so two threads refine at once
-
-
 def test_detect_given_mu0_sigma_skips_estimation():
     truth = canonical_scenario("config1", 128, 1.0)
     noise = gen_field(FieldSpec(kind="iid-gaussian", seed=6), (128, 128))

@@ -110,13 +110,17 @@ def test_hausdorff_missed_patch_16x16():
 
 def test_hausdorff_matches_mask_oracle_random():
     rng = np.random.default_rng(9)
-    dims = (16, 16)
-    for _ in range(200):
+    for _ in range(600):
+        dims = [(16,), (16, 16), (6, 7, 5)][int(rng.integers(0, 3))]
+        whole = Rect((0,) * len(dims), dims)
+
         def rnd_disjoint(max_patches):
+            if rng.random() < 0.1:  # the whole grid: an empty background
+                return [whole]
             rects = []
             for _ in range(int(rng.integers(0, max_patches + 1))):
-                lo = tuple(int(x) for x in rng.integers(0, 14, 2))
-                hi = tuple(int(min(rng.integers(l + 1, 17), 16)) for l in lo)
+                lo = tuple(int(rng.integers(0, n - 1)) for n in dims)
+                hi = tuple(int(rng.integers(l + 1, n + 1)) for l, n in zip(lo, dims))
                 cand = Rect(lo, hi)
                 if all(cand.intersect(r).is_empty for r in rects):
                     rects.append(cand)

@@ -45,6 +45,12 @@ def test_sar_residual_satisfies_defining_equation(rho):
     assert float(np.max(np.abs(resid))) < 1e-8
 
 
+def test_sar_one_cell_grid_rejected_up_front():
+    with pytest.raises(SimulationError, match="at least two cells"):
+        gen_field(FieldSpec(kind="sar", rho=0.3), (1,))
+    assert gen_field(FieldSpec(kind="sar", rho=0.3), (2,)).dims == (2,)
+
+
 def test_determinism_same_seed_bit_identical():
     for kind, kw in [
         ("iid-gaussian", {}),
