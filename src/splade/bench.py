@@ -41,20 +41,25 @@ def map_grids(fn, items: list) -> list:
 
 def parse_noise(text: str, seed: int = 0) -> FieldSpec:
     """Parse CLI noise descriptors: iid | sar:RHO | maxstable:ALPHA[:BASE] | mdep:M."""
-    parts = text.split(":")
-    kind = parts[0]
-    if kind == "iid":
-        return FieldSpec(kind="iid-gaussian", seed=seed)
-    if kind == "sar":
-        return FieldSpec(kind="sar", seed=seed, rho=float(parts[1]))
-    if kind in ("maxstable", "max-stable"):
-        base = float(parts[2]) if len(parts) > 2 else 0.6
-        return FieldSpec(
-            kind="max-stable", seed=seed, tail_index=float(parts[1]), decay_base=base
+    kind, *args = text.split(":")
+    fields = None
+    try:
+        if kind == "iid" and not args:
+            fields = {"kind": "iid-gaussian"}
+        elif kind == "sar" and len(args) == 1:
+            fields = {"kind": "sar", "rho": float(args[0])}
+        elif kind in ("maxstable", "max-stable") and len(args) in (1, 2):
+            base = float(args[1]) if len(args) > 1 else 0.6
+            fields = {"kind": "max-stable", "tail_index": float(args[0]), "decay_base": base}
+        elif kind in ("mdep", "m-dependent") and len(args) == 1:
+            fields = {"kind": "m-dependent", "m": int(args[0])}
+    except ValueError:
+        pass
+    if fields is None:
+        raise LatticeError(
+            f"bad noise descriptor {text!r}: expected iid | sar:RHO | maxstable:ALPHA[:BASE] | mdep:M"
         )
-    if kind in ("mdep", "m-dependent"):
-        return FieldSpec(kind="m-dependent", seed=seed, m=int(parts[1]))
-    raise LatticeError(f"unknown noise descriptor {text!r}")
+    return FieldSpec(seed=seed, **fields)
 
 
 @dataclass(frozen=True)
@@ -93,6 +98,7 @@ def run_replicate(task: BenchTask) -> BenchRecord:
 
 def run_bench(scenario, grid_n, noise, jump, reps, seed, config=None):
     config = config or SpladeConfig()
+    parse_noise(noise)  # a bad descriptor fails here, not in every worker
     tasks = [
         BenchTask(
             scenario=scenario,

@@ -3,15 +3,16 @@
 The baseline mean and the long-run variance are estimated on a boundary layer
 of thickness n_k^beta along every face of the domain, which is assumed free of
 anomalies.  The long-run variance uses a product-kernel HAC estimator over
-that layer; the first-stage flag threshold is the exact closed-form quantile
-of the maximum absolute normalized Gaussian block increment.
+that layer: the kernel-weighted double sum over cell pairs, evaluated
+spectrally from one real FFT of the zero-padded layer cells.  The first-stage
+flag threshold is the exact closed-form quantile of the maximum absolute
+normalized Gaussian block increment.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from statistics import NormalDist
 
 import numpy as np
@@ -80,12 +81,47 @@ def estimate_mu0(grid: Grid, beta: float = 0.7) -> float:
     return float(grid.data[mask].mean())
 
 
+def fft_length(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n (n >= 1): a length numpy's FFT is fast on."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _kernel_spectrum(kernel: KernelSpec, axis: int, reach: int, size: int, half: bool):
+    """DFT of the axis's kernel taps w(-reach..reach), laid out circularly on ``size`` cells.
+
+    The taps are symmetric, so the spectrum is real; ``half`` keeps the rfft bins.
+    """
+    taps = np.zeros(size)
+    taps[0] = 1.0
+    for lag in range(1, reach + 1):
+        taps[lag] = taps[size - lag] = kernel.weight1d(lag / kernel.bandwidths[axis])
+    return (np.fft.rfft(taps) if half else np.fft.fft(taps)).real
+
+
 def masked_lrv(data: np.ndarray, mask: np.ndarray, kernel: KernelSpec) -> tuple[float, bool]:
     """Kernel long-run variance over the masked cells.
 
     Returns (estimate, clamped): the double sum over cell pairs within the
     kernel support, normalized by the masked cell count; a negative raw value
     is clamped to the plain masked variance and flagged.
+
+    The double sum sum_lag w(lag) sum_x c(x) c(x + lag) of the centred cells c
+    is evaluated spectrally (Parseval): the cells are zero-padded by the
+    kernel's reach on every axis, so no lag wraps, and the power spectrum of
+    one real FFT is weighted by the kernel's spectrum.  The product kernel's
+    spectrum is the outer product of one real 1-D spectrum per axis, so the
+    weighting is d vector contractions, last axis first.
     """
     count = int(mask.sum())
     if count == 0:
@@ -94,25 +130,28 @@ def masked_lrv(data: np.ndarray, mask: np.ndarray, kernel: KernelSpec) -> tuple[
     bw = kernel.bandwidths
     if len(bw) != d:
         raise CalibrationError(f"need {d} bandwidths, got {len(bw)}")
-    centered = np.where(mask, data - data[mask].mean(), 0.0)
+    # Lags at or beyond an axis length pair no cells, so the reach is clipped.
+    reach = [min(math.ceil(b) - 1, n - 1) for b, n in zip(bw, data.shape)]
+    shape = [fft_length(n + r) for n, r in zip(data.shape, reach)]
+    padded = np.zeros(shape)
+    cells = padded[tuple(slice(n) for n in data.shape)]
+    np.subtract(data, data[mask].mean(), out=cells, where=mask)
 
-    lag_ranges = [range(-int(math.ceil(b)) + 1, int(math.ceil(b))) for b in bw]
-    total = 0.0
-    for lag in product(*lag_ranges):
-        if lag > tuple([0] * d):
-            continue  # add symmetric partner instead
-        w = 1.0
-        for k in range(d):
-            w *= kernel.weight1d(lag[k] / bw[k])
-        if w == 0.0:
-            continue
-        dst, src = shifted(lag, data.shape)
-        term = float(np.sum(centered[src] * centered[dst]))
-        total += w * term if lag == tuple([0] * d) else 2.0 * w * term
+    spectrum = np.empty(shape[:-1] + [shape[-1] // 2 + 1], dtype=np.complex128)
+    np.fft.rfftn(padded, axes=range(d), out=spectrum)
+    power = spectrum.view(np.float64)  # real and imaginary parts side by side
+    np.square(power, out=power)
+    last = _kernel_spectrum(kernel, d - 1, reach[-1], shape[-1], half=True)
+    last[1 : (shape[-1] + 1) // 2] *= 2.0  # these rfft bins also stand for their conjugates
+    # vecdot, not @: a threaded BLAS gemv over a 1024^2 spectrum took ~8 ms
+    # on two cores, vecdot 0.4 ms
+    total = np.vecdot(power, np.repeat(last, 2))
+    for k in reversed(range(d - 1)):
+        total = np.vecdot(total, _kernel_spectrum(kernel, k, reach[k], shape[k], half=False))
 
-    sigma2 = total / count
+    sigma2 = float(total) / (math.prod(shape) * count)
     if sigma2 < 0.0:
-        return float(np.sum(centered[mask] ** 2) / count), True
+        return float(np.sum(cells[mask] ** 2) / count), True
     return sigma2, False
 
 

@@ -155,16 +155,21 @@ def _cmd_eval(args) -> int:
     est, dims_e = doc_to_detection(est_doc)
     if dims != dims_e:
         raise LatticeError(f"dims mismatch: truth {dims} vs estimate {dims_e}")
+    try:  # operator.index: a fractional seed is an error, not truncated
+        seed = operator.index(truth_doc.get("seed", 0))
+        time_s = float(est.diagnostics.get("time_s", 0.0))
+    except (TypeError, ValueError) as e:
+        raise LatticeError(f"malformed patch doc (seed or time_s): {e}") from None
     a = labels_from_patches(dims, truth.patches)
     b = labels_from_patches(dims, est.patches)
     rec = BenchRecord(
         scenario=str(truth_doc.get("scenario", "custom")),
-        seed=int(truth_doc.get("seed", 0)),
+        seed=seed,
         k_hat=est.k_hat,
         k_true=truth.k_hat,
         ari=float(ari(a, b)),
         hausdorff=float(hausdorff(truth.patches, est.patches, dims)),
-        time_s=float(est.diagnostics.get("time_s", 0.0)),
+        time_s=time_s,
     )
     write_bench_csv(args.out, [rec])
     return 0

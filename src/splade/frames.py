@@ -116,8 +116,11 @@ def frames_to_grids(directory, baseline_range, channel: str = "mean"):
 
 def parse_range(text: str) -> range:
     """Parse 'a:b' (half-open) or a single index into a range."""
-    if ":" in text:
-        a, b = text.split(":", 1)
-        return range(int(a), int(b))
-    i = int(text)
-    return range(i, i + 1)
+    try:
+        if ":" in text:
+            a, b = text.split(":", 1)
+            return range(int(a), int(b))
+        i = int(text)
+        return range(i, i + 1)
+    except ValueError:
+        raise FrameError(f"bad frame range {text!r}: expected an index or a:b") from None

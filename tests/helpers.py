@@ -8,13 +8,14 @@ reference implementations no matter how the production code evolves.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from fractions import Fraction
 
 import numpy as np
 
-from splade.calibrate import KernelSpec
-from splade.lattice import BlockPartition, Grid, Rect
+from splade.calibrate import CalibrationError, KernelSpec
+from splade.lattice import BlockPartition, Grid, Rect, shifted
 
 
 def direct_rect_sum(grid: Grid, r: Rect) -> float:
@@ -163,4 +164,39 @@ def brute_force_lrv(data: np.ndarray, mask: np.ndarray, kernel: KernelSpec) -> t
     sigma2 = total / len(cells)
     if sigma2 < 0.0:
         return sum((float(data[x]) - mean) ** 2 for x in cells) / len(cells), True
+    return sigma2, False
+
+
+def lag_sum_lrv(data: np.ndarray, mask: np.ndarray, kernel: KernelSpec) -> tuple[float, bool]:
+    """Kernel long-run variance as one grid pass per lag in the kernel's half-box.
+
+    The same double sum as ``masked_lrv``, summed lag by lag: every lag and its
+    mirror image share one product of the centred grid with its shifted copy.
+    """
+    count = int(mask.sum())
+    if count == 0:
+        raise CalibrationError("empty estimation region")
+    d = data.ndim
+    bw = kernel.bandwidths
+    if len(bw) != d:
+        raise CalibrationError(f"need {d} bandwidths, got {len(bw)}")
+    centered = np.where(mask, data - data[mask].mean(), 0.0)
+
+    lag_ranges = [range(-int(math.ceil(b)) + 1, int(math.ceil(b))) for b in bw]
+    total = 0.0
+    for lag in itertools.product(*lag_ranges):
+        if lag > tuple([0] * d):
+            continue  # add symmetric partner instead
+        w = 1.0
+        for k in range(d):
+            w *= kernel.weight1d(lag[k] / bw[k])
+        if w == 0.0:
+            continue
+        dst, src = shifted(lag, data.shape)
+        term = float(np.sum(centered[src] * centered[dst]))
+        total += w * term if lag == tuple([0] * d) else 2.0 * w * term
+
+    sigma2 = total / count
+    if sigma2 < 0.0:
+        return float(np.sum(centered[mask] ** 2) / count), True
     return sigma2, False

@@ -11,13 +11,14 @@ from splade.calibrate import (
     empirical_variogram,
     estimate_lrv,
     estimate_mu0,
+    fft_length,
     masked_lrv,
     threshold_q,
 )
 from splade.lattice import Grid
 from splade.simulate import FieldSpec, gen_field
 
-from helpers import brute_force_lrv
+from helpers import brute_force_lrv, lag_sum_lrv
 
 
 def test_boundary_layer_matches_direct_enumeration():
@@ -133,6 +134,49 @@ def test_masked_lrv_matches_double_sum(kind, dims, bandwidths):
         want, want_clamped = brute_force_lrv(data, mask, kernel)
         assert clamped == want_clamped
         assert sigma2 == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["bartlett", "parzen"])
+@pytest.mark.parametrize(
+    "dims, bandwidths",
+    [
+        ((8192,), None),
+        ((4099,), None),
+        ((4099,), (5000.0,)),
+        ((37, 53), None),
+        ((37, 53), (40.0, 2.5)),
+        ((19, 23, 17), None),
+        ((19, 23, 17), (20.0, 1.5, 3.0)),
+        ((7, 11, 5, 13), None),
+        ((7, 11, 5, 13), (8.0, 2.0, 1.0, 3.5)),
+    ],
+)
+def test_masked_lrv_matches_lag_sum(kind, dims, bandwidths):
+    # medium grids with prime axis lengths, default bandwidths and bandwidths
+    # longer than an axis, on data offset by 1e3
+    rng = np.random.default_rng(sum(dims) + len(kind))
+    data = rng.standard_normal(dims) + 1e3
+    kernel = KernelSpec(kind, bandwidths or default_bandwidths(dims))
+    masks = (np.ones(dims, dtype=bool), rng.random(dims) < 0.5, boundary_layer_mask(dims, 0.7))
+    for mask in masks:
+        sigma2, clamped = masked_lrv(data, mask, kernel)
+        want, want_clamped = lag_sum_lrv(data, mask, kernel)
+        assert clamped == want_clamped
+        assert sigma2 == pytest.approx(want, rel=1e-12)
+
+
+def test_fft_length_is_smallest_5_smooth_length():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    for n in range(1, 5001):
+        want = n
+        while not smooth(want):
+            want += 1
+        assert fft_length(n) == want, n
 
 
 def test_threshold_single_block_is_normal_quantile():

@@ -245,10 +245,10 @@ _PATCH_DOC = {"dims": [64, 64], "k_hat": 1, "diagnostics": {},
               "patches": [{"lo": [1, 2], "hi": [5, 5], "jump_estimate": 1.0}]}
 
 
-def _eval_argv(tmp_path, est):
-    """Eval a valid truth doc against the estimate doc ``est``."""
+def _eval_argv(tmp_path, est, truth=_PATCH_DOC):
+    """Eval the truth doc ``truth`` (valid by default) against the estimate doc ``est``."""
     paths = []
-    for name, doc in [("truth", _PATCH_DOC), ("est", est)]:
+    for name, doc in [("truth", truth), ("est", est)]:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         paths.append(str(path))
@@ -327,8 +327,18 @@ CLI_ERRORS = {
             ("patch of another rank", {**_PATCH_DOC, "patches": [{"lo": [1, 2, 3], "hi": [5, 5, 5],
                                                                   "jump_estimate": 1.0}]}),
             ("not an object", [1]),
+            ("time_s not a number", {**_PATCH_DOC, "diagnostics": {"time_s": "x"}}),
         ]
     },
+    "eval truth seed fractional": ({}, lambda t: _eval_argv(t, _PATCH_DOC, {**_PATCH_DOC, "seed": 7.9})),
+    **{
+        f"bench noise {noise}": ({}, lambda t, noise=noise: [
+            "bench", "--scenario", "config1", "--grid", "64", "--reps", "1", "--noise", noise,
+            "--out", str(t / "b.csv")])
+        for noise in ["sar", "maxstable", "sar:abc", "mdep:1.5", "sar:0.4:junk"]
+    },
+    "frames baseline not a range": ({}, lambda t: [
+        "frames", "--dir", _hot_frames_dir(t), "--baseline", "a:b"]),
 }
 
 
