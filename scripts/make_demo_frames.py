@@ -4,8 +4,8 @@
 Two bright subjects enter a static scene, walk toward each other, merge into
 one blob, then separate and leave.  The script writes binary PPM frames, runs
 the frames pipeline (baseline subtraction over the empty opening frames, then
-detection per frame), and prints the number of boxes found per frame, which
-should go 0 -> 1 -> 2 -> 1 -> 2 -> 0 across the sequence.
+detection per frame), and prints the number of boxes found per frame.  With the
+defaults they go 0 (12 frames) -> 2 (5) -> 1 (7) -> 2 (3) -> 0 (2).
 """
 
 import argparse

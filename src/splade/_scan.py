@@ -3,15 +3,16 @@
 The search space is the Cartesian product of per-axis lower-corner candidates
 and per-axis upper-corner candidates.  A pair is scored by its squared contrast
 (S - v*tbar)^2 / (v*(n - v)) (S = sum inside, v = volume, n = cell count,
-tbar = grand mean), read off the prefix table in 2^d terms, all relative to
-the table's window (the candidates are shifted by its origin once).
+tbar = grand mean), read off the prefix table in 2^d terms through
+``lattice.box_sums``, all relative to the table's window (the candidates are
+shifted by its origin once).
 
 Rather than score every pair, the search works on nodes: a node holds one
 index range of lo candidates and one of hi candidates per axis.  Every
 rectangle of a node contains its smallest rectangle R_min (largest lo, smallest
 hi) and lies inside its largest R_max (smallest lo, largest hi).  With Y+ and
-Y- the prefix tables of max(+(x - tbar), 0) and max(-(x - tbar), 0), built from
-the cell values the prefix table encodes, every rectangle R of the node has
+Y- the prefix tables of max(+(x - tbar), 0) and max(-(x - tbar), 0), built
+from the cell values the prefix table encodes, every rectangle R of the node has
 
     |S - v*tbar| <= max(Y+(R_max) - Y-(R_min), Y-(R_max) - Y+(R_min))
 
@@ -45,11 +46,10 @@ All state lives in one ``_Search`` per call, so concurrent calls share nothing.
 from __future__ import annotations
 
 import math
-from itertools import product
 
 import numpy as np
 
-from .lattice import LatticeError, PrefixSum, Rect
+from .lattice import LatticeError, PrefixSum, Rect, box_sums, prefix_table, table_cells
 
 _LEAF_PAIRS = 256
 _BATCH_PAIRS = 1 << 18
@@ -65,22 +65,9 @@ class DegenerateScanError(LatticeError):
     """Every admissible candidate has zero contrast (constant data)."""
 
 
-class _Best:
-    __slots__ = ("score_sq", "vol", "lo", "hi")
-
-    def __init__(self):
-        self.score_sq = -1.0
-        self.vol = 0
-        self.lo = None
-        self.hi = None
-
-    def offer(self, score_sq, vol, lo, hi):
-        if score_sq > self.score_sq or (
-            score_sq == self.score_sq
-            and self.lo is not None
-            and (vol, lo, hi) < (self.vol, self.lo, self.hi)
-        ):
-            self.score_sq, self.vol, self.lo, self.hi = score_sq, vol, lo, hi
+# The best pair so far is the key (-score_sq, volume, lo, hi): the smaller
+# key wins, so ``min`` applies the tie rule.  _NONE: no admissible pair yet.
+_NONE = (math.inf,)
 
 
 def best_rectangle(ps: PrefixSum, lo_axes, hi_axes, vol_min: float, vol_max: float) -> tuple[Rect, float]:
@@ -99,13 +86,14 @@ def best_rectangle(ps: PrefixSum, lo_axes, hi_axes, vol_min: float, vol_max: flo
         raise NoAdmissibleRectError("empty candidate axis")
 
     best = _Search(ps, lo_axes, hi_axes, vmin, vmax).run()
-    if best.lo is None:
+    if best == _NONE:
         raise NoAdmissibleRectError(
             f"no candidate with volume in ({vmin}, {vmax}) and lo < hi"
         )
-    if best.score_sq == 0.0:
+    neg_score_sq, _, lo, hi = best
+    if neg_score_sq == 0.0:
         raise DegenerateScanError("all admissible contrasts are zero")
-    return Rect(best.lo, best.hi).shift(tuple(-o for o in ps.origin)), math.sqrt(best.score_sq)
+    return Rect(lo, hi).shift(tuple(-o for o in ps.origin)), math.sqrt(-neg_score_sq)
 
 
 class _Search:
@@ -123,16 +111,14 @@ class _Search:
         # integer volumes v with vmin < v < vmax
         self.v_first = max(math.floor(vmin) + 1, 1)
         self.v_last = math.ceil(vmax) - 1
-        self.corners = list(product((0, 1), repeat=d))  # 1 -> take lo on that axis
 
-    def run(self) -> _Best:
-        best = _Best()
+    def run(self) -> tuple:
+        """The key of the best pair, or _NONE."""
         nodes = np.array([[[0, a.size] for a in self.cands]], dtype=np.int32)
         if _pairs(nodes)[0] <= _BATCH_PAIRS:
-            self._score_leaves(nodes, best)
-            return best
+            return self._score_leaves(nodes, _NONE)
         self._build_bound_tables()
-        incumbent = -1.0
+        best, incumbent = _NONE, -1.0
         leaves, leaf_bounds = [], []
         while len(nodes):
             bound, seed = self._bound(nodes)
@@ -157,8 +143,8 @@ class _Search:
             done = ends[start - 1] if start else 0
             stop = max(int(np.searchsorted(ends, done + _BATCH_PAIRS, side="right")), start + 1)
             batch = leaves[start:stop][leaf_bounds[start:stop] >= threshold]
-            self._score_leaves(batch, best)
-            incumbent = max(incumbent, best.score_sq)
+            best = self._score_leaves(batch, best)
+            incumbent = max(incumbent, -best[0])
             start = stop
         return best
 
@@ -170,22 +156,13 @@ class _Search:
         self.hull = np.array([min(int(lo[0]), int(hi[0])) for lo, hi in zip(lo_axes, hi_axes)])
         top = [max(int(lo[-1]), int(hi[-1])) for lo, hi in zip(lo_axes, hi_axes)]
         sub = self.table[tuple(slice(o, t + 1) for o, t in zip(self.hull, top))]
-        y = sub
-        for ax in range(d):
-            y = np.diff(y, axis=ax)
-        y = y - self.tbar
-        ytab = np.zeros(tuple(int(t - o) + 1 for o, t in zip(self.hull, top)) + (2,))
-        inner = ytab[(slice(1, None),) * d]
-        inner[..., 0] = np.maximum(y, 0.0)
-        inner[..., 1] = np.maximum(-y, 0.0)
-        for ax in range(d):
-            np.cumsum(inner, axis=ax, out=inner)
-        self.ytab = ytab
+        y = table_cells(sub, d) - self.tbar
+        self.ytab = prefix_table(np.stack((np.maximum(y, 0.0), np.maximum(-y, 0.0)), axis=-1), d)
         # Rounding in the prefix table, the differencing, the Y tables and the
         # scorer's own sums, bounded for the worst case: at most
         # 4^d * (cells + 1) unit roundoffs of the largest magnitude involved.
         # The entries read accumulate every cell below ``top``, not only the hull's.
-        scale = float(np.abs(sub).max()) + abs(self.tbar * self.n) + float(ytab[(-1,) * d].sum())
+        scale = float(np.abs(sub).max()) + abs(self.tbar * self.n) + float(self.ytab[(-1,) * d].sum())
         self.slack = 4.0**d * (math.prod(top) + 1) * _UNIT_ROUNDOFF * scale
 
     def _score(self, lo, hi):
@@ -193,7 +170,7 @@ class _Search:
 
         ``lo[k]`` / ``hi[k]`` broadcast to one shape.  Inadmissible pairs score -1.
         """
-        s = self._box_sums(self.table, lo, hi)
+        s = box_sums(self.table, lo, hi)
         volf = np.maximum(hi[0] - lo[0], 0).astype(np.float64)
         for k in range(1, self.d):
             volf = volf * np.maximum(hi[k] - lo[k], 0)
@@ -204,26 +181,10 @@ class _Search:
         s[(volf <= self.vmin) | (volf >= self.vmax)] = -1.0
         return s, volf
 
-    def _box_sums(self, table, lo, hi):
-        """Sums over the boxes (lo, hi] of the cells that a prefix table encodes.
-
-        ``lo[k]`` / ``hi[k]`` are per-axis corner arrays that broadcast
-        together; trailing axes of ``table`` beyond the first d carry through.
-        """
-        shape = np.broadcast_shapes(*(a.shape for a in lo + hi)) + table.shape[self.d :]
-        s = np.zeros(shape)
-        for mask in self.corners:
-            term = table[tuple(lo[k] if mask[k] else hi[k] for k in range(self.d))]
-            if sum(mask) & 1:
-                s -= term
-            else:
-                s += term
-        return s
-
     def _ysum(self, lo, hi):
         """(Y+, Y-) sums over the rectangles (lo, hi]; shape (m, 2)."""
         o = self.hull
-        return self._box_sums(self.ytab, [a - b for a, b in zip(lo, o)], [a - b for a, b in zip(hi, o)])
+        return box_sums(self.ytab, [a - b for a, b in zip(lo, o)], [a - b for a, b in zip(hi, o)])
 
     def _bound(self, nodes):
         """Each node's squared-score bound (-inf when no volume is admissible),
@@ -254,7 +215,7 @@ class _Search:
         return bound, seed
 
     def _score_leaves(self, leaves, best):
-        """Score every pair of the leaves and offer the winner to ``best``."""
+        """Score every pair of the leaves; return the smaller of ``best`` and their best key."""
         lens = leaves[:, :, 1] - leaves[:, :, 0]
         sigs, group = np.unique(lens, axis=0, return_inverse=True)
         group = group.reshape(-1)
@@ -272,11 +233,11 @@ class _Search:
                 axes.append(vals.reshape(shape))
             score, volf = self._score(axes[: self.d], axes[self.d :])
             top = float(score.max())
-            if top < 0.0 or top < best.score_sq:
+            if top < 0.0 or -top > best[0]:
                 continue
             sel = score == top
             vmin = float(volf[sel].min())
-            if top == best.score_sq and best.lo is not None and vmin > best.vol:
+            if (-top, vmin) > best[:2]:
                 continue
             sel &= volf == vmin
             hits = np.unravel_index(np.flatnonzero(sel), sel.shape)
@@ -284,7 +245,8 @@ class _Search:
                 tuple(int(axes[j].reshape(-1, m)[hits[j][h], i]) for j in range(nslots))
                 for h, i in enumerate(hits[-1])
             )
-            best.offer(top, int(vmin), corners[: self.d], corners[self.d :])
+            best = min(best, (-top, int(vmin), corners[: self.d], corners[self.d :]))
+        return best
 
 
 def _pairs(nodes):

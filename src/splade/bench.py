@@ -97,6 +97,8 @@ def run_replicate(task: BenchTask) -> BenchRecord:
 
 
 def run_bench(scenario, grid_n, noise, jump, reps, seed, config=None):
+    if reps < 1:
+        raise LatticeError(f"reps must be >= 1, got {reps}")
     config = config or SpladeConfig()
     parse_noise(noise)  # a bad descriptor fails here, not in every worker
     tasks = [

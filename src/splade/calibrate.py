@@ -21,6 +21,8 @@ from .lattice import Grid, LatticeError, shifted
 
 _NORMAL = NormalDist()
 
+BOUNDARY_BETA = 0.7  # the layer's thickness exponent: n_k^beta cells per face
+
 
 class CalibrationError(LatticeError):
     """Degenerate layer, kernel, or threshold domain."""
@@ -58,6 +60,11 @@ def default_bandwidths(dims) -> tuple[float, ...]:
     return tuple(float(math.ceil(n ** (1.0 / (2 * d)))) for n in dims)
 
 
+def default_kernel(dims) -> KernelSpec:
+    """The detector's long-run variance kernel: Bartlett with ``default_bandwidths``."""
+    return KernelSpec("bartlett", default_bandwidths(dims))
+
+
 def boundary_layer_mask(dims, beta: float) -> np.ndarray:
     """Cells with some 1-based coordinate i_k <= n_k^beta or >= n_k - n_k^beta + 1."""
     if not 0.0 < beta < 1.0:
@@ -75,7 +82,7 @@ def boundary_layer_mask(dims, beta: float) -> np.ndarray:
     return mask
 
 
-def estimate_mu0(grid: Grid, beta: float = 0.7) -> float:
+def estimate_mu0(grid: Grid, beta: float = BOUNDARY_BETA) -> float:
     """Sample mean over the boundary layer."""
     mask = boundary_layer_mask(grid.dims, beta)
     return float(grid.data[mask].mean())
@@ -155,10 +162,9 @@ def masked_lrv(data: np.ndarray, mask: np.ndarray, kernel: KernelSpec) -> tuple[
     return sigma2, False
 
 
-def estimate_lrv(grid: Grid, beta: float = 0.7, kernel: KernelSpec | None = None) -> float:
+def estimate_lrv(grid: Grid, beta: float = BOUNDARY_BETA, kernel: KernelSpec | None = None) -> float:
     """Long-run variance estimated on the boundary layer."""
-    if kernel is None:
-        kernel = KernelSpec("bartlett", default_bandwidths(grid.dims))
+    kernel = kernel or default_kernel(grid.dims)
     mask = boundary_layer_mask(grid.dims, beta)
     sigma2, _ = masked_lrv(grid.data, mask, kernel)
     return sigma2

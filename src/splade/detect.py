@@ -24,15 +24,9 @@ from itertools import product
 import numpy as np
 
 from ._scan import NoAdmissibleRectError
-from .calibrate import (
-    KernelSpec,
-    boundary_layer_mask,
-    default_bandwidths,
-    masked_lrv,
-    threshold_q,
-)
+from .calibrate import BOUNDARY_BETA, boundary_layer_mask, default_kernel, masked_lrv, threshold_q
 from .lattice import BlockPartition, Grid, LatticeError, PrefixSum, Rect, build_prefix_sum, rect_sum
-from .lattice import shifted
+from .lattice import shifted, table_cells
 from .single import DegenerateGridError, Stage1Params, SubsampleError, _two_stage
 from .single import algorithm1  # noqa: F401  perfbench/tracer.py looks it up here
 
@@ -45,10 +39,8 @@ class DetectionError(LatticeError):
 
 def block_means(ps: PrefixSum, part: BlockPartition) -> np.ndarray:
     """Mean over each (possibly truncated) block of ``part``, read off the table ``ps``."""
-    sums = ps.table[np.ix_(*(part.edges(k) + o for k, o in enumerate(ps.origin)))]
-    for ax in range(sums.ndim):
-        sums = np.diff(sums, axis=ax)
-    return sums / part.volumes()
+    edges = np.ix_(*(part.edges(k) + o for k, o in enumerate(ps.origin)))
+    return table_cells(ps.table[edges], len(ps.dims)) / part.volumes()
 
 
 def flag_blocks(means: np.ndarray, q, mu0: float) -> np.ndarray:
@@ -195,8 +187,6 @@ class SpladeConfig:
     mu0: float | None = None
     sigma: float | None = None
     connectivity: str = "faces"
-    boundary_beta: float = 0.7
-    kernel: KernelSpec | None = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -289,18 +279,18 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
         raise DetectionError(
             f"grid needs >= 4 blocks per axis at alpha={cfg.alpha}, got {part.counts}"
         )
-    kernel = cfg.kernel or KernelSpec("bartlett", default_bandwidths(grid.dims))
+    kernel = default_kernel(grid.dims)
     n = grid.size
     min_cells = min_component_cells(n, cfg.alpha, cfg.min_size_factor)
 
     estimated = cfg.mu0 is None or cfg.sigma is None
     lrv_clamped = False
-    if cfg.mu0 is None or cfg.sigma is None:
-        layer = boundary_layer_mask(grid.dims, cfg.boundary_beta)
+    if estimated:
+        layer = boundary_layer_mask(grid.dims, BOUNDARY_BETA)
         mu0 = float(grid.data[layer].mean()) if cfg.mu0 is None else cfg.mu0
         if cfg.sigma is None:
             sigma2, lrv_clamped = masked_lrv(grid.data, layer, kernel)
-            sigma = math.sqrt(max(sigma2, 0.0))
+            sigma = math.sqrt(sigma2)
         else:
             sigma = cfg.sigma
     else:
@@ -322,7 +312,7 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
             )
         if cfg.sigma is None and clean_count >= _FALLBACK_MIN_CELLS:
             sigma2, lrv_clamped = masked_lrv(grid.data, clean, kernel)
-            sigma = math.sqrt(max(sigma2, 0.0))
+            sigma = math.sqrt(sigma2)
         flags, comps = _first_stage(grid.data, ps, part, mu0, sigma, cfg, min_cells)
 
     bboxes = [component_bbox(c, part) for c in comps]

@@ -57,9 +57,9 @@ def read_pnm(path) -> np.ndarray:
     channels = 3 if magic == b"P6" else 1
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     count = width * height * channels
-    data = np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
-    if data.size < count:
+    if len(raw) - pos < count * dtype.itemsize:
         raise FrameError(f"{path}: truncated pixel payload")
+    data = np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
     img = data.astype(np.float64).reshape(
         (height, width, 3) if channels == 3 else (height, width)
     )

@@ -6,6 +6,11 @@ NumPy slice ``lo:hi``.  ``lo`` is the exclusive lower corner, ``hi`` the
 inclusive upper corner, and the cell count is ``prod(hi - lo)``.  A rectangle
 with ``hi_k <= lo_k`` on any axis is empty.
 
+The layout of a prefix table (a zero border, trailing axes carried through,
+the order of the 2^d corner terms) is known to this module alone:
+``prefix_table`` builds one, ``table_cells`` differences one back to its
+cells, and ``box_sums`` reads box sums off one.
+
 All objects here are immutable after construction and safe to share across
 threads; every operation is pure.
 """
@@ -15,6 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -183,17 +189,58 @@ class PrefixSum:
         return PrefixSum(tuple(h - l for l, h in zip(r.lo, r.hi)), self.table, origin)
 
 
+def prefix_table(cells: np.ndarray, d: int, dtype=np.float64) -> np.ndarray:
+    """Zero-bordered running sums of ``cells`` over its first ``d`` axes.
+
+    ``table[i1, ..., id]`` is the sum of ``cells[0:i1, ..., 0:id]``; axes of
+    ``cells`` after the first ``d`` carry through.  One in-place pass per axis.
+    """
+    table = np.zeros(tuple(n + 1 for n in cells.shape[:d]) + cells.shape[d:], dtype=dtype)
+    inner = table[(slice(1, None),) * d]
+    inner[...] = cells
+    for ax in range(d):
+        np.cumsum(inner, axis=ax, out=inner)
+    return table
+
+
+def table_cells(table: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of ``prefix_table``: one difference per axis over the first ``d``.
+
+    Applied to a slice of a table it yields the cells of that slice's box; to an
+    ``np.ix_`` gather at block edges, the block sums.
+    """
+    for ax in range(d):
+        table = np.diff(table, axis=ax)
+    return table
+
+
+def box_sums(table: np.ndarray, lo, hi) -> np.ndarray:
+    """Sums of the cells a prefix table encodes over the boxes ``(lo, hi]``.
+
+    ``lo[k]`` / ``hi[k]`` are table indices on axis k: ints or integer arrays
+    that broadcast together.  The 2^d corner terms are added in
+    ``itertools.product((0, 1), repeat=d)`` order (1: take ``lo`` on that
+    axis).  Axes of ``table`` after the first ``len(lo)`` carry through.
+    """
+    d = len(lo)
+    shape = np.broadcast(*lo, *hi).shape + table.shape[d:]
+    s = np.zeros(shape)
+    for mask in product((0, 1), repeat=d):
+        term = table[tuple(l if m else h for l, h, m in zip(lo, hi, mask))]
+        if sum(mask) & 1:
+            s -= term
+        else:
+            s += term
+    return s
+
+
 def build_prefix_sum(grid: Grid) -> PrefixSum:
-    """Summed table enabling O(2^d) rectangle sums; one in-place pass per axis."""
+    """Summed table of the whole grid, enabling O(2^d) rectangle sums."""
     n = grid.size
     if n > np.iinfo(np.int64).max:
         raise LatticeError("grid too large to address")
     acc_dtype = np.longdouble if n > _EXTENDED_PRECISION_CELLS else np.float64
-    table = np.zeros(tuple(d + 1 for d in grid.dims), dtype=acc_dtype)
-    inner = table[(slice(1, None),) * grid.ndim]
-    inner[...] = grid.data
-    for ax in range(grid.ndim):
-        np.cumsum(inner, axis=ax, out=inner)
+    table = prefix_table(grid.data, grid.ndim, acc_dtype)
     return PrefixSum(dims=grid.dims, table=np.asarray(table, dtype=np.float64))
 
 
@@ -205,20 +252,8 @@ def rect_sum(ps: PrefixSum, r: Rect) -> float:
         return 0.0
     if not r.within(ps.dims):
         raise LatticeError(f"rectangle {r} out of bounds for dims {ps.dims}")
-    d = r.ndim
-    total = 0.0
-    for corner in range(1 << d):
-        idx = []
-        neg = 0
-        for k in range(d):
-            if corner >> k & 1:
-                idx.append(ps.origin[k] + r.lo[k])
-                neg += 1
-            else:
-                idx.append(ps.origin[k] + r.hi[k])
-        term = float(ps.table[tuple(idx)])
-        total += -term if neg & 1 else term
-    return total
+    r = r.shift(ps.origin)
+    return float(box_sums(ps.table, r.lo, r.hi))
 
 
 def contrast(ps: PrefixSum, r: Rect) -> float:

@@ -220,10 +220,10 @@ def _grid_file(tmp_path):
     return str(path)
 
 
-def _frames_dir(tmp_path, header):
+def _frames_dir(tmp_path, header, payload):
     d = tmp_path / "frames"
     d.mkdir()
-    (d / "f00.pgm").write_bytes(header + b"\n" + bytes(16))
+    (d / "f00.pgm").write_bytes(header + payload)
     return str(d)
 
 
@@ -272,8 +272,15 @@ CLI_ERRORS = {
     "unknown field spec key": ({}, lambda t: [
         "simulate", "--spec", _field_spec_file(t, {"kind": "iid-gaussian", "bogus": 1}),
         "--out", str(t / "g.splg")]),
-    "PNM header not a number": ({}, lambda t: [
-        "frames", "--dir", _frames_dir(t, b"P5\nabc 4\n255"), "--baseline", "0:1"]),
+    **{
+        f"PNM {name}": ({}, lambda t, header=header, payload=payload: [
+            "frames", "--dir", _frames_dir(t, header, payload), "--baseline", "0:1"])
+        for name, header, payload in [
+            ("header not a number", b"P5\nabc 4\n255", b"\n" + bytes(16)),
+            ("payload truncated", b"P5\n4 4\n255", b"\nabc"),
+            ("header without payload", b"P5\n4 4\n255", b""),
+        ]
+    },
     "SPLG dims overflow": ({}, lambda t: ["detect", "--in", _overflowing_splg(t),
                                           "--out", str(t / "o.json")]),
     **{
@@ -336,6 +343,11 @@ CLI_ERRORS = {
             "bench", "--scenario", "config1", "--grid", "64", "--reps", "1", "--noise", noise,
             "--out", str(t / "b.csv")])
         for noise in ["sar", "maxstable", "sar:abc", "mdep:1.5", "sar:0.4:junk"]
+    },
+    **{
+        f"bench reps {reps}": ({}, lambda t, reps=reps: [
+            "bench", "--scenario", "config1", "--grid", "64", "--reps", reps, "--out", str(t / "b.csv")])
+        for reps in ["0", "-1"]
     },
     "frames baseline not a range": ({}, lambda t: [
         "frames", "--dir", _hot_frames_dir(t), "--baseline", "a:b"]),

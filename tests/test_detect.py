@@ -1,3 +1,8 @@
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -344,3 +349,15 @@ def test_opposite_sign_adjacent_patches_stay_separate():
     det = splade_detect(x)
     assert det.k_hat == 2
     assert list(det.patches) == sorted([r for r, _ in rects], key=lambda r: (r.lo, r.hi))
+
+
+def test_perfbench_tracer_targets_resolve(monkeypatch):
+    """perfbench/tracer.py wraps these names by lookup; a refactor that drops one breaks its trace."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # its dataclasses look their module up
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for module, name in tracer.TARGETS:
+        assert callable(getattr(importlib.import_module(module), name, None)), f"{module}.{name}"

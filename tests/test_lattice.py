@@ -12,11 +12,14 @@ from splade.lattice import (
     LatticeError,
     PatchSet,
     Rect,
+    box_sums,
     build_prefix_sum,
     contrast,
+    prefix_table,
     rect_sum,
     shifted,
     sym_diff_volume,
+    table_cells,
 )
 
 from helpers import all_rects, direct_rect_sum
@@ -72,11 +75,16 @@ def test_prefix_vs_direct_3d_random_rects():
     rng = np.random.default_rng(7)
     g = Grid.from_array(rng.standard_normal((4, 4, 4)))
     ps = build_prefix_sum(g)
+    rects = []
     for _ in range(20):
         lo = tuple(int(rng.integers(0, 4)) for _ in range(3))
         hi = tuple(int(rng.integers(l + 1, 5)) for l in lo)
-        r = Rect(lo, hi)
-        assert rect_sum(ps, r) == pytest.approx(direct_rect_sum(g, r), abs=1e-9)
+        rects.append(Rect(lo, hi))
+        assert rect_sum(ps, rects[-1]) == pytest.approx(direct_rect_sum(g, rects[-1]), abs=1e-9)
+    # every rectangle at once, as one corner array per axis
+    lo, hi = (np.array(corners).T for corners in zip(*((r.lo, r.hi) for r in rects)))
+    sums = box_sums(ps.table, list(lo), list(hi))
+    assert sums == pytest.approx([direct_rect_sum(g, r) for r in rects], abs=1e-9)
 
 
 def test_contrast_hand_example():
@@ -163,7 +171,7 @@ def test_prefix_extended_precision_path(accumulator, monkeypatch):
     assert rect_sum(ps, r) == pytest.approx(r.volume() / 3.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("dims", [(11,), (7, 9), (5, 6, 4)])
+@pytest.mark.parametrize("dims", [(11,), (7, 9), (5, 6, 4), (4, 5, 4, 6)])
 def test_window_sums_match_copied_subgrid(dims):
     rng = np.random.default_rng(len(dims))
     g = Grid.from_array(rng.standard_normal(dims) + 1e3)
@@ -188,6 +196,21 @@ def test_window_sums_match_copied_subgrid(dims):
         rect_sum(w, Rect(win.lo, win.hi))  # outside the window
     with pytest.raises(LatticeError):
         ps.window(Rect(win.lo, win.lo))  # empty
+
+    d, x = len(dims), g.data
+    np.testing.assert_allclose(table_cells(prefix_table(x, d), d), x, rtol=0, atol=1e-9)
+    # corner arrays that broadcast to a 5 x 4 set of boxes, lo <= hi in every pair
+    lo = [rng.integers(0, m // 2 + 1, size=(5, 1)) for m in dims]
+    hi = [rng.integers(m // 2, m + 1, size=(1, 4)) for m in dims]
+    sums = box_sums(ps.table, lo, hi)
+    for i, j in np.ndindex(5, 4):
+        box = tuple(slice(int(l[i, 0]), int(h[0, j])) for l, h in zip(lo, hi))
+        assert sums[i, j] == pytest.approx(float(x[box].sum()), rel=1e-12, abs=1e-9)
+    # a trailing axis of 2 carries through (the layout of the scan's Y+/Y- tables)
+    pair = box_sums(prefix_table(np.stack((x, -x), axis=-1), d), lo, hi)
+    assert pair.shape == (5, 4, 2)
+    np.testing.assert_array_equal(pair[..., 0], sums)
+    np.testing.assert_array_equal(pair[..., 1], -sums)
 
 
 @pytest.mark.parametrize("dims", [(5,), (4, 3), (3, 1, 4)])
