@@ -27,13 +27,21 @@ A node is dropped only when its bound is below incumbent * (1 - _EPS), where
 the incumbent is the best squared score actually computed so far, seeded by
 scoring every node's R_max and R_min.  The rounding allowance covers the
 absolute error of the sums and _EPS the relative error of the score
-arithmetic, so no pair that ties or beats the incumbent is ever dropped.  Nodes
-are split in two along their longest range until at most _LEAF_PAIRS pairs
-remain; the leaves are then scored highest-bound-first in batches of at most
-_BATCH_PAIRS pairs, leaves of a batch with equal range lengths sharing one
-vectorized gather, and the bound is re-checked against the rising incumbent
-before each batch.  A search space of at most _BATCH_PAIRS pairs is scored
-whole, as one leaf, since bounding it would cost more than it saves.
+arithmetic, so no pair that ties or beats the incumbent is ever dropped.
+
+The search runs in levels.  The root is halved _ROOT_SPLITS times before
+anything is bounded, since the first levels would prune nothing and one bound
+call costs about the same for any node count up to a few hundred.  Each level
+then bounds its nodes with one corner set (every node's R_max and R_min
+together: one Y-sum pass and one scoring pass, whose best score raises the
+incumbent), drops the nodes the incumbent rules out, and halves each survivor
+twice, each time along its longest range; a node of at most _LEAF_PAIRS pairs
+is never split but becomes a leaf.  The leaves are then scored
+highest-bound-first in batches of at most _BATCH_PAIRS pairs, leaves of a batch
+with equal range lengths sharing one vectorized gather, and the bound is
+re-checked against the rising incumbent before each batch.  A search space of
+at most _BATCH_PAIRS pairs is scored whole, as one leaf, since bounding it
+would cost more than it saves.
 
 Every scored pair goes through one deterministic tie rule: maximal |contrast|,
 then smallest volume, then lexicographically smallest lower corner, then upper
@@ -53,6 +61,10 @@ from .lattice import LatticeError, PrefixSum, Rect, box_sums, prefix_table, tabl
 
 _LEAF_PAIRS = 256
 _BATCH_PAIRS = 1 << 18
+# Halvings of the root before the first bound.  One ``_bound`` call costs
+# about the same (~0.2 ms on a 2-core x86 machine) for any count up to ~256
+# nodes, and the levels above 256 nodes prune nothing, so they are skipped.
+_ROOT_SPLITS = 8
 _EPS = 1e-9
 _UNIT_ROUNDOFF = 2.0**-53
 
@@ -120,6 +132,7 @@ class _Search:
         self._build_bound_tables()
         best, incumbent = _NONE, -1.0
         leaves, leaf_bounds = [], []
+        nodes = _split(nodes, _ROOT_SPLITS)
         while len(nodes):
             bound, seed = self._bound(nodes)
             incumbent = max(incumbent, seed)
@@ -128,7 +141,7 @@ class _Search:
             is_leaf = _pairs(nodes) <= _LEAF_PAIRS
             leaves.append(nodes[is_leaf])
             leaf_bounds.append(bound[is_leaf])
-            nodes = _split(nodes[~is_leaf])
+            nodes = _split(nodes[~is_leaf], 2)
 
         leaf_bounds = np.concatenate(leaf_bounds)
         order = np.argsort(-leaf_bounds, kind="stable")
@@ -189,30 +202,28 @@ class _Search:
     def _bound(self, nodes):
         """Each node's squared-score bound (-inf when no volume is admissible),
         and the best squared score among the nodes' R_max and R_min."""
-        d = self.d
-        c = self.cands
-        first = [c[j][nodes[:, j, 0]] for j in range(2 * d)]
-        last = [c[j][nodes[:, j, 1] - 1] for j in range(2 * d)]
-        out_lo, out_hi = first[:d], last[d:]  # R_max
-        in_lo, in_hi = last[:d], first[d:]  # R_min (may be empty)
-        v_out = np.ones(len(nodes), dtype=np.int64)
-        v_in = np.ones(len(nodes), dtype=np.int64)
+        d, m = self.d, len(nodes)
+        first, last = nodes[:, :, 0], nodes[:, :, 1] - 1
+        # one corner set: every node's R_max, then every node's R_min (may be empty)
+        lo_at = np.concatenate((first[:, :d], last[:, :d]))
+        hi_at = np.concatenate((last[:, d:], first[:, d:]))
+        lo = [self.cands[k][lo_at[:, k]] for k in range(d)]
+        hi = [self.cands[d + k][hi_at[:, k]] for k in range(d)]
+        v = np.ones(2 * m, dtype=np.int64)
         for k in range(d):
-            v_out *= np.maximum(out_hi[k] - out_lo[k], 0)
-            v_in *= np.maximum(in_hi[k] - in_lo[k], 0)
+            v *= np.maximum(hi[k] - lo[k], 0)
+        v_out, v_in = v[:m], v[m:]
         va = np.maximum(v_in, self.v_first).astype(np.float64)
         vb = np.minimum(v_out, self.v_last).astype(np.float64)
         den = np.minimum(va * (self.n - va), vb * (self.n - vb))
 
-        y_out = self._ysum(out_lo, out_hi)
-        y_in = self._ysum(in_lo, in_hi)
+        y = self._ysum(lo, hi)
+        y_out, y_in = y[:m], y[m:]
         y_in[v_in == 0] = 0.0
         num = np.maximum(y_out[:, 0] - y_in[:, 1], y_out[:, 1] - y_in[:, 0]) + self.slack
         with np.errstate(divide="ignore", invalid="ignore"):
             bound = np.where(va <= vb, num * num / den, -np.inf)
-
-        seed = max(float(self._score(out_lo, out_hi)[0].max()), float(self._score(in_lo, in_hi)[0].max()))
-        return bound, seed
+        return bound, float(self._score(lo, hi)[0].max())
 
     def _score_leaves(self, leaves, best):
         """Score every pair of the leaves; return the smaller of ``best`` and their best key."""
@@ -253,21 +264,26 @@ def _pairs(nodes):
     return np.prod(nodes[:, :, 1] - nodes[:, :, 0], axis=1, dtype=np.int64)
 
 
-def _split(nodes):
-    """Split every node in two along its longest candidate range.
+def _split(nodes, times=1):
+    """Halve every node of more than _LEAF_PAIRS pairs ``times`` times, each
+    time along its longest candidate range; smaller nodes stay whole.
 
     The cut falls at the largest power of two below the range length, so most
     leaves get power-of-two lengths and a batch has few distinct leaf shapes.
     """
-    rows = np.arange(len(nodes))
-    lengths = nodes[:, :, 1] - nodes[:, :, 0]
-    slot = np.argmax(lengths, axis=1)
-    _, exp = np.frexp(lengths[rows, slot] - 1)
-    mid = nodes[rows, slot, 0] + (1 << (exp - 1))
-    left, right = nodes.copy(), nodes.copy()
-    left[rows, slot, 1] = mid
-    right[rows, slot, 0] = mid
-    return np.concatenate([left, right])
+    for _ in range(times):
+        big = _pairs(nodes) > _LEAF_PAIRS
+        parents = nodes[big]
+        rows = np.arange(len(parents))
+        lengths = parents[:, :, 1] - parents[:, :, 0]
+        slot = np.argmax(lengths, axis=1)
+        _, exp = np.frexp(lengths[rows, slot] - 1)
+        mid = parents[rows, slot, 0] + (1 << (exp - 1))
+        left, right = parents.copy(), parents.copy()
+        left[rows, slot, 1] = mid
+        right[rows, slot, 0] = mid
+        nodes = np.concatenate([nodes[~big], left, right])
+    return nodes
 
 
 def window_half_width(stride: int, axis_len: int, grid_size: int, d: int, kappa: float, const: float) -> int:

@@ -100,7 +100,9 @@ def run_bench(scenario, grid_n, noise, jump, reps, seed, config=None):
     if reps < 1:
         raise LatticeError(f"reps must be >= 1, got {reps}")
     config = config or SpladeConfig()
-    parse_noise(noise)  # a bad descriptor fails here, not in every worker
+    # a bad descriptor or scenario fails here, not in every worker
+    parse_noise(noise)
+    canonical_scenario(scenario, grid_n, jump)
     tasks = [
         BenchTask(
             scenario=scenario,

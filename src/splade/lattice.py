@@ -223,8 +223,10 @@ def box_sums(table: np.ndarray, lo, hi) -> np.ndarray:
     axis).  Axes of ``table`` after the first ``len(lo)`` carry through.
     """
     d = len(lo)
-    shape = np.broadcast(*lo, *hi).shape + table.shape[d:]
-    s = np.zeros(shape)
+    if all(isinstance(c, (int, np.integer)) for c in (*lo, *hi)):
+        s = 0.0  # one box: the sum stays a numpy scalar, with no 0-d temporaries
+    else:
+        s = np.zeros(np.broadcast(*lo, *hi).shape + table.shape[d:])
     for mask in product((0, 1), repeat=d):
         term = table[tuple(l if m else h for l, h, m in zip(lo, hi, mask))]
         if sum(mask) & 1:

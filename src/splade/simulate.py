@@ -173,6 +173,8 @@ def _gen_max_stable(rng, dims, tail_index, base):
 def gen_field(spec: FieldSpec, dims) -> Grid:
     """Generate a mean-zero stationary noise field on the given lattice."""
     dims = tuple(int(x) for x in dims)
+    if not dims or min(dims) < 1:
+        raise SimulationError(f"field dims must be positive, got {dims}")
     rng = np.random.default_rng(int(spec.seed) & (2**64 - 1))
     if spec.kind == "iid-gaussian":
         data = rng.standard_normal(dims)
@@ -231,6 +233,8 @@ def canonical_scenario(name: str, n: int, jump: float) -> PatchSet:
         raise SimulationError(f"scenario needs N >= 64, got {n}")
     if jump == 0.0:
         raise SimulationError("jump must be nonzero")
+    if not math.isfinite(jump):
+        raise SimulationError(f"jump must be finite, got {jump}")
     if name == "config1":
         patches = tuple(
             (_frac_rect(n, fx, fy), mult * jump) for fx, fy, mult in _CONFIG1

@@ -349,9 +349,20 @@ CLI_ERRORS = {
             "bench", "--scenario", "config1", "--grid", "64", "--reps", reps, "--out", str(t / "b.csv")])
         for reps in ["0", "-1"]
     },
+    **{
+        f"bench {flag} {value}": ({}, lambda t, flag=flag, value=value: [
+            "bench", "--scenario", "config1", "--grid", "64", "--reps", "1", f"--{flag}", value,
+            "--out", str(t / "b.csv")])
+        for flag, value in [("grid", "0"), ("grid", "-5"), ("jump", "inf")]
+    },
     "frames baseline not a range": ({}, lambda t: [
         "frames", "--dir", _hot_frames_dir(t), "--baseline", "a:b"]),
 }
+
+# cases whose error line must name the fault itself: unchecked, a later stage
+# fails with one line that blames something else (an infinite jump makes
+# non-finite grid cells)
+CLI_ERROR_TEXT = {"bench jump inf": "jump must be finite"}
 
 
 @pytest.mark.parametrize("case", sorted(CLI_ERRORS))
@@ -367,3 +378,4 @@ def test_cli_errors_are_one_line(case, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
     assert "Traceback" not in err
+    assert CLI_ERROR_TEXT.get(case, "error:") in err

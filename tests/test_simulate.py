@@ -51,6 +51,12 @@ def test_sar_one_cell_grid_rejected_up_front():
     assert gen_field(FieldSpec(kind="sar", rho=0.3), (2,)).dims == (2,)
 
 
+@pytest.mark.parametrize("dims", [(0,), (-5, -5), (4, 0, 3), ()])
+def test_gen_field_rejects_non_positive_dims(dims):
+    with pytest.raises(SimulationError, match="dims must be positive"):
+        gen_field(FieldSpec(kind="sar", rho=0.3), dims)
+
+
 def test_determinism_same_seed_bit_identical():
     for kind, kw in [
         ("iid-gaussian", {}),
@@ -191,3 +197,6 @@ def test_canonical_rejects_small_n_and_zero_jump():
         canonical_scenario("config1", 128, 0.0)
     with pytest.raises(SimulationError):
         canonical_scenario("config9", 128, 1.0)
+    for jump in (math.inf, -math.inf, math.nan):
+        with pytest.raises(SimulationError, match="jump must be finite"):
+            canonical_scenario("config1", 128, jump)
