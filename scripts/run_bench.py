@@ -15,11 +15,13 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from splade.bench import run_bench  # noqa: E402
+from splade.bench import parse_noise, run_bench  # noqa: E402
+from splade.lattice import LatticeError  # noqa: E402
 from splade.metrics import write_bench_csv  # noqa: E402
+from splade.simulate import canonical_scenario  # noqa: E402
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="bench_results")
     ap.add_argument("--grid", type=int, default=256)
@@ -28,8 +30,22 @@ def main() -> int:
     ap.add_argument("--scenarios", nargs="+", default=["config1", "config2"])
     ap.add_argument("--noises", nargs="+", default=["sar:0.04", "sar:0.4", "sar:0.8"])
     ap.add_argument("--jumps", nargs="+", type=float, default=[0.4, 0.6, 0.8, 1.0])
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    try:
+        # every cell's inputs are checked before the first cell runs
+        for noise in args.noises:
+            parse_noise(noise)
+        for scenario in args.scenarios:
+            for jump in args.jumps:
+                canonical_scenario(scenario, args.grid, jump)
+        sweep(args)
+    except (LatticeError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    return 0
 
+
+def sweep(args) -> None:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -54,7 +70,6 @@ def main() -> int:
                     f" {mean_ari:6.3f} {mean_haus:6.3f} {med_t:6.2f}"
                 )
     print(f"\nper-replicate rows in {outdir}/", file=sys.stderr)
-    return 0
 
 
 if __name__ == "__main__":

@@ -170,7 +170,7 @@ def estimate_lrv(grid: Grid, beta: float = BOUNDARY_BETA, kernel: KernelSpec | N
     return sigma2
 
 
-def threshold_q(sigma: float, block_volume: float, num_blocks: int, kappa_level: float) -> float:
+def threshold_q(sigma: float, block_volume, num_blocks: int, kappa_level: float):
     """(1 - kappa)-quantile of the max absolute normalized block increment.
 
     Increments of a Brownian sheet over disjoint blocks are independent
@@ -178,18 +178,19 @@ def threshold_q(sigma: float, block_volume: float, num_blocks: int, kappa_level:
     and the max quantile has the exact closed form
     sigma / sqrt(v) * PhiInv((1 + (1 - kappa)^(1/M)) / 2).  It is evaluated
     as -PhiInv(tail) with tail = -expm1(log1p(-kappa) / M) / 2, the same value
-    without the cancellation that forming 1 - tail loses for large M.
+    without the cancellation that forming 1 - tail loses for large M.  An
+    array of volumes gives each element the scalar call's value.
     """
     if sigma <= 0.0:
         raise CalibrationError(f"sigma must be > 0, got {sigma}")
-    if block_volume < 1.0:
-        raise CalibrationError(f"block volume must be >= 1, got {block_volume}")
+    if np.min(block_volume) < 1.0:
+        raise CalibrationError(f"block volume must be >= 1, got {np.min(block_volume)}")
     if num_blocks < 1:
         raise CalibrationError(f"num_blocks must be >= 1, got {num_blocks}")
     if not 0.0 < kappa_level < 1.0:
         raise CalibrationError(f"kappa_level must be in (0, 1), got {kappa_level}")
     tail = -math.expm1(math.log1p(-kappa_level) / num_blocks) / 2.0
-    return -sigma / math.sqrt(block_volume) * _NORMAL.inv_cdf(tail)
+    return -sigma / np.sqrt(block_volume) * _NORMAL.inv_cdf(tail)
 
 
 def empirical_variogram(grid: Grid, axis: int, max_lag: int) -> tuple[float, np.ndarray]:

@@ -62,14 +62,15 @@ def _patchset_from_json(obj) -> PatchSet:
     return PatchSet(patches=patches, baseline=baseline)
 
 
-def _truth_doc(patchset: PatchSet, dims) -> dict:
+def _truth_doc(patchset: PatchSet, dims, scenario: str, seed: int) -> dict:
+    """Patch doc of the truth, with the scenario and field seed that ``eval`` rows report."""
     det = Detection(
         k_hat=len(patchset.rects),
         patches=patchset.rects,
         jumps=patchset.jumps,
         diagnostics={"mu0": patchset.baseline, "truth": True},
     )
-    return detection_to_doc(det, dims)
+    return {**detection_to_doc(det, dims), "scenario": scenario, "seed": seed}
 
 
 def _cmd_simulate(args) -> int:
@@ -94,7 +95,8 @@ def _cmd_simulate(args) -> int:
     grid = inject_patches(noise, patchset) if patchset.rects or patchset.baseline else noise
     write_grid(args.out, grid)
     truth_path = args.truth or (args.out + ".truth.json")
-    write_patch_doc(truth_path, _truth_doc(patchset, dims))
+    scenario = cfg.get("scenario", "custom")
+    write_patch_doc(truth_path, _truth_doc(patchset, dims, scenario, spec.seed))
     print(f"wrote {args.out} and {truth_path}", file=sys.stderr)
     return 0
 
@@ -123,16 +125,17 @@ def _auto_or_float(text: str) -> float | None:
 
 
 def _add_detect_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--alpha2", type=float, default=0.5)
-    p.add_argument("--kappa2", type=float, default=0.01)
-    p.add_argument("--window-const", type=float, default=1.0)
-    p.add_argument("--level", type=float, default=0.05)
+    cfg = SpladeConfig()
+    p.add_argument("--alpha", type=float, default=cfg.alpha)
+    p.add_argument("--alpha2", type=float, default=cfg.stage2.alpha)
+    p.add_argument("--kappa2", type=float, default=cfg.stage2.kappa)
+    p.add_argument("--window-const", type=float, default=cfg.stage2.window_const)
+    p.add_argument("--level", type=float, default=cfg.kappa_level)
     p.add_argument("--mu0", type=_auto_or_float, default="auto")
     p.add_argument("--sigma", type=_auto_or_float, default="auto")
-    p.add_argument("--margin-blocks", type=int, default=2)
-    p.add_argument("--min-size-factor", type=float, default=1.0)
-    p.add_argument("--connectivity", choices=("faces", "faces+corners"), default="faces")
+    p.add_argument("--margin-blocks", type=int, default=cfg.envelope_margin_blocks)
+    p.add_argument("--min-size-factor", type=float, default=cfg.min_size_factor)
+    p.add_argument("--connectivity", choices=("faces", "faces+corners"), default=cfg.connectivity)
 
 
 def _cmd_detect(args) -> int:

@@ -31,6 +31,10 @@ from .single import DegenerateGridError, Stage1Params, SubsampleError, _two_stag
 from .single import algorithm1  # noqa: F401  perfbench/tracer.py looks it up here
 
 _FALLBACK_MIN_CELLS = 256  # below this, a masked re-estimate is too thin to trust
+# Largest accepted |cell|.  The LRV power spectrum summed under ~sqrt(n) kernel taps
+# and the scan's squared contrasts grow like n^3 * x^2: at |x| <= 1e100 that stays
+# below float64's 1.8e308 for any grid of fewer than 1e30 cells.
+_MAX_ABS = 1e100
 
 
 class DetectionError(LatticeError):
@@ -181,7 +185,7 @@ class SpladeConfig:
 
     alpha: float = 0.5
     kappa_level: float = 0.05
-    stage2: Stage1Params = Stage1Params(alpha=0.5, kappa=0.01, window_const=1.0)
+    stage2: Stage1Params = Stage1Params()
     envelope_margin_blocks: int = 2
     min_size_factor: float = 1.0
     mu0: float | None = None
@@ -223,25 +227,13 @@ def min_component_cells(n: int, alpha: float, factor: float) -> int:
     return int(math.ceil(factor * n**alpha * math.sqrt(math.log(n))))
 
 
-def _block_thresholds(sigma: float, part: BlockPartition, kappa_level: float):
-    vols = part.volumes()
-    if sigma == 0.0:
-        return np.zeros_like(vols, dtype=np.float64)
-    q = np.empty(vols.shape, dtype=np.float64)
-    for v in np.unique(vols):
-        q[vols == v] = threshold_q(sigma, float(v), part.num_blocks, kappa_level)
-    return q
-
-
-def _first_stage(data, ps, part, mu0, sigma, cfg, min_cells):
-    """Flag blocks and group them into components, split by contrast sign."""
-    means = block_means(ps, part)
-    q = _block_thresholds(sigma, part, cfg.kappa_level)
+def _first_stage(means, vols, part, mu0, sigma, lo, hi, cfg, min_cells):
+    """Flag blocks against thresholds matched to their volumes ``vols``, and group
+    them into components split by contrast sign; ``lo``/``hi`` are the grid's extremes."""
+    q = threshold_q(sigma, vols, part.num_blocks, cfg.kappa_level) if sigma > 0.0 else 0.0
     # floor at machine-noise scale so ulp residue (e.g. from baseline
-    # subtraction) never reads as signal when sigma-hat collapses to ~0;
-    # max |x - mu0| without a grid-sized temporary
-    scale = float(max(data.max() - mu0, mu0 - data.min()))
-    q = np.maximum(q, 64.0 * np.finfo(np.float64).eps * scale)
+    # subtraction) never reads as signal when sigma-hat collapses to ~0
+    q = np.maximum(q, 64.0 * np.finfo(np.float64).eps * max(hi - mu0, mu0 - lo))
     flags = flag_blocks(means, q, mu0)
     return flags, components(np.sign(means - mu0) * flags, part, min_cells, cfg.connectivity)
 
@@ -264,40 +256,42 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
     """Run the full pipeline and return the detected patches.
 
     Deterministic given (grid, cfg); repeated calls are identical.  A grid
-    with a NaN or infinite cell is rejected with ``DetectionError``.
+    with a NaN or infinite cell, or with a cell beyond 1e100 in magnitude, is
+    rejected with ``DetectionError``.
     """
     if cfg is None:
         cfg = SpladeConfig()
-    # A NaN or inf cell makes the sum non-finite, and the sum needs no
-    # grid-sized temporary; cells are counted only on that rare path.
-    if not math.isfinite(float(grid.data.sum())):
+    # One range pass, with no grid-sized temporary: NaN and inf show up in the
+    # extremes, and cells are counted only on that rare path.
+    lo, hi = float(grid.data.min()), float(grid.data.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         non_finite = grid.size - int(np.count_nonzero(np.isfinite(grid.data)))
-        if non_finite:
-            raise DetectionError(f"grid has {non_finite} non-finite cells (NaN or inf)")
+        raise DetectionError(f"grid has {non_finite} non-finite cells (NaN or inf)")
+    if max(-lo, hi) > _MAX_ABS:
+        raise DetectionError(f"grid has a cell of magnitude {max(-lo, hi):.3g} > {_MAX_ABS:g}: "
+                             "the detector's squared sums would overflow; rescale the data")
     part = BlockPartition.build(grid.dims, cfg.alpha)
     if any(m < 4 for m in part.counts):
         raise DetectionError(
             f"grid needs >= 4 blocks per axis at alpha={cfg.alpha}, got {part.counts}"
         )
     kernel = default_kernel(grid.dims)
-    n = grid.size
-    min_cells = min_component_cells(n, cfg.alpha, cfg.min_size_factor)
+    min_cells = min_component_cells(grid.size, cfg.alpha, cfg.min_size_factor)
 
-    estimated = cfg.mu0 is None or cfg.sigma is None
+    mu0, sigma = cfg.mu0, cfg.sigma
+    estimated = mu0 is None or sigma is None
     lrv_clamped = False
     if estimated:
         layer = boundary_layer_mask(grid.dims, BOUNDARY_BETA)
-        mu0 = float(grid.data[layer].mean()) if cfg.mu0 is None else cfg.mu0
-        if cfg.sigma is None:
+        if mu0 is None:
+            mu0 = float(grid.data[layer].mean())
+        if sigma is None:
             sigma2, lrv_clamped = masked_lrv(grid.data, layer, kernel)
             sigma = math.sqrt(sigma2)
-        else:
-            sigma = cfg.sigma
-    else:
-        mu0, sigma = cfg.mu0, cfg.sigma
 
     ps = build_prefix_sum(grid)
-    flags, comps = _first_stage(grid.data, ps, part, mu0, sigma, cfg, min_cells)
+    means, vols = block_means(ps, part), part.volumes()
+    flags, comps = _first_stage(means, vols, part, mu0, sigma, lo, hi, cfg, min_cells)
 
     fallback = False
     if estimated and comps and _cells_to_blocks(layer, part)[tuple(np.concatenate(comps).T)].any():
@@ -313,7 +307,7 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
         if cfg.sigma is None and clean_count >= _FALLBACK_MIN_CELLS:
             sigma2, lrv_clamped = masked_lrv(grid.data, clean, kernel)
             sigma = math.sqrt(sigma2)
-        flags, comps = _first_stage(grid.data, ps, part, mu0, sigma, cfg, min_cells)
+        flags, comps = _first_stage(means, vols, part, mu0, sigma, lo, hi, cfg, min_cells)
 
     bboxes = [component_bbox(c, part) for c in comps]
     envs = [envelope(c, part, cfg.envelope_margin_blocks, grid.dims) for c in comps]
@@ -336,7 +330,6 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
     jumps = tuple(rect_sum(ps, r) / r.volume() - mu0 for r in patches)
 
     interior_vol = int(np.prod(part.strides))
-    vols = part.volumes()
     diagnostics = {
         "mu0": mu0,
         "sigma": sigma,

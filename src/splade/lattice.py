@@ -133,6 +133,8 @@ class PatchSet:
         for r, j in patches:
             if j == 0.0:
                 raise LatticeError("patch jump must be nonzero")
+            if not math.isfinite(j):
+                raise LatticeError(f"patch jump must be finite, got {j}")
             if r.is_empty:
                 raise LatticeError("patch rectangle must be non-empty")
         for i in range(len(patches)):

@@ -233,8 +233,6 @@ def canonical_scenario(name: str, n: int, jump: float) -> PatchSet:
         raise SimulationError(f"scenario needs N >= 64, got {n}")
     if jump == 0.0:
         raise SimulationError("jump must be nonzero")
-    if not math.isfinite(jump):
-        raise SimulationError(f"jump must be finite, got {jump}")
     if name == "config1":
         patches = tuple(
             (_frac_rect(n, fx, fy), mult * jump) for fx, fy, mult in _CONFIG1

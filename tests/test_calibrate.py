@@ -179,6 +179,17 @@ def test_fft_length_is_smallest_5_smooth_length():
         assert fft_length(n) == want, n
 
 
+def test_threshold_over_array_matches_scalar_bitwise():
+    vols = np.array([[1, 2, 9], [64, 63, 4096]], dtype=np.int64)
+    for sigma, m, kappa in [(1.0, 1, 0.05), (2.5, 484, 0.01), (0.3, 10**6, 0.5)]:
+        q = threshold_q(sigma, vols, m, kappa)
+        assert q.shape == vols.shape
+        for v, got in zip(vols.ravel().tolist(), q.ravel().tolist()):
+            assert got == threshold_q(sigma, float(v), m, kappa)  # bit-for-bit
+    with pytest.raises(CalibrationError):
+        threshold_q(1.0, np.array([4, 0.5]), 4, 0.05)
+
+
 def test_threshold_single_block_is_normal_quantile():
     assert threshold_q(1.0, 1.0, 1, 0.05) == pytest.approx(1.95996, abs=1e-4)
 

@@ -1,10 +1,13 @@
 import dataclasses
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from splade.cli import main
+from splade.cli import _config_from_args, build_parser, main
 from splade.detect import SpladeConfig, splade_detect
 from splade.gridio import (
     detection_to_doc,
@@ -38,9 +41,15 @@ def test_simulate_detect_eval_pipeline(tmp_path):
     assert main(["eval", "--truth", truth_path, "--est", est_path, "--out", csv_path]) == 0
 
     rec = read_bench_csv(csv_path)[0]
+    assert (rec.scenario, rec.seed) == ("config1", 42)  # from the truth doc simulate wrote
     assert rec.k_true == 3
     assert rec.k_hat == 3
     assert rec.ari > 0.8
+
+
+def test_bare_detect_flags_build_the_default_config():
+    args = build_parser().parse_args(["detect", "--in", "x.splg", "--out", "o.json"])
+    assert _config_from_args(args) == SpladeConfig()
 
 
 def test_cli_detect_matches_library(tmp_path):
@@ -350,10 +359,12 @@ CLI_ERRORS = {
         for reps in ["0", "-1"]
     },
     **{
-        f"bench {flag} {value}": ({}, lambda t, flag=flag, value=value: [
-            "bench", "--scenario", "config1", "--grid", "64", "--reps", "1", f"--{flag}", value,
+        f"bench {flag} {value}": ({}, lambda t, scenario=scenario, flag=flag, value=value: [
+            "bench", "--scenario", scenario, "--grid", "64", "--reps", "1", f"--{flag}", value,
             "--out", str(t / "b.csv")])
-        for flag, value in [("grid", "0"), ("grid", "-5"), ("jump", "inf")]
+        for scenario, flag, value in [("config1", "grid", "0"), ("config1", "grid", "-5"),
+                                      ("config1", "jump", "inf"), ("config2", "jump", "1e200"),
+                                      ("config2", "jump", "1e308")]
     },
     "frames baseline not a range": ({}, lambda t: [
         "frames", "--dir", _hot_frames_dir(t), "--baseline", "a:b"]),
@@ -361,8 +372,12 @@ CLI_ERRORS = {
 
 # cases whose error line must name the fault itself: unchecked, a later stage
 # fails with one line that blames something else (an infinite jump makes
-# non-finite grid cells)
-CLI_ERROR_TEXT = {"bench jump inf": "jump must be finite"}
+# non-finite grid cells), or the run ends in overflow warnings and k_hat = 0
+CLI_ERROR_TEXT = {
+    "bench jump inf": "jump must be finite",
+    "bench jump 1e200": "squared sums would overflow",  # config2 cells reach 5e200
+    "bench jump 1e308": "patch jump must be finite",  # config2's 2 x 1e308 is inf
+}
 
 
 @pytest.mark.parametrize("case", sorted(CLI_ERRORS))
@@ -379,3 +394,30 @@ def test_cli_errors_are_one_line(case, tmp_path, monkeypatch, capsys):
     assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
     assert "Traceback" not in err
     assert CLI_ERROR_TEXT.get(case, "error:") in err
+
+
+def _run_bench_script(monkeypatch):
+    """scripts/run_bench.py, loaded by path (it is not part of the package)."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_bench.py"
+    spec = importlib.util.spec_from_file_location("run_bench_script", path)
+    script = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, script)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # undo the script's own src insert
+    spec.loader.exec_module(script)
+    return script
+
+
+@pytest.mark.parametrize("argv", [
+    ["--grid", "10"],
+    ["--noises", "sar:0.04", "bogus"],
+    ["--scenarios", "config1", "config9"],
+    ["--jumps", "1.0", "inf"],
+])
+def test_run_bench_script_checks_every_cell_first(argv, tmp_path, monkeypatch, capsys):
+    outdir = tmp_path / "out"
+    rc = _run_bench_script(monkeypatch).main(argv + ["--reps", "1", "--outdir", str(outdir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1, err
+    assert "Traceback" not in err
+    assert not outdir.exists()  # no cell ran

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splade import detect
 from splade.detect import (
     BlockPartition,
     DetectionError,
@@ -269,6 +270,50 @@ def test_detect_rejects_non_finite_cells():
     data[20, 21] = -np.inf
     with pytest.raises(DetectionError, match="3 non-finite"):
         splade_detect(Grid.from_array(data))
+
+
+def test_detect_rejects_values_whose_squared_sums_overflow():
+    noise = gen_field(FieldSpec(kind="iid-gaussian", seed=1), (64, 64)).data
+    for big in (1e200, 1e308):  # at 1e308 the span hi - lo itself overflows
+        data = noise.copy()
+        data[:8, :8] = big
+        data[-8:, -8:] = -big
+        with pytest.raises(DetectionError, match="squared sums would overflow"):
+            splade_detect(Grid.from_array(data))
+
+
+def _config1_128():
+    """config1 at 128^2, jump 2, SAR(0.04): three patches, and the fallback fires."""
+    noise = gen_field(FieldSpec(kind="sar", seed=1, rho=0.04), (128, 128))
+    return inject_patches(noise, canonical_scenario("config1", 128, 2.0))
+
+
+def test_detect_below_the_magnitude_bound_is_scale_exact():
+    """A power-of-two scale is exact in floating point: near the 1e100 bound the
+    detections are the same, with no overflow (the suite fails on RuntimeWarning)."""
+    x = _config1_128()
+    scale = 2.0**329
+    assert 1e99 < np.abs(x.data).max() * scale < 1e100
+    det, big = splade_detect(x), splade_detect(Grid.from_array(x.data * scale))
+    assert big.patches == det.patches and det.k_hat == 3
+    assert big.jumps == tuple(j * scale for j in det.jumps)
+
+
+def test_detect_computes_block_means_once_with_fallback(monkeypatch):
+    """The fallback re-runs the first stage on the same block means."""
+    calls = {"block_means": 0, "threshold_q": 0}
+    for name in calls:
+        original = getattr(detect, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(detect, name, counted)
+    x = _config1_128()
+    assert splade_detect(x).diagnostics["fallback"]
+    # one threshold call per first stage (all block volumes at once), one for diagnostics
+    assert calls == {"block_means": 1, "threshold_q": 3}
 
 
 def test_min_component_cells_formula():

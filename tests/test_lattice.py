@@ -157,6 +157,9 @@ def test_patchset_rejects_overlap_and_zero_jump():
         PatchSet(patches=((r1, 1.0), (Rect((1, 1), (3, 3)), 1.0)))
     with pytest.raises(LatticeError):
         PatchSet(patches=((r1, 0.0),))
+    for jump in (math.inf, -math.inf, math.nan):
+        with pytest.raises(LatticeError, match="patch jump must be finite"):
+            PatchSet(patches=((r1, jump),))
 
 
 @pytest.mark.parametrize("accumulator", ["float64", "longdouble"])

@@ -197,6 +197,6 @@ def test_canonical_rejects_small_n_and_zero_jump():
         canonical_scenario("config1", 128, 0.0)
     with pytest.raises(SimulationError):
         canonical_scenario("config9", 128, 1.0)
-    for jump in (math.inf, -math.inf, math.nan):
-        with pytest.raises(SimulationError, match="jump must be finite"):
+    for jump in (math.inf, -math.inf, math.nan):  # PatchSet rejects them
+        with pytest.raises(LatticeError, match="jump must be finite"):
             canonical_scenario("config1", 128, jump)
