@@ -33,6 +33,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         # every cell's inputs are checked before the first cell runs
+        if args.reps < 1:
+            raise LatticeError(f"reps must be >= 1, got {args.reps}")
         for noise in args.noises:
             parse_noise(noise)
         for scenario in args.scenarios:

@@ -1,16 +1,7 @@
 """Axis-aligned anomalous patch localization on lattices under spatial dependence."""
 
-from .calibrate import (
-    KernelSpec,
-    boundary_layer_mask,
-    default_bandwidths,
-    empirical_variogram,
-    estimate_lrv,
-    estimate_mu0,
-    threshold_q,
-)
+from .calibrate import boundary_layer_mask, default_bandwidths, threshold_q
 from .detect import (
-    BlockPartition,
     Detection,
     SpladeConfig,
     block_means,
@@ -20,15 +11,14 @@ from .detect import (
     splade_detect,
 )
 from .lattice import (
+    BlockPartition,
     Grid,
     LatticeError,
     PatchSet,
     PrefixSum,
     Rect,
     build_prefix_sum,
-    contrast,
     rect_sum,
-    sym_diff_volume,
 )
 from .metrics import BenchRecord, ari, hausdorff, jaccard_distance, labels_from_patches
 from .simulate import FieldSpec, canonical_scenario, gen_field, inject_patches
@@ -40,7 +30,6 @@ __all__ = [
     "Detection",
     "FieldSpec",
     "Grid",
-    "KernelSpec",
     "LatticeError",
     "PatchSet",
     "PrefixSum",
@@ -55,12 +44,8 @@ __all__ = [
     "build_prefix_sum",
     "canonical_scenario",
     "components",
-    "contrast",
     "default_bandwidths",
-    "empirical_variogram",
     "envelope",
-    "estimate_lrv",
-    "estimate_mu0",
     "flag_blocks",
     "gen_field",
     "hausdorff",
@@ -71,6 +56,5 @@ __all__ = [
     "rect_sum",
     "splade_detect",
     "subsample",
-    "sym_diff_volume",
     "threshold_q",
 ]

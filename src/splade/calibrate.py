@@ -17,7 +17,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .lattice import Grid, LatticeError, shifted
+from .lattice import LatticeError
 
 _NORMAL = NormalDist()
 
@@ -30,28 +30,15 @@ class CalibrationError(LatticeError):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Symmetric compactly supported product kernel with K(0) = 1."""
+    """Bartlett product kernel: weight prod_k max(0, 1 - |lag_k| / b_k) at a lag."""
 
-    kind: str = "bartlett"
-    bandwidths: tuple[float, ...] = ()
+    bandwidths: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind not in ("bartlett", "parzen"):
-            raise CalibrationError(f"unknown kernel {self.kind!r}")
         bw = tuple(float(b) for b in self.bandwidths)
         if any(b < 1.0 for b in bw):
             raise CalibrationError(f"bandwidths must be >= 1, got {bw}")
         object.__setattr__(self, "bandwidths", bw)
-
-    def weight1d(self, x: float) -> float:
-        ax = abs(x)
-        if ax >= 1.0:
-            return 0.0
-        if self.kind == "bartlett":
-            return 1.0 - ax
-        if ax <= 0.5:
-            return 1.0 - 6.0 * ax**2 + 6.0 * ax**3
-        return 2.0 * (1.0 - ax) ** 3
 
 
 def default_bandwidths(dims) -> tuple[float, ...]:
@@ -62,7 +49,7 @@ def default_bandwidths(dims) -> tuple[float, ...]:
 
 def default_kernel(dims) -> KernelSpec:
     """The detector's long-run variance kernel: Bartlett with ``default_bandwidths``."""
-    return KernelSpec("bartlett", default_bandwidths(dims))
+    return KernelSpec(default_bandwidths(dims))
 
 
 def boundary_layer_mask(dims, beta: float) -> np.ndarray:
@@ -80,12 +67,6 @@ def boundary_layer_mask(dims, beta: float) -> np.ndarray:
     if not mask.any():
         raise CalibrationError(f"beta={beta} yields an empty boundary layer")
     return mask
-
-
-def estimate_mu0(grid: Grid, beta: float = BOUNDARY_BETA) -> float:
-    """Sample mean over the boundary layer."""
-    mask = boundary_layer_mask(grid.dims, beta)
-    return float(grid.data[mask].mean())
 
 
 def fft_length(n: int) -> int:
@@ -111,8 +92,8 @@ def _kernel_spectrum(kernel: KernelSpec, axis: int, reach: int, size: int, half:
     """
     taps = np.zeros(size)
     taps[0] = 1.0
-    for lag in range(1, reach + 1):
-        taps[lag] = taps[size - lag] = kernel.weight1d(lag / kernel.bandwidths[axis])
+    for lag in range(1, reach + 1):  # lag < bandwidth, so the weight is positive
+        taps[lag] = taps[size - lag] = 1.0 - lag / kernel.bandwidths[axis]
     return (np.fft.rfft(taps) if half else np.fft.fft(taps)).real
 
 
@@ -162,14 +143,6 @@ def masked_lrv(data: np.ndarray, mask: np.ndarray, kernel: KernelSpec) -> tuple[
     return sigma2, False
 
 
-def estimate_lrv(grid: Grid, beta: float = BOUNDARY_BETA, kernel: KernelSpec | None = None) -> float:
-    """Long-run variance estimated on the boundary layer."""
-    kernel = kernel or default_kernel(grid.dims)
-    mask = boundary_layer_mask(grid.dims, beta)
-    sigma2, _ = masked_lrv(grid.data, mask, kernel)
-    return sigma2
-
-
 def threshold_q(sigma: float, block_volume, num_blocks: int, kappa_level: float):
     """(1 - kappa)-quantile of the max absolute normalized block increment.
 
@@ -191,22 +164,3 @@ def threshold_q(sigma: float, block_volume, num_blocks: int, kappa_level: float)
         raise CalibrationError(f"kappa_level must be in (0, 1), got {kappa_level}")
     tail = -math.expm1(math.log1p(-kappa_level) / num_blocks) / 2.0
     return -sigma / np.sqrt(block_volume) * _NORMAL.inv_cdf(tail)
-
-
-def empirical_variogram(grid: Grid, axis: int, max_lag: int) -> tuple[float, np.ndarray]:
-    """Semivariogram along one axis: gamma(h) = mean squared lag-h increment / 2.
-
-    Returns (gamma0, gammas) where gamma0 is the sample-variance sill proxy and
-    gammas[h-1] covers h = 1..max_lag.
-    """
-    if not 0 <= axis < grid.ndim:
-        raise CalibrationError(f"axis {axis} out of range for {grid.ndim}-d grid")
-    if not 0 < max_lag < grid.dims[axis]:
-        raise CalibrationError(f"max_lag must be in (0, {grid.dims[axis]})")
-    x = grid.data
-    gammas = np.empty(max_lag, dtype=np.float64)
-    for h in range(1, max_lag + 1):
-        dst, src = shifted([h if k == axis else 0 for k in range(grid.ndim)], grid.dims)
-        diff = x[dst] - x[src]
-        gammas[h - 1] = 0.5 * float(np.mean(diff**2))
-    return float(np.var(x)), gammas

@@ -23,11 +23,11 @@ from itertools import product
 
 import numpy as np
 
-from ._scan import NoAdmissibleRectError
+from ._scan import DegenerateScanError, NoAdmissibleRectError
 from .calibrate import BOUNDARY_BETA, boundary_layer_mask, default_kernel, masked_lrv, threshold_q
 from .lattice import BlockPartition, Grid, LatticeError, PrefixSum, Rect, build_prefix_sum, rect_sum
 from .lattice import shifted, table_cells
-from .single import DegenerateGridError, Stage1Params, SubsampleError, _two_stage
+from .single import Stage1Params, SubsampleError, _two_stage
 from .single import algorithm1  # noqa: F401  perfbench/tracer.py looks it up here
 
 _FALLBACK_MIN_CELLS = 256  # below this, a masked re-estimate is too thin to trust
@@ -320,7 +320,7 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
             continue
         try:
             patches.append(_two_stage(grid.data[env.slices()], ps.window(env), cfg.stage2).shift(env.lo))
-        except (SubsampleError, DegenerateGridError, NoAdmissibleRectError):
+        except (SubsampleError, DegenerateScanError, NoAdmissibleRectError):
             degenerate += 1
             clipped = bbox.intersect(env)
             if not clipped.is_empty:

@@ -1,4 +1,4 @@
-"""Persistence: the SPLG binary grid format, CSV grids, and JSON patch docs.
+"""Persistence: the SPLG binary grid format and JSON patch docs.
 
 SPLG layout (little-endian): magic ``SPLG`` (4 bytes), u32 version (= 1),
 u32 rank d, d x u64 dims, then exactly prod(dims) IEEE-754 f64 payload values
@@ -69,27 +69,6 @@ def read_grid(path) -> Grid:
         raise GridFileError(f"{path}: {len(raw) - expected} trailing bytes")
     data = np.frombuffer(raw, dtype="<f8", count=count, offset=head)
     return Grid(dims=tuple(int(x) for x in dims), data=data.reshape(dims).copy())
-
-
-def write_grid_csv(path, grid: Grid) -> None:
-    """2-D grids only: one line per row, repr-formatted fields (lossless)."""
-    if grid.ndim != 2:
-        raise GridFileError(f"CSV export is 2-D only, grid is {grid.ndim}-d")
-    with open(path, "w") as f:
-        for row in grid.data:
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def read_grid_csv(path) -> Grid:
-    rows = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")])
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise GridFileError(f"{path}: ragged or empty CSV grid")
-    return Grid.from_array(np.array(rows, dtype=np.float64))
 
 
 def detection_to_doc(det: Detection, dims) -> dict:

@@ -143,8 +143,11 @@ class PatchSet:
                     raise LatticeError(
                         f"patches {patches[i][0]} and {patches[k][0]} overlap"
                     )
+        baseline = float(self.baseline)
+        if not math.isfinite(baseline):
+            raise LatticeError(f"baseline must be finite, got {baseline}")
         object.__setattr__(self, "patches", patches)
-        object.__setattr__(self, "baseline", float(self.baseline))
+        object.__setattr__(self, "baseline", baseline)
 
     @property
     def rects(self) -> tuple[Rect, ...]:
@@ -162,9 +165,9 @@ class PrefixSum:
     ``table[i1, ..., id]`` is the sum of grid cells in the slice
     ``[0:i1, ..., 0:id]``, so any rectangle sum is a 2^d-term
     inclusion-exclusion over corner entries.  ``dims``, ``size``, ``total`` and
-    the rectangles of ``rect_sum`` and ``contrast`` refer to the window of
-    ``dims`` cells at ``origin`` (default zeros: the whole grid); one table per
-    grid thus serves every rectangle sum.
+    the rectangles of ``rect_sum`` refer to the window of ``dims`` cells at
+    ``origin`` (default zeros: the whole grid); one table per grid thus serves
+    every rectangle sum.
     """
 
     dims: tuple[int, ...]
@@ -260,23 +263,6 @@ def rect_sum(ps: PrefixSum, r: Rect) -> float:
     return float(box_sums(ps.table, r.lo, r.hi))
 
 
-def contrast(ps: PrefixSum, r: Rect) -> float:
-    """Signed scaled mean difference between ``r`` and its complement.
-
-    Computes ``sqrt(v * (n - v)) / n * (mean_inside - mean_outside)`` where
-    ``v`` is the rectangle volume and ``n`` the window size.  Estimators maximize
-    the absolute value of this statistic.  Empty and full rectangles are domain
-    errors (the complement mean would be undefined).
-    """
-    n = ps.size
-    v = r.volume()
-    if not 0 < v < n:
-        raise LatticeError(f"contrast needs 0 < volume < {n}, got {v}")
-    s = rect_sum(ps, r)
-    b = math.sqrt(v * (n - v)) / n
-    return b * (s / v - (ps.total - s) / (n - v))
-
-
 def shifted(offset, dims) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
     """Slices ``(dst, src)`` pairing each cell ``x`` of ``dst`` with the cell ``x - offset``.
 
@@ -288,11 +274,6 @@ def shifted(offset, dims) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
         dst.append(slice(max(o, 0), n + min(o, 0)))
         src.append(slice(max(-o, 0), n - max(o, 0)))
     return tuple(dst), tuple(src)
-
-
-def sym_diff_volume(a: Rect, b: Rect) -> int:
-    """Cell count of the symmetric difference of two rectangles."""
-    return a.volume() + b.volume() - 2 * a.intersect(b).volume()
 
 
 @dataclass(frozen=True)

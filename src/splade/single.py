@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scan import DegenerateScanError as DegenerateGridError  # noqa: F401  re-exported
 from ._scan import best_rectangle, window_half_width
 from .lattice import Grid, LatticeError, PrefixSum, Rect, SubsampleError, build_prefix_sum, subsample
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from splade.calibrate import CalibrationError, KernelSpec
+from splade.calibrate import CalibrationError
 from splade.lattice import BlockPartition, Grid, Rect, shifted
 
 
@@ -145,21 +145,28 @@ def brute_force_components(mask: np.ndarray, part: BlockPartition, min_cells: in
     return comps
 
 
-def brute_force_lrv(data: np.ndarray, mask: np.ndarray, kernel: KernelSpec) -> tuple[float, bool]:
-    """Kernel long-run variance as the direct double sum over masked cell pairs.
+def bartlett_weight(lag, bandwidths) -> float:
+    """Product Bartlett weight prod_k max(0, 1 - |lag_k| / b_k)."""
+    w = 1.0
+    for l, b in zip(lag, bandwidths):
+        w *= max(0.0, 1.0 - abs(l) / b)
+    return w
+
+
+def brute_force_lrv(data: np.ndarray, mask: np.ndarray, bandwidths) -> tuple[float, bool]:
+    """Bartlett long-run variance as the direct double sum over masked cell pairs.
 
     sum_{x, y} K(x - y) c(x) c(y) / count, with c the masked cells centred on
-    their mean and K the product kernel; a negative value is replaced by the
-    plain masked variance and flagged, as ``masked_lrv`` does.
+    their mean and K the product Bartlett kernel of ``bandwidths``; a negative
+    value is replaced by the plain masked variance and flagged, as
+    ``masked_lrv`` does.
     """
     cells = [tuple(int(i) for i in x) for x in np.argwhere(mask)]
     mean = sum(float(data[x]) for x in cells) / len(cells)
     total = 0.0
     for x in cells:
         for y in cells:
-            w = 1.0
-            for k, b in enumerate(kernel.bandwidths):
-                w *= kernel.weight1d((x[k] - y[k]) / b)
+            w = bartlett_weight([a - b for a, b in zip(x, y)], bandwidths)
             total += w * (float(data[x]) - mean) * (float(data[y]) - mean)
     sigma2 = total / len(cells)
     if sigma2 < 0.0:
@@ -167,8 +174,8 @@ def brute_force_lrv(data: np.ndarray, mask: np.ndarray, kernel: KernelSpec) -> t
     return sigma2, False
 
 
-def lag_sum_lrv(data: np.ndarray, mask: np.ndarray, kernel: KernelSpec) -> tuple[float, bool]:
-    """Kernel long-run variance as one grid pass per lag in the kernel's half-box.
+def lag_sum_lrv(data: np.ndarray, mask: np.ndarray, bandwidths) -> tuple[float, bool]:
+    """Bartlett long-run variance as one grid pass per lag in the kernel's half-box.
 
     The same double sum as ``masked_lrv``, summed lag by lag: every lag and its
     mirror image share one product of the centred grid with its shifted copy.
@@ -177,19 +184,16 @@ def lag_sum_lrv(data: np.ndarray, mask: np.ndarray, kernel: KernelSpec) -> tuple
     if count == 0:
         raise CalibrationError("empty estimation region")
     d = data.ndim
-    bw = kernel.bandwidths
-    if len(bw) != d:
-        raise CalibrationError(f"need {d} bandwidths, got {len(bw)}")
+    if len(bandwidths) != d:
+        raise CalibrationError(f"need {d} bandwidths, got {len(bandwidths)}")
     centered = np.where(mask, data - data[mask].mean(), 0.0)
 
-    lag_ranges = [range(-int(math.ceil(b)) + 1, int(math.ceil(b))) for b in bw]
+    lag_ranges = [range(-int(math.ceil(b)) + 1, int(math.ceil(b))) for b in bandwidths]
     total = 0.0
     for lag in itertools.product(*lag_ranges):
         if lag > tuple([0] * d):
             continue  # add symmetric partner instead
-        w = 1.0
-        for k in range(d):
-            w *= kernel.weight1d(lag[k] / bw[k])
+        w = bartlett_weight(lag, bandwidths)
         if w == 0.0:
             continue
         dst, src = shifted(lag, data.shape)

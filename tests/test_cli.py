@@ -316,6 +316,10 @@ CLI_ERRORS = {
     "patch corner fractional": ({}, lambda t: [
         "simulate", "--spec", _patch_spec_file(t, {"lo": [1.5, 2], "hi": [3, 3], "jump": 1.0}),
         "--out", str(t / "g.splg")]),
+    "simulate mu0 inf": ({}, lambda t: [
+        "simulate", "--spec", _spec_file(t, {"dims": [64, 64], "field": {"kind": "iid-gaussian"},
+                                             "mu0": float("inf")}),
+        "--out", str(t / "g.splg")]),
     **{
         f"spec {name}": ({}, lambda t, spec=spec: [
             "simulate", "--spec", _spec_file(t, spec), "--out", str(t / "g.splg")])
@@ -372,8 +376,10 @@ CLI_ERRORS = {
 
 # cases whose error line must name the fault itself: unchecked, a later stage
 # fails with one line that blames something else (an infinite jump makes
-# non-finite grid cells), or the run ends in overflow warnings and k_hat = 0
+# non-finite grid cells), the run ends in overflow warnings and k_hat = 0, or
+# it succeeds (an infinite baseline gave an all-inf grid and exit 0)
 CLI_ERROR_TEXT = {
+    "simulate mu0 inf": "baseline must be finite",
     "bench jump inf": "jump must be finite",
     "bench jump 1e200": "squared sums would overflow",  # config2 cells reach 5e200
     "bench jump 1e308": "patch jump must be finite",  # config2's 2 x 1e308 is inf
@@ -412,12 +418,14 @@ def _run_bench_script(monkeypatch):
     ["--noises", "sar:0.04", "bogus"],
     ["--scenarios", "config1", "config9"],
     ["--jumps", "1.0", "inf"],
+    ["--reps", "0"],
 ])
 def test_run_bench_script_checks_every_cell_first(argv, tmp_path, monkeypatch, capsys):
     outdir = tmp_path / "out"
-    rc = _run_bench_script(monkeypatch).main(argv + ["--reps", "1", "--outdir", str(outdir)])
+    rc = _run_bench_script(monkeypatch).main(["--reps", "1"] + argv + ["--outdir", str(outdir)])
     assert rc == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""  # not even the table header
     assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1, err
     assert "Traceback" not in err
     assert not outdir.exists()  # no cell ran

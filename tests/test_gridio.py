@@ -12,10 +12,8 @@ from splade.gridio import (
     detection_to_doc,
     doc_to_detection,
     read_grid,
-    read_grid_csv,
     read_patch_doc,
     write_grid,
-    write_grid_csv,
     write_patch_doc,
 )
 from splade.lattice import Grid, Rect
@@ -73,22 +71,6 @@ def test_trailing_bytes_rejected(tmp_path):
     p.write_bytes(p.read_bytes() + b"xx")
     with pytest.raises(GridFileError):
         read_grid(p)
-
-
-def test_csv_export_shape_and_roundtrip(tmp_path):
-    g = Grid.from_array(np.array([[1.25, -2.0], [0.1, 4.0]]))
-    p = tmp_path / "g.csv"
-    write_grid_csv(p, g)
-    lines = p.read_text().strip().splitlines()
-    assert len(lines) == 2
-    assert all(len(line.split(",")) == 2 for line in lines)
-    back = read_grid_csv(p)
-    assert np.array_equal(back.data, g.data)
-
-
-def test_csv_rejects_non_2d(tmp_path):
-    with pytest.raises(GridFileError):
-        write_grid_csv(tmp_path / "g.csv", Grid.from_array(np.zeros((2, 2, 2))))
 
 
 def test_patch_doc_roundtrip(tmp_path):

@@ -3,8 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from splade import lattice
 from splade.lattice import (
@@ -14,11 +12,9 @@ from splade.lattice import (
     Rect,
     box_sums,
     build_prefix_sum,
-    contrast,
     prefix_table,
     rect_sum,
     shifted,
-    sym_diff_volume,
     table_cells,
 )
 
@@ -87,70 +83,6 @@ def test_prefix_vs_direct_3d_random_rects():
     assert sums == pytest.approx([direct_rect_sum(g, r) for r in rects], abs=1e-9)
 
 
-def test_contrast_hand_example():
-    ps = build_prefix_sum(Grid.from_array([[1.0, 1.0], [1.0, 5.0]]))
-    v = contrast(ps, Rect((1, 1), (2, 2)))
-    assert v == pytest.approx(math.sqrt(3.0))  # b = sqrt(3)/4, mean diff = 4
-
-
-def test_contrast_constant_grid_zero():
-    ps = build_prefix_sum(Grid.from_array(np.full((4, 4), 3.0)))
-    for r in (Rect((0, 0), (2, 2)), Rect((1, 1), (3, 4))):
-        assert contrast(ps, r) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_contrast_domain_errors():
-    ps = build_prefix_sum(Grid.from_array(np.ones((3, 3))))
-    with pytest.raises(LatticeError):
-        contrast(ps, Rect((1, 1), (1, 1)))  # empty
-    with pytest.raises(LatticeError):
-        contrast(ps, Rect((0, 0), (3, 3)))  # full
-
-
-@given(
-    shift=st.floats(-50, 50, allow_nan=False),
-    scale=st.floats(0.01, 20.0),
-    seed=st.integers(0, 2**31),
-)
-@settings(max_examples=30, deadline=None)
-def test_contrast_affine_equivariance(shift, scale, seed):
-    rng = np.random.default_rng(seed)
-    data = rng.standard_normal((5, 6))
-    r = Rect((1, 2), (4, 5))
-    base = contrast(build_prefix_sum(Grid.from_array(data)), r)
-    shifted = contrast(build_prefix_sum(Grid.from_array(data + shift)), r)
-    scaled = contrast(build_prefix_sum(Grid.from_array(data * scale)), r)
-    assert shifted == pytest.approx(base, abs=1e-8)
-    assert abs(scaled) == pytest.approx(scale * abs(base), rel=1e-9, abs=1e-12)
-
-
-def test_sym_diff_examples():
-    a = Rect((0, 0), (4, 4))
-    assert sym_diff_volume(a, a) == 0
-    b = Rect((10, 10), (12, 12))
-    assert sym_diff_volume(a, b) == a.volume() + b.volume()
-    c = Rect((2, 0), (6, 4))
-    assert sym_diff_volume(a, c) == 16 + 16 - 2 * 8
-
-
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_sym_diff_metric_properties(data):
-    def rnd_rect():
-        lo = (data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5)))
-        hi = (
-            data.draw(st.integers(lo[0], 6)),
-            data.draw(st.integers(lo[1], 6)),
-        )
-        return Rect(lo, hi)
-
-    a, b, c = rnd_rect(), rnd_rect(), rnd_rect()
-    assert sym_diff_volume(a, b) == sym_diff_volume(b, a)
-    assert sym_diff_volume(a, b) + sym_diff_volume(b, c) >= sym_diff_volume(a, c)
-    if not a.is_empty:
-        assert sym_diff_volume(a, a) == 0
-
-
 def test_patchset_rejects_overlap_and_zero_jump():
     r1 = Rect((0, 0), (2, 2))
     with pytest.raises(LatticeError):
@@ -160,6 +92,12 @@ def test_patchset_rejects_overlap_and_zero_jump():
     for jump in (math.inf, -math.inf, math.nan):
         with pytest.raises(LatticeError, match="patch jump must be finite"):
             PatchSet(patches=((r1, jump),))
+
+
+def test_patchset_rejects_non_finite_baseline():
+    for baseline in (math.inf, -math.inf, math.nan):
+        with pytest.raises(LatticeError, match="baseline must be finite"):
+            PatchSet(patches=((Rect((0, 0), (2, 2)), 1.0),), baseline=baseline)
 
 
 @pytest.mark.parametrize("accumulator", ["float64", "longdouble"])
@@ -184,13 +122,10 @@ def test_window_sums_match_copied_subgrid(dims):
     win = Rect(tuple(1 for _ in dims), tuple(m - 1 for m in dims))
     w = ps.window(win)
     sub = Grid.from_array(g.data[win.slices()].copy())
-    local = build_prefix_sum(sub)
     assert w.origin == win.lo and w.dims == sub.dims and w.size == sub.size
     assert w.total == pytest.approx(float(sub.data.sum()), rel=1e-12)
     for r in all_rects(sub.dims):
         assert rect_sum(w, r) == pytest.approx(direct_rect_sum(sub, r), rel=1e-12, abs=1e-9)
-        if r.volume() < sub.size:
-            assert contrast(w, r) == pytest.approx(contrast(local, r), rel=1e-9, abs=1e-9)
     inner = Rect(tuple(1 for _ in dims), tuple(2 for _ in dims))
     nested = w.window(inner)
     assert nested.origin == tuple(2 for _ in dims)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from splade import _scan
 from splade._scan import DegenerateScanError, NoAdmissibleRectError, best_rectangle
 from splade.lattice import Grid, LatticeError, Rect, build_prefix_sum
-from splade.single import DegenerateGridError, SearchBounds, naive_ls
+from splade.single import SearchBounds, naive_ls
 
 from helpers import brute_force_search
 
@@ -143,7 +143,7 @@ def test_naive_ls_matches_oracle_with_bounds(d, search):
             with pytest.raises(LatticeError):
                 naive_ls(grid, bounds)
         elif found[0] == 0:
-            with pytest.raises(DegenerateGridError):
+            with pytest.raises(DegenerateScanError):
                 naive_ls(grid, bounds)
         else:
             rect = naive_ls(grid, bounds)
@@ -170,7 +170,7 @@ def test_constant_grid_is_degenerate(dims, search):
     for ps in _tables(grid.data, exact=True):
         with pytest.raises(DegenerateScanError):
             best_rectangle(ps, lo, hi, 0.0, float(grid.size))
-    with pytest.raises(DegenerateGridError):
+    with pytest.raises(DegenerateScanError):
         naive_ls(grid, SearchBounds())
 
 
