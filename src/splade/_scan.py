@@ -10,31 +10,43 @@ shifted by its origin once).
 Rather than score every pair, the search works on nodes: a node holds one
 index range of lo candidates and one of hi candidates per axis.  Every
 rectangle of a node contains its smallest rectangle R_min (largest lo, smallest
-hi) and lies inside its largest R_max (smallest lo, largest hi).  With Y+ and
-Y- the prefix tables of max(+(x - tbar), 0) and max(-(x - tbar), 0), built
-from the cell values the prefix table encodes, every rectangle R of the node has
+hi) and lies inside its largest R_max (smallest lo, largest hi).  Two prefix
+tables, stacked on a last axis and built from the cell values the prefix table
+encodes, bound every rectangle R of the node: Y+ of max(x - tbar, 0) and Q of
+(x - tbar)^2.  With Z(R) = S(R) - v*tbar and Y-(R) = Y+(R) - Z(R) (the table of
+max(tbar - x, 0), not stored), the node's R have
 
-    |S - v*tbar| <= max(Y+(R_max) - Y-(R_min), Y-(R_max) - Y+(R_min))
+    |Z(R)| <= max(Y+(R_max) - Y-(R_min), Y-(R_max) - Y+(R_min))
+            = Y+(R_max) - Y+(R_min) + max(Z(R_min), -Z(R_max))
 
-and v*(n - v) is at least its minimum over the node's admissible integer
-volumes, which is reached at an end of that volume interval.  The ratio of the
-two, with the numerator widened by a worst-case allowance for rounding in the
-tables, bounds every squared score the node can produce: the subwindow bound of
-Lampert, Blaschko & Hofmann (CVPR 2008), as used for rectangular scan
-statistics by Neill & Moore (KDD 2004).
+(Z and Y+ of an empty R_min are 0), and v*(n - v) is at least its minimum
+over the node's admissible integer volumes, which is reached at an end of that
+volume interval.  The ratio of the two is the subwindow bound of Lampert,
+Blaschko & Hofmann (CVPR 2008), as used for rectangular scan statistics by
+Neill & Moore (KDD 2004).  Its denominator is smallest where R_min is empty or
+thin, so there it is loose; but by Cauchy-Schwarz every R of the node also has
 
-A node is dropped only when its bound is below incumbent * (1 - _EPS), where
-the incumbent is the best squared score actually computed so far, seeded by
-scoring every node's R_max and R_min.  The rounding allowance covers the
-absolute error of the sums and _EPS the relative error of the score
-arithmetic, so no pair that ties or beats the incumbent is ever dropped.
+    Z(R)^2 <= v * Q(R) <= v * Q(R_max),  so  score <= Q(R_max) / (n - v_b)
+
+with v_b the node's largest admissible volume, free of the smallest one.  A
+node's bound is the smaller of the two, each widened for rounding:
+
+* ``slack`` bounds the absolute error of any one sum of the tables (the prefix
+  table, its differencing into cells, the Y+ table and the scorer's own 2^d
+  terms) by 4^d * (cells + 1) unit roundoffs of the largest magnitude
+  involved; it widens the shell numerator, and in the Cauchy-Schwarz term it
+  covers the error of the scorer's Z, which enters the score as Z / sqrt(v).
+* ``q_err`` bounds how far sqrt(Q(R_max) + q_err) must reach to cover the
+  exact Q of the encoded cells; see ``_build_bound_tables``.  It grows
+  linearly with the tables' magnitude, so an offset on every cell (which Q
+  does not see) barely loosens the term.
 
 The search runs in levels.  The root is halved _ROOT_SPLITS times before
 anything is bounded, since the first levels would prune nothing and one bound
 call costs about the same for any node count up to a few hundred.  Each level
 then bounds its nodes with one corner set (every node's R_max and R_min
-together: one Y-sum pass and one scoring pass, whose best score raises the
-incumbent), drops the nodes the incumbent rules out, and halves each survivor
+together: one pass over the prefix table, which yields Z of each and scores
+them, the best score raising the incumbent, and one over the Y+/Q table), drops the nodes the incumbent rules out, and halves each survivor
 twice, each time along its longest range; a node of at most _LEAF_PAIRS pairs
 is never split but becomes a leaf.  The leaves are then scored
 highest-bound-first in batches of at most _BATCH_PAIRS pairs, leaves of a batch
@@ -162,42 +174,66 @@ class _Search:
         return best
 
     def _build_bound_tables(self):
-        """Y+ and Y- over the hull of the candidates (stacked on a last axis of
-        2), and the rounding allowance for the bound's numerator."""
+        """Y+ and Q over the hull of the candidates (stacked on a last axis of
+        2), and the bound's rounding allowances ``slack`` and ``q_err``.
+
+        ``slack`` is 4^d * (cells + 1) unit roundoffs u of ``scale``, the
+        largest magnitude a sum involves (see the module docstring).
+
+        ``q_err`` covers the rounding in Q.  Let y be the exact deviations
+        x - tbar of the encoded cells and y' those formed here: differencing
+        the table and subtracting tbar err by at most delta = 4^d * u * scale
+        per cell, so by the triangle inequality over the cells of a box R,
+        sqrt(Q_y(R)) <= sqrt(Q_y'(R)) + eta with eta = sqrt(cells) * delta.
+        Squaring y', the prefix sums of the squares (terms >= 0) and the 2^d
+        corner terms err by at most q_abs = 4^d * (cells + 1) * u * Q_tot,
+        with Q_tot the table's total, so Q_y'(R) <= Q(R) + q_abs and
+        Q(R) + q_abs <= Q_tot + 3 * q_abs.  Squaring out,
+
+            sqrt(Q_y(R)) <= sqrt(Q(R) + q_abs) + eta <= sqrt(Q(R) + q_err)
+            with q_err = q_abs + eta * (2 * sqrt(Q_tot + 3 * q_abs) + eta).
+
+        Q_tot does not see an offset on every cell and eta grows with scale,
+        so q_err grows linearly in the tables' magnitude; an allowance of
+        roundoffs * scale^2 would swamp Q once the cells sit near 1e3.
+        """
         d = self.d
         lo_axes, hi_axes = self.cands[:d], self.cands[d:]
         self.hull = np.array([min(int(lo[0]), int(hi[0])) for lo, hi in zip(lo_axes, hi_axes)])
         top = [max(int(lo[-1]), int(hi[-1])) for lo, hi in zip(lo_axes, hi_axes)]
         sub = self.table[tuple(slice(o, t + 1) for o, t in zip(self.hull, top))]
         y = table_cells(sub, d) - self.tbar
-        self.ytab = prefix_table(np.stack((np.maximum(y, 0.0), np.maximum(-y, 0.0)), axis=-1), d)
-        # Rounding in the prefix table, the differencing, the Y tables and the
-        # scorer's own sums, bounded for the worst case: at most
-        # 4^d * (cells + 1) unit roundoffs of the largest magnitude involved.
+        self.ytab = prefix_table(np.stack((np.maximum(y, 0.0), y * y), axis=-1), d)
         # The entries read accumulate every cell below ``top``, not only the hull's.
-        scale = float(np.abs(sub).max()) + abs(self.tbar * self.n) + float(self.ytab[(-1,) * d].sum())
-        self.slack = 4.0**d * (math.prod(top) + 1) * _UNIT_ROUNDOFF * scale
+        cells = math.prod(top)
+        roundoffs = 4.0**d * (cells + 1) * _UNIT_ROUNDOFF
+        scale = float(np.abs(sub).max()) + abs(self.tbar * self.n) + float(np.abs(y).sum())
+        self.slack = roundoffs * scale
+        q_tot = float(self.ytab[(-1,) * d + (1,)])
+        q_abs = roundoffs * q_tot
+        eta = math.sqrt(cells) * 4.0**d * _UNIT_ROUNDOFF * scale
+        self.q_err = q_abs + eta * (2.0 * math.sqrt(q_tot + 3.0 * q_abs) + eta)
 
-    def _score(self, lo, hi):
-        """Squared contrasts and volumes of the pairs given by per-axis corner arrays.
+    def _contrasts(self, lo, hi):
+        """S - v*tbar and the volume of every pair given by per-axis corner arrays.
 
-        ``lo[k]`` / ``hi[k]`` broadcast to one shape.  Inadmissible pairs score -1.
+        ``lo[k]`` / ``hi[k]`` broadcast to one shape.  Empty pairs have volume 0
+        and an arbitrary contrast.
         """
-        s = box_sums(self.table, lo, hi)
+        z = box_sums(self.table, lo, hi)
         volf = np.maximum(hi[0] - lo[0], 0).astype(np.float64)
         for k in range(1, self.d):
             volf = volf * np.maximum(hi[k] - lo[k], 0)
-        s -= volf * self.tbar
-        np.square(s, out=s)
+        z -= volf * self.tbar
+        return z, volf
+
+    def _scores(self, z, volf, out=None):
+        """Squared contrasts of ``_contrasts``' pairs; inadmissible pairs score -1."""
+        s = np.square(z, out=out)
         with np.errstate(over="ignore"):  # only empty pairs, about to be masked
             s /= np.maximum((self.n - volf) * volf, 1e-300)
         s[(volf <= self.vmin) | (volf >= self.vmax)] = -1.0
-        return s, volf
-
-    def _ysum(self, lo, hi):
-        """(Y+, Y-) sums over the rectangles (lo, hi]; shape (m, 2)."""
-        o = self.hull
-        return box_sums(self.ytab, [a - b for a, b in zip(lo, o)], [a - b for a, b in zip(hi, o)])
+        return s
 
     def _bound(self, nodes):
         """Each node's squared-score bound (-inf when no volume is admissible),
@@ -209,21 +245,26 @@ class _Search:
         hi_at = np.concatenate((last[:, d:], first[:, d:]))
         lo = [self.cands[k][lo_at[:, k]] for k in range(d)]
         hi = [self.cands[d + k][hi_at[:, k]] for k in range(d)]
-        v = np.ones(2 * m, dtype=np.int64)
-        for k in range(d):
-            v *= np.maximum(hi[k] - lo[k], 0)
-        v_out, v_in = v[:m], v[m:]
-        va = np.maximum(v_in, self.v_first).astype(np.float64)
-        vb = np.minimum(v_out, self.v_last).astype(np.float64)
+        z, volf = self._contrasts(lo, hi)
+        seed = float(self._scores(z, volf).max())
+        v_out, v_in = volf[:m], volf[m:]
+        va = np.maximum(v_in, self.v_first)
+        vb = np.minimum(v_out, self.v_last)
         den = np.minimum(va * (self.n - va), vb * (self.n - vb))
 
-        y = self._ysum(lo, hi)
-        y_out, y_in = y[:m], y[m:]
-        y_in[v_in == 0] = 0.0
-        num = np.maximum(y_out[:, 0] - y_in[:, 1], y_out[:, 1] - y_in[:, 0]) + self.slack
+        o = self.hull
+        yq = box_sums(self.ytab, [a - b for a, b in zip(lo, o)], [a - b for a, b in zip(hi, o)])
+        z_out, z_in = z[:m], z[m:]
+        y_out, y_in, q_out = yq[:m, 0], yq[m:, 0], yq[:m, 1]
+        empty = v_in == 0
+        z_in[empty] = 0.0
+        y_in[empty] = 0.0
+        num = y_out - y_in + np.maximum(z_in, -z_out) + self.slack
         with np.errstate(divide="ignore", invalid="ignore"):
-            bound = np.where(va <= vb, num * num / den, -np.inf)
-        return bound, float(self._score(lo, hi)[0].max())
+            cs = np.sqrt(q_out + self.q_err) + self.slack
+            bound = np.minimum(num * num / den, cs * cs / (self.n - vb))
+            bound = np.where(va <= vb, bound, -np.inf)
+        return bound, seed
 
     def _score_leaves(self, leaves, best):
         """Score every pair of the leaves; return the smaller of ``best`` and their best key."""
@@ -242,7 +283,8 @@ class _Search:
                 shape[j] = int(sig[j])
                 vals = self.cands[j][np.arange(sig[j])[:, None] + members[:, j, 0]]
                 axes.append(vals.reshape(shape))
-            score, volf = self._score(axes[: self.d], axes[self.d :])
+            z, volf = self._contrasts(axes[: self.d], axes[self.d :])
+            score = self._scores(z, volf, out=z)
             top = float(score.max())
             if top < 0.0 or -top > best[0]:
                 continue

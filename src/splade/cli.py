@@ -14,7 +14,7 @@ import json
 import operator
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from . import bench as bench_mod
 from . import frames as frames_mod
@@ -73,16 +73,28 @@ def _truth_doc(patchset: PatchSet, dims, scenario: str, seed: int) -> dict:
     return {**detection_to_doc(det, dims), "scenario": scenario, "seed": seed}
 
 
+# top-level keys of each spec form; the scenario form is the one naming a scenario
+_SPEC_KEYS = {
+    "scenario": {"scenario", "n", "jump", "mu0", "field"},
+    "explicit": {"dims", "patches", "mu0", "field"},
+}
+
+
 def _cmd_simulate(args) -> int:
     with open(args.spec) as f:
         cfg = json.load(f)
     if not isinstance(cfg, dict):
         raise LatticeError(f"spec must be a JSON object, got {type(cfg).__name__}")
+    form = "scenario" if "scenario" in cfg else "explicit"
+    unknown = set(cfg) - _SPEC_KEYS[form]
+    if unknown:
+        raise LatticeError(f"unknown {form} spec keys {sorted(unknown)}")
     try:  # operator.index: a fractional or string size is an error, not truncated
-        if "scenario" in cfg:
+        if form == "scenario":
             n = operator.index(cfg["n"])
             dims = (n, n)
-            patchset = canonical_scenario(cfg["scenario"], n, float(cfg.get("jump", 1.0)))
+            scene = canonical_scenario(cfg["scenario"], n, float(cfg.get("jump", 1.0)))
+            patchset = replace(scene, baseline=float(cfg.get("mu0", 0.0)))
         else:
             dims = tuple(operator.index(x) for x in cfg["dims"])
             patchset = _patchset_from_json(cfg)

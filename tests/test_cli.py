@@ -133,6 +133,26 @@ def test_simulate_explicit_patchset(tmp_path):
     assert inside - outside_mean == pytest.approx(2.0, abs=0.2)
 
 
+def test_simulate_scenario_honours_mu0(tmp_path):
+    """A scenario-form spec's mu0 raises every cell and is the truth doc's
+    mu0 (it was dropped: baseline 0 in both)."""
+    grids, truths = [], []
+    for mu0 in (None, 5.0):
+        spec = {"scenario": "config1", "n": 64, "jump": 1.0, "field": {"kind": "iid-gaussian", "seed": 3}}
+        if mu0 is not None:
+            spec["mu0"] = mu0
+        p = tmp_path / f"s{mu0}.json"
+        p.write_text(json.dumps(spec))
+        grid_path = str(tmp_path / f"g{mu0}.splg")
+        assert main(["simulate", "--spec", str(p), "--out", grid_path]) == 0
+        grids.append(read_grid(grid_path).data)
+        truths.append(read_patch_doc(grid_path + ".truth.json"))
+    np.testing.assert_allclose(grids[1] - grids[0], 5.0, rtol=0, atol=1e-12)
+    assert [t["diagnostics"]["mu0"] for t in truths] == [0.0, 5.0]
+    assert truths[1]["patches"] == truths[0]["patches"]
+    assert truths[1]["scenario"] == "config1"
+
+
 def test_bench_deterministic_modulo_time(tmp_path):
     out1 = str(tmp_path / "b1.csv")
     out2 = str(tmp_path / "b2.csv")
@@ -332,6 +352,10 @@ CLI_ERRORS = {
                                    "field": {"kind": "iid-gaussian"}}),
             ("not an object", [1, 2]),
             ("field not an object", {"dims": [64, 64], "field": 5}),
+            ("scenario form unknown key", {"scenario": "config1", "n": 64, "jmup": 2.0,
+                                           "field": {"kind": "iid-gaussian"}}),
+            ("explicit form unknown key", {"dims": [64, 64], "jmup": 2.0, "field": {"kind": "iid-gaussian"}}),
+            ("explicit form with dims and n", {"dims": [64, 64], "n": 64, "field": {"kind": "iid-gaussian"}}),
         ]
     },
     **{
@@ -380,6 +404,9 @@ CLI_ERRORS = {
 # it succeeds (an infinite baseline gave an all-inf grid and exit 0)
 CLI_ERROR_TEXT = {
     "simulate mu0 inf": "baseline must be finite",
+    "spec scenario form unknown key": "unknown scenario spec keys ['jmup']",  # was ignored, exit 0
+    "spec explicit form unknown key": "unknown explicit spec keys ['jmup']",
+    "spec explicit form with dims and n": "unknown explicit spec keys ['n']",
     "bench jump inf": "jump must be finite",
     "bench jump 1e200": "squared sums would overflow",  # config2 cells reach 5e200
     "bench jump 1e308": "patch jump must be finite",  # config2's 2 x 1e308 is inf

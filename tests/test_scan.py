@@ -150,6 +150,95 @@ def test_naive_ls_matches_oracle_with_bounds(d, search):
             _assert_argmax(grid, bounds.lambda1, bounds.lambda2, rect, found, case % 2 == 1)
 
 
+# a few cells more than TINY per rank, so random nodes span several candidates
+SMALL = {1: (24,), 2: (8, 7), 3: (5, 4, 5), 4: (4, 3, 3, 4)}
+
+
+def _random_nodes(rng, cands, count):
+    """Nodes of random index ranges over the candidate arrays ``cands``
+    (lo slots, then hi slots).  Many have an empty R_min; about one in three
+    is pulled, where the candidates allow, to an R_min one cell thick on one
+    axis."""
+    d = len(cands) // 2
+    nodes = np.empty((count, 2 * d, 2), dtype=np.int32)
+    for node in nodes:
+        for j, c in enumerate(cands):
+            start = int(rng.integers(c.size))
+            node[j] = start, int(rng.integers(start + 1, c.size + 1))
+        if rng.random() < 1 / 3:  # pull R_min's hi to one cell past its lo on one axis
+            k = int(rng.integers(d))
+            lo_last = cands[k][node[k, 1] - 1]
+            at = int(np.searchsorted(cands[d + k], lo_last + 1))
+            if at < cands[d + k].size and cands[d + k][at] == lo_last + 1:
+                node[d + k] = at, max(at + 1, int(node[d + k, 1]))
+    return nodes
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_bound_is_at_least_every_score_of_its_node(d):
+    """``_bound`` of random nodes against the best score of each node scored
+    whole: a bound term that is not valid fails here even where the search's
+    final rectangle survives it."""
+    rng = np.random.default_rng(70 + d)
+    checked = {"empty": 0, "thin": 0, "thick": 0}  # R_min's least side
+    for case in range(6):
+        dims = tuple(int(rng.integers(2, m + 1)) for m in SMALL[d])
+        exact = case % 2 == 1
+        x = _zero_sum_integers(rng, dims) if exact else rng.standard_normal(dims)
+        if not exact:
+            x[tuple(slice(int(rng.integers(m)), None) for m in dims)] += 1.5
+        n = x.size
+        lam1, lam2 = (0.0, 1.0) if case < 2 else sorted(rng.uniform(0.0, 1.0, 2))
+        axes = [_candidates(rng, m, windowed=case % 3 == 2) for m in dims]
+        lo_axes = [lo.astype(np.int64) for lo, _ in axes]
+        hi_axes = [hi.astype(np.int64) for _, hi in axes]
+        for ps in _tables(x, exact):
+            search = _scan._Search(ps, lo_axes, hi_axes, n * lam1, min(n * lam2, n))
+            search._build_bound_tables()
+            nodes = _random_nodes(rng, search.cands, 150)
+            bounds, _ = search._bound(nodes)
+            for node, bound in zip(nodes, bounds):
+                best = search._score_leaves(node[None], _scan._NONE)
+                if best == _scan._NONE:
+                    continue  # no admissible pair: nothing to cover
+                assert bound >= -best[0], (dims, exact, node.tolist(), bound, best)
+                thickness = min(
+                    search.cands[d + k][node[d + k, 0]] - search.cands[k][node[k, 1] - 1] for k in range(d)
+                )
+                checked["empty" if thickness <= 0 else "thin" if thickness == 1 else "thick"] += 1
+    assert checked["empty"] >= 20 and checked["thin"] >= 20, checked
+
+
+def test_offset_table_prunes_as_well(monkeypatch):
+    """A 2-D patch whose lo and hi candidate windows overlap, so many nodes
+    have an empty R_min: the search scores few of the candidate pairs, and
+    as few again when every cell is raised by 1e3, which only the rounding
+    allowances see."""
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((256, 256))
+    x[100:124, 90:114] += 1.5
+    lo = [np.arange(86, 114), np.arange(76, 104)]
+    hi = [np.arange(110, 138), np.arange(100, 128)]
+    pairs = math.prod(a.size for a in lo + hi)
+    monkeypatch.setattr(_scan, "_BATCH_PAIRS", 4096)  # count in small steps
+    scored = []
+    score_leaves = _scan._Search._score_leaves
+
+    def counting(self, leaves, best):
+        scored[-1] += int(_scan._pairs(leaves).sum())
+        return score_leaves(self, leaves, best)
+
+    monkeypatch.setattr(_scan._Search, "_score_leaves", counting)
+    found = []
+    for offset in (0.0, 1e3):
+        scored.append(0)
+        ps = build_prefix_sum(Grid.from_array(x + offset))
+        found.append(best_rectangle(ps, lo, hi, 0.0, float(x.size))[0])
+    assert found == [Rect((100, 90), (124, 114))] * 2
+    assert scored[0] <= pairs // 10, (scored, pairs)
+    assert scored[1] <= 1.1 * scored[0], scored
+
+
 def test_best_rectangle_no_admissible_candidate(search):
     ps = build_prefix_sum(Grid.from_array(np.arange(24.0).reshape(2, 3, 4)))
     lo = [np.arange(2), np.arange(3), np.arange(4)]

@@ -81,3 +81,20 @@ def test_large_2d_search_equals_whole_scoring_in_few_levels(monkeypatch):
 
     monkeypatch.setattr(_scan, "_BATCH_PAIRS", pairs + 1)
     assert best_rectangle(ps, lo, hi, 0.0, 1024.0) == (rect, score)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_large_nd_search_equals_whole_scoring(d, monkeypatch):
+    # windows of 10 lo and 10 hi corners per axis in 3-D (10^6 pairs), 6 and
+    # 6 in 4-D (6^8 pairs), overlapping so that many nodes have an empty R_min
+    side, width = {3: (16, 10), 4: (10, 6)}[d]
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((side,) * d)
+    x[(slice(side // 4, 3 * side // 4),) * d] += 0.8
+    ps = build_prefix_sum(Grid.from_array(x))
+    lo, hi = [np.arange(width)] * d, [np.arange(side - width, side) + 1] * d
+    assert width ** (2 * d) > _scan._BATCH_PAIRS
+
+    found = best_rectangle(ps, lo, hi, 0.0, float(x.size))
+    monkeypatch.setattr(_scan, "_BATCH_PAIRS", width ** (2 * d))
+    assert best_rectangle(ps, lo, hi, 0.0, float(x.size)) == found
