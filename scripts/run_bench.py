@@ -15,10 +15,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from splade.bench import parse_noise, run_bench  # noqa: E402
+from splade.bench import check_inputs, run_bench  # noqa: E402
 from splade.lattice import LatticeError  # noqa: E402
 from splade.metrics import write_bench_csv  # noqa: E402
-from splade.simulate import canonical_scenario  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -33,13 +32,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         # every cell's inputs are checked before the first cell runs
-        if args.reps < 1:
-            raise LatticeError(f"reps must be >= 1, got {args.reps}")
-        for noise in args.noises:
-            parse_noise(noise)
         for scenario in args.scenarios:
-            for jump in args.jumps:
-                canonical_scenario(scenario, args.grid, jump)
+            for noise in args.noises:
+                for jump in args.jumps:
+                    check_inputs(scenario, args.grid, noise, jump, args.reps)
         sweep(args)
     except (LatticeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

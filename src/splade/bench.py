@@ -12,11 +12,11 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from functools import partial
 
-from .detect import SpladeConfig, splade_detect
+from .detect import Detection, SpladeConfig, splade_detect
 from .lattice import LatticeError
-from .metrics import BenchRecord, ari, hausdorff, labels_from_patches
+from .metrics import BenchRecord, score
 from .simulate import FieldSpec, canonical_scenario, gen_field, inject_patches
 
 
@@ -62,57 +62,32 @@ def parse_noise(text: str, seed: int = 0) -> FieldSpec:
     return FieldSpec(seed=seed, **fields)
 
 
-@dataclass(frozen=True)
-class BenchTask:
-    scenario: str
-    grid_n: int
-    noise: str
-    jump: float
-    seed: int
-    rep: int
-    config: SpladeConfig = SpladeConfig()
-
-
-def run_replicate(task: BenchTask) -> BenchRecord:
-    rep_seed = task.seed ^ task.rep
-    spec = parse_noise(task.noise, seed=rep_seed)
-    noise = gen_field(spec, (task.grid_n, task.grid_n))
-    truth = canonical_scenario(task.scenario, task.grid_n, task.jump)
-    x = inject_patches(noise, truth)
+def timed_detect(grid, config: SpladeConfig) -> tuple[Detection, float]:
+    """``splade_detect(grid, config)`` and its wall time in seconds."""
     t0 = time.perf_counter()
-    det = splade_detect(x, task.config)
-    elapsed = time.perf_counter() - t0
-    dims = x.dims
-    a = labels_from_patches(dims, truth.rects)
-    b = labels_from_patches(dims, det.patches)
-    return BenchRecord(
-        scenario=task.scenario,
-        seed=rep_seed,
-        k_hat=det.k_hat,
-        k_true=len(truth.rects),
-        ari=float(ari(a, b)),
-        hausdorff=float(hausdorff(truth, det, dims)),
-        time_s=elapsed,
-    )
+    det = splade_detect(grid, config)
+    return det, time.perf_counter() - t0
+
+
+def run_replicate(scenario, grid_n, noise, jump, seed, config, rep) -> BenchRecord:
+    rep_seed = seed ^ rep
+    spec = parse_noise(noise, seed=rep_seed)
+    field = gen_field(spec, (grid_n, grid_n))
+    truth = canonical_scenario(scenario, grid_n, jump)
+    x = inject_patches(field, truth)
+    det, elapsed = timed_detect(x, config)
+    return score(scenario, rep_seed, x.dims, truth.rects, det.patches, elapsed)
+
+
+def check_inputs(scenario, grid_n, noise, jump, reps) -> None:
+    """Fail on a bad bench cell here, before any grid is generated, not in every worker."""
+    if reps < 1:
+        raise LatticeError(f"reps must be >= 1, got {reps}")
+    parse_noise(noise)
+    canonical_scenario(scenario, grid_n, jump)
 
 
 def run_bench(scenario, grid_n, noise, jump, reps, seed, config=None):
-    if reps < 1:
-        raise LatticeError(f"reps must be >= 1, got {reps}")
-    config = config or SpladeConfig()
-    # a bad descriptor or scenario fails here, not in every worker
-    parse_noise(noise)
-    canonical_scenario(scenario, grid_n, jump)
-    tasks = [
-        BenchTask(
-            scenario=scenario,
-            grid_n=grid_n,
-            noise=noise,
-            jump=jump,
-            seed=seed,
-            rep=r,
-            config=config,
-        )
-        for r in range(reps)
-    ]
-    return map_grids(run_replicate, tasks)
+    check_inputs(scenario, grid_n, noise, jump, reps)
+    replicate = partial(run_replicate, scenario, grid_n, noise, jump, seed, config or SpladeConfig())
+    return map_grids(replicate, list(range(reps)))

@@ -13,12 +13,12 @@ import argparse
 import json
 import operator
 import sys
-import time
 from dataclasses import fields, replace
+from functools import partial
 
 from . import bench as bench_mod
 from . import frames as frames_mod
-from .detect import Detection, SpladeConfig, splade_detect
+from .detect import Detection, SpladeConfig
 from .gridio import (
     detection_to_doc,
     doc_to_detection,
@@ -28,13 +28,7 @@ from .gridio import (
     write_patch_doc,
 )
 from .lattice import LatticeError, PatchSet, Rect
-from .metrics import (
-    BenchRecord,
-    ari,
-    hausdorff,
-    labels_from_patches,
-    write_bench_csv,
-)
+from .metrics import score, write_bench_csv
 from .simulate import FieldSpec, canonical_scenario, gen_field, inject_patches
 from .single import Stage1Params
 
@@ -48,18 +42,6 @@ def _field_spec_from_json(obj, seed_default=0) -> FieldSpec:
     if "kind" not in obj:
         raise LatticeError("field spec needs a 'kind'")
     return FieldSpec(**{"seed": seed_default, **obj})
-
-
-def _patchset_from_json(obj) -> PatchSet:
-    try:
-        patches = tuple(
-            (Rect(tuple(p["lo"]), tuple(p["hi"])), float(p["jump"]))
-            for p in obj.get("patches", [])
-        )
-        baseline = float(obj.get("mu0", 0.0))
-    except (TypeError, ValueError) as e:
-        raise LatticeError(f"malformed patch spec: {e}") from None
-    return PatchSet(patches=patches, baseline=baseline)
 
 
 def _truth_doc(patchset: PatchSet, dims, scenario: str, seed: int) -> dict:
@@ -97,12 +79,20 @@ def _cmd_simulate(args) -> int:
             patchset = replace(scene, baseline=float(cfg.get("mu0", 0.0)))
         else:
             dims = tuple(operator.index(x) for x in cfg["dims"])
-            patchset = _patchset_from_json(cfg)
+            patches = tuple(
+                (Rect(tuple(p["lo"]), tuple(p["hi"])), float(p["jump"]))
+                for p in cfg.get("patches", [])
+            )
+            baseline = float(cfg.get("mu0", 0.0))
+            patchset = PatchSet(patches=patches, baseline=baseline)
+        field = cfg["field"]
     except LatticeError:
         raise
+    except KeyError as e:
+        raise LatticeError(f"malformed spec: missing key {e}") from None
     except (TypeError, ValueError) as e:
         raise LatticeError(f"malformed spec: {e}") from None
-    spec = _field_spec_from_json(cfg["field"])
+    spec = _field_spec_from_json(field)
     noise = gen_field(spec, dims)
     grid = inject_patches(noise, patchset) if patchset.rects or patchset.baseline else noise
     write_grid(args.out, grid)
@@ -150,16 +140,21 @@ def _add_detect_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--connectivity", choices=("faces", "faces+corners"), default=cfg.connectivity)
 
 
+def _timed_doc(grid, cfg: SpladeConfig) -> dict:
+    """Patch doc of ``splade_detect(grid, cfg)``, its wall time in ``diagnostics.time_s``."""
+    det, elapsed = bench_mod.timed_detect(grid, cfg)
+    doc = detection_to_doc(det, grid.dims)
+    doc["diagnostics"]["time_s"] = elapsed
+    return doc
+
+
 def _cmd_detect(args) -> int:
     grid = read_grid(getattr(args, "in"))
     cfg = _config_from_args(args)
-    t0 = time.perf_counter()
-    det = splade_detect(grid, cfg)
-    elapsed = time.perf_counter() - t0
-    doc = detection_to_doc(det, grid.dims)
-    doc["diagnostics"]["time_s"] = elapsed
+    doc = _timed_doc(grid, cfg)
     write_patch_doc(args.out, doc)
-    print(f"k_hat={det.k_hat} in {elapsed:.3f}s -> {args.out}", file=sys.stderr)
+    elapsed = doc["diagnostics"]["time_s"]
+    print(f"k_hat={doc['k_hat']} in {elapsed:.3f}s -> {args.out}", file=sys.stderr)
     return 0
 
 
@@ -175,18 +170,8 @@ def _cmd_eval(args) -> int:
         time_s = float(est.diagnostics.get("time_s", 0.0))
     except (TypeError, ValueError) as e:
         raise LatticeError(f"malformed patch doc (seed or time_s): {e}") from None
-    a = labels_from_patches(dims, truth.patches)
-    b = labels_from_patches(dims, est.patches)
-    rec = BenchRecord(
-        scenario=str(truth_doc.get("scenario", "custom")),
-        seed=seed,
-        k_hat=est.k_hat,
-        k_true=truth.k_hat,
-        ari=float(ari(a, b)),
-        hausdorff=float(hausdorff(truth.patches, est.patches, dims)),
-        time_s=time_s,
-    )
-    write_bench_csv(args.out, [rec])
+    scenario = str(truth_doc.get("scenario", "custom"))
+    write_bench_csv(args.out, [score(scenario, seed, dims, truth.patches, est.patches, time_s)])
     return 0
 
 
@@ -212,25 +197,16 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _detect_frame(item):
-    name, grid, cfg = item
-    t0 = time.perf_counter()
-    det = splade_detect(grid, cfg)
-    doc = detection_to_doc(det, grid.dims)
-    doc["frame"] = name
-    doc["diagnostics"]["time_s"] = time.perf_counter() - t0
-    return doc
+def _detect_frame(cfg, frame):
+    name, grid = frame
+    return {**_timed_doc(grid, cfg), "frame": name}
 
 
 def _cmd_frames(args) -> int:
     cfg = _config_from_args(args)
-    items = [
-        (name, grid, cfg)
-        for name, grid in frames_mod.frames_to_grids(
-            args.dir, frames_mod.parse_range(args.baseline), args.channel
-        )
-    ]
-    docs = bench_mod.map_grids(_detect_frame, items)
+    baseline = frames_mod.parse_range(args.baseline)
+    frames = list(frames_mod.frames_to_grids(args.dir, baseline, args.channel))
+    docs = bench_mod.map_grids(partial(_detect_frame, cfg), frames)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         for doc in docs:
@@ -293,8 +269,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LatticeError, OSError, KeyError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (LatticeError, OSError, KeyError, json.JSONDecodeError, UnicodeDecodeError, MemoryError) as e:
+        # numpy's MemoryError names the allocation; a bare one has no message
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1
 
 

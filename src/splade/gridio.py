@@ -15,7 +15,7 @@ import struct
 import numpy as np
 
 from .detect import Detection
-from .lattice import Grid, LatticeError, Rect
+from .lattice import Grid, LatticeError, Rect, check_disjoint
 
 MAGIC = b"SPLG"
 VERSION = 1
@@ -88,6 +88,7 @@ def doc_to_detection(doc: dict) -> tuple[Detection, tuple[int, ...]]:
     try:  # operator.index: a fractional or string size is an error, not truncated
         dims = tuple(operator.index(x) for x in doc["dims"])
         patches = tuple(Rect(tuple(p["lo"]), tuple(p["hi"])) for p in doc["patches"])
+        check_disjoint(patches)  # labels and the Hausdorff background assume disjoint patches
         jumps = tuple(float(p["jump_estimate"]) for p in doc["patches"])
         det = Detection(
             k_hat=operator.index(doc["k_hat"]),
@@ -95,6 +96,8 @@ def doc_to_detection(doc: dict) -> tuple[Detection, tuple[int, ...]]:
             jumps=jumps,
             diagnostics=dict(doc.get("diagnostics", {})),
         )
+    except KeyError as e:
+        raise LatticeError(f"malformed patch doc: missing key {e}") from None
     except (TypeError, ValueError) as e:
         raise LatticeError(f"malformed patch doc: {e}") from None
     return det, dims

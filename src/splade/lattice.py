@@ -121,6 +121,14 @@ class Rect:
         )
 
 
+def check_disjoint(rects) -> None:
+    """Raise LatticeError naming the first pair of ``rects`` that overlap."""
+    for i, r in enumerate(rects):
+        for s in rects[i + 1 :]:
+            if not r.intersect(s).is_empty:
+                raise LatticeError(f"patches {r} and {s} overlap")
+
+
 @dataclass(frozen=True)
 class PatchSet:
     """True anomaly description: disjoint patch rectangles with mean jumps."""
@@ -137,12 +145,7 @@ class PatchSet:
                 raise LatticeError(f"patch jump must be finite, got {j}")
             if r.is_empty:
                 raise LatticeError("patch rectangle must be non-empty")
-        for i in range(len(patches)):
-            for k in range(i + 1, len(patches)):
-                if not patches[i][0].intersect(patches[k][0]).is_empty:
-                    raise LatticeError(
-                        f"patches {patches[i][0]} and {patches[k][0]} overlap"
-                    )
+        check_disjoint([r for r, _ in patches])
         baseline = float(self.baseline)
         if not math.isfinite(baseline):
             raise LatticeError(f"baseline must be finite, got {baseline}")

@@ -80,27 +80,17 @@ def jaccard_distance(a, b) -> float:
     return (va + vb - 2 * vi) / union
 
 
-def _as_rects(obj) -> tuple[Rect, ...]:
-    if hasattr(obj, "rects"):  # PatchSet
-        return tuple(obj.rects)
-    if hasattr(obj, "patches"):  # Detection (possibly empty)
-        rects = tuple(obj.patches)
-        if all(isinstance(r, Rect) for r in rects):
-            return rects
-    return tuple(obj)
-
-
 def hausdorff(truth, est, dims) -> float:
     """Normalized two-sided Hausdorff distance between patch collections.
 
     Each collection is its non-empty rectangles plus the background set; the
     distance is the larger of the two one-sided max-min Jaccard distances.
-    ``truth`` and ``est`` may be PatchSet/Detection objects or plain rectangle
-    sequences; rectangles within a collection must be pairwise disjoint.
+    ``truth`` and ``est`` are rectangle sequences; rectangles within a
+    collection must be pairwise disjoint.
     """
     whole = Rect((0,) * len(dims), tuple(dims))
-    tr = [r for r in _as_rects(truth) if not r.is_empty] + [whole]
-    er = [r for r in _as_rects(est) if not r.is_empty] + [whole]
+    tr = [r for r in truth if not r.is_empty] + [whole]
+    er = [r for r in est if not r.is_empty] + [whole]
     # Intersections of members: each side's rectangles, then its background.
     # The last row and column start as the whole grid; subtracting the
     # rectangles leaves the background.
@@ -140,6 +130,21 @@ class BenchRecord:
             repr(self.hausdorff),
             repr(self.time_s),
         )
+
+
+def score(scenario, seed, dims, truth_rects, est_rects, time_s) -> BenchRecord:
+    """One replicate's record: the rectangles ``est_rects`` scored against ``truth_rects``."""
+    a = labels_from_patches(dims, truth_rects)
+    b = labels_from_patches(dims, est_rects)
+    return BenchRecord(
+        scenario=scenario,
+        seed=seed,
+        k_hat=len(est_rects),
+        k_true=len(truth_rects),
+        ari=float(ari(a, b)),
+        hausdorff=hausdorff(truth_rects, est_rects, dims),
+        time_s=time_s,
+    )
 
 
 def write_bench_csv(path, records) -> None:

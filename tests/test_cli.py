@@ -284,6 +284,13 @@ def _eval_argv(tmp_path, est, truth=_PATCH_DOC):
     return ["eval", "--truth", paths[0], "--est", paths[1], "--out", str(tmp_path / "r.csv")]
 
 
+def _noise_grid_file(tmp_path):
+    """A SPLG grid whose payload is not UTF-8 (a zero grid's NUL bytes are)."""
+    path = tmp_path / "noise.splg"
+    write_grid(str(path), gen_field(FieldSpec(kind="iid-gaussian", seed=1), (8, 8)))
+    return str(path)
+
+
 def _overflowing_splg(tmp_path):
     path = tmp_path / "huge.splg"
     path.write_bytes(b"SPLG" + (1).to_bytes(4, "little") + (2).to_bytes(4, "little")
@@ -298,6 +305,10 @@ CLI_ERRORS = {
                                         "--mu0", "abc"]),
     "SPLADE_THREADS not a number": ({"SPLADE_THREADS": "x"}, lambda t: [
         "bench", "--scenario", "config1", "--grid", "64", "--reps", "1", "--out", str(t / "b.csv")]),
+    "simulate spec not UTF-8": ({}, lambda t: [
+        "simulate", "--spec", _noise_grid_file(t), "--out", str(t / "g.splg")]),
+    "eval truth not UTF-8": ({}, lambda t: [
+        "eval", "--truth", _noise_grid_file(t), "--est", _noise_grid_file(t), "--out", str(t / "r.csv")]),
     "unknown field spec key": ({}, lambda t: [
         "simulate", "--spec", _field_spec_file(t, {"kind": "iid-gaussian", "bogus": 1}),
         "--out", str(t / "g.splg")]),
@@ -333,6 +344,8 @@ CLI_ERRORS = {
     "patch corner not a number": ({}, lambda t: [
         "simulate", "--spec", _patch_spec_file(t, {"lo": ["x", 1], "hi": [3, 3], "jump": 1.0}),
         "--out", str(t / "g.splg")]),
+    "patch without hi": ({}, lambda t: [
+        "simulate", "--spec", _patch_spec_file(t, {"lo": [1, 1], "jump": 1.0}), "--out", str(t / "g.splg")]),
     "patch corner fractional": ({}, lambda t: [
         "simulate", "--spec", _patch_spec_file(t, {"lo": [1.5, 2], "hi": [3, 3], "jump": 1.0}),
         "--out", str(t / "g.splg")]),
@@ -356,6 +369,9 @@ CLI_ERRORS = {
                                            "field": {"kind": "iid-gaussian"}}),
             ("explicit form unknown key", {"dims": [64, 64], "jmup": 2.0, "field": {"kind": "iid-gaussian"}}),
             ("explicit form with dims and n", {"dims": [64, 64], "n": 64, "field": {"kind": "iid-gaussian"}}),
+            ("without field", {"dims": [64, 64]}),
+            ("without n", {"scenario": "config1", "field": {"kind": "iid-gaussian"}}),
+            ("without dims", {"field": {"kind": "iid-gaussian"}}),
         ]
     },
     **{
@@ -372,8 +388,13 @@ CLI_ERRORS = {
                                                                   "jump_estimate": 1.0}]}),
             ("not an object", [1]),
             ("time_s not a number", {**_PATCH_DOC, "diagnostics": {"time_s": "x"}}),
+            ("without dims", {key: v for key, v in _PATCH_DOC.items() if key != "dims"}),
+            ("patch without jump_estimate", {**_PATCH_DOC, "patches": [{"lo": [1, 2], "hi": [5, 5]}]}),
         ]
     },
+    "eval truth overlapping patches": ({}, lambda t: _eval_argv(t, _PATCH_DOC, {
+        **_PATCH_DOC, "k_hat": 2, "patches": [{"lo": [0, 0], "hi": [9, 9], "jump_estimate": 1.0},
+                                              {"lo": [2, 2], "hi": [5, 5], "jump_estimate": 1.0}]})),
     "eval truth seed fractional": ({}, lambda t: _eval_argv(t, _PATCH_DOC, {**_PATCH_DOC, "seed": 7.9})),
     **{
         f"bench noise {noise}": ({}, lambda t, noise=noise: [
@@ -407,6 +428,13 @@ CLI_ERROR_TEXT = {
     "spec scenario form unknown key": "unknown scenario spec keys ['jmup']",  # was ignored, exit 0
     "spec explicit form unknown key": "unknown explicit spec keys ['jmup']",
     "spec explicit form with dims and n": "unknown explicit spec keys ['n']",
+    "spec without field": "missing key 'field'",  # each was a bare "error: 'field'"
+    "spec without n": "missing key 'n'",
+    "spec without dims": "missing key 'dims'",
+    "patch without hi": "missing key 'hi'",
+    "eval estimate without dims": "missing key 'dims'",
+    "eval estimate patch without jump_estimate": "missing key 'jump_estimate'",
+    "eval truth overlapping patches": "overlap",  # was scored, exit 0
     "bench jump inf": "jump must be finite",
     "bench jump 1e200": "squared sums would overflow",  # config2 cells reach 5e200
     "bench jump 1e308": "patch jump must be finite",  # config2's 2 x 1e308 is inf
@@ -427,6 +455,46 @@ def test_cli_errors_are_one_line(case, tmp_path, monkeypatch, capsys):
     assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
     assert "Traceback" not in err
     assert CLI_ERROR_TEXT.get(case, "error:") in err
+
+
+@pytest.mark.parametrize("module, message", [("cli", "Unable to allocate 745. GiB"), ("bench", "")])
+def test_out_of_memory_is_one_line(module, message, tmp_path, monkeypatch, capsys):
+    """A grid too large to allocate (a spec's "dims": [100000000000]) ends in one
+    error line, with numpy's message or, for a bare MemoryError, its name;
+    gen_field is replaced, so nothing is allocated."""
+    def no_memory(spec, dims):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(f"splade.{module}.gen_field", no_memory)
+    monkeypatch.setenv("SPLADE_THREADS", "1")  # the bench replicate runs in this process
+    spec = _spec_file(tmp_path, {"dims": [100000000000], "field": {"kind": "iid-gaussian"}})
+    argv = {
+        "cli": ["simulate", "--spec", spec, "--out", str(tmp_path / "g.splg")],
+        "bench": ["bench", "--scenario", "config1", "--grid", "64", "--reps", "1",
+                  "--out", str(tmp_path / "b.csv")],
+    }[module]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message or 'MemoryError'}\n"
+
+
+def test_bench_row_equals_simulate_detect_eval(tmp_path, monkeypatch):
+    """bench and eval score through one function: bench's rep-1 row (field seed
+    3 ^ 1 = 2) is the row of simulate -> detect -> eval on the same scene. That
+    replicate misses one of config2's five patches, so neither metric is trivial."""
+    monkeypatch.setenv("SPLADE_THREADS", "1")
+    bench_csv = str(tmp_path / "b.csv")
+    assert main(["bench", "--scenario", "config2", "--grid", "128", "--noise", "sar:0.2", "--jump", "1.0",
+                 "--reps", "3", "--seed", "3", "--out", bench_csv]) == 0
+    spec = _spec_file(tmp_path, {"scenario": "config2", "n": 128, "jump": 1.0,
+                                 "field": {"kind": "sar", "rho": 0.2, "seed": 2}})
+    grid, truth, est, row = (str(tmp_path / name) for name in ("g.splg", "t.json", "e.json", "r.csv"))
+    assert main(["simulate", "--spec", spec, "--out", grid, "--truth", truth]) == 0
+    assert main(["detect", "--in", grid, "--out", est]) == 0
+    assert main(["eval", "--truth", truth, "--est", est, "--out", row]) == 0
+    bench_row = Path(bench_csv).read_text().splitlines()[2]  # header, rep 0, rep 1
+    eval_row = Path(row).read_text().splitlines()[1]
+    without_time = [line.rsplit(",", 1)[0] for line in (bench_row, eval_row)]
+    assert without_time == ["config2,2,4,5,0.8585325045189585,0.9590909090909091"] * 2
 
 
 def _run_bench_script(monkeypatch):

@@ -148,9 +148,9 @@ def test_hausdorff_accepts_empty_detection():
 
     truth = PatchSet(patches=((Rect((2, 2), (6, 6)), 1.0),))
     empty = Detection(k_hat=0, patches=(), jumps=())
-    val = hausdorff(truth, empty, (16, 16))
+    val = hausdorff(truth.rects, empty.patches, (16, 16))
     assert val == pytest.approx(mask_hausdorff(truth.rects, [], (16, 16)))
-    assert hausdorff(empty, empty, (16, 16)) == 0.0
+    assert hausdorff(empty.patches, empty.patches, (16, 16)) == 0.0
 
 
 def test_labels_from_patches():
