@@ -11,13 +11,11 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from splade.bench import check_inputs, run_bench  # noqa: E402
 from splade.lattice import LatticeError  # noqa: E402
-from splade.metrics import write_bench_csv  # noqa: E402
+from splade.metrics import summarize, write_bench_csv  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -37,8 +35,9 @@ def main(argv=None) -> int:
                 for jump in args.jumps:
                     check_inputs(scenario, args.grid, noise, jump, args.reps)
         sweep(args)
-    except (LatticeError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (LatticeError, OSError, MemoryError) as e:
+        # numpy's MemoryError names the allocation; a bare one has no message
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1
     return 0
 
@@ -58,11 +57,7 @@ def sweep(args) -> None:
                 )
                 tag = f"{scenario}_{noise.replace(':', '')}_j{jump}_n{args.grid}"
                 write_bench_csv(outdir / f"{tag}.csv", recs)
-                k_mean = np.mean([r.k_hat for r in recs])
-                frac = np.mean([r.k_hat == r.k_true for r in recs])
-                mean_ari = np.mean([r.ari for r in recs])
-                mean_haus = np.mean([r.hausdorff for r in recs])
-                med_t = np.median([r.time_s for r in recs])
+                k_mean, frac, mean_ari, mean_haus, med_t = summarize(recs)
                 print(
                     f"{scenario:9s} {noise:9s} {jump:4.1f}  {k_mean:6.2f} {frac:7.2f}"
                     f" {mean_ari:6.3f} {mean_haus:6.3f} {med_t:6.2f}"

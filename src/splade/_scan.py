@@ -326,9 +326,3 @@ def _split(nodes, times=1):
         right[rows, slot, 0] = mid
         nodes = np.concatenate([nodes[~big], left, right])
     return nodes
-
-
-def window_half_width(stride: int, axis_len: int, grid_size: int, d: int, kappa: float, const: float) -> int:
-    """Half-width of the refinement window around a coarse corner estimate."""
-    hw = math.ceil(const * stride * axis_len**kappa * math.log(grid_size) ** (1.0 / d))
-    return min(max(int(hw), 1), axis_len)

@@ -28,7 +28,7 @@ from .gridio import (
     write_patch_doc,
 )
 from .lattice import LatticeError, PatchSet, Rect
-from .metrics import score, write_bench_csv
+from .metrics import score, summarize, write_bench_csv
 from .simulate import FieldSpec, canonical_scenario, gen_field, inject_patches
 from .single import Stage1Params
 
@@ -187,8 +187,7 @@ def _cmd_bench(args) -> int:
         config=cfg,
     )
     write_bench_csv(args.out, records)
-    frac = sum(r.k_hat == r.k_true for r in records) / len(records)
-    mean_ari = sum(r.ari for r in records) / len(records)
+    _, frac, mean_ari, _, _ = summarize(records)
     print(
         f"{args.scenario} N={args.grid} noise={args.noise} jump={args.jump}: "
         f"P(k_hat=k)={frac:.2f} ARI={mean_ari:.3f} -> {args.out}",

@@ -27,8 +27,7 @@ from ._scan import DegenerateScanError, NoAdmissibleRectError
 from .calibrate import BOUNDARY_BETA, boundary_layer_mask, default_kernel, masked_lrv, threshold_q
 from .lattice import BlockPartition, Grid, LatticeError, PrefixSum, Rect, build_prefix_sum, rect_sum
 from .lattice import shifted, table_cells
-from .single import Stage1Params, SubsampleError, _two_stage
-from .single import algorithm1  # noqa: F401  perfbench/tracer.py looks it up here
+from .single import Stage1Params, SubsampleError, algorithm1
 
 _FALLBACK_MIN_CELLS = 256  # below this, a masked re-estimate is too thin to trust
 # Largest accepted |cell|.  The LRV power spectrum summed under ~sqrt(n) kernel taps
@@ -319,7 +318,8 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
             degenerate += 1
             continue
         try:
-            patches.append(_two_stage(grid.data[env.slices()], ps.window(env), cfg.stage2).shift(env.lo))
+            cells = Grid.from_array(grid.data[env.slices()])
+            patches.append(algorithm1(cells, cfg.stage2, table=ps.window(env)).shift(env.lo))
         except (SubsampleError, DegenerateScanError, NoAdmissibleRectError):
             degenerate += 1
             clipped = bbox.intersect(env)

@@ -73,7 +73,7 @@ def _select_channel(img: np.ndarray, channel: str) -> np.ndarray:
         return img
     if channel == "mean":
         return img.mean(axis=2)
-    return img[:, :, "rgb".index(channel)]
+    return img[:, :, "rgb".index(channel)].copy()  # not a view pinning all three channels
 
 
 def list_frames(directory) -> list[Path]:
@@ -88,30 +88,22 @@ def frames_to_grids(directory, baseline_range, channel: str = "mean"):
     """Yield (name, Grid) per frame: selected channel minus the baseline mean.
 
     ``baseline_range`` indexes the sorted frame list (e.g. ``range(0, 150)``);
-    outputs are centered differences in [-1, 1].
+    outputs are centered differences in [-1, 1].  Every frame is decoded once.
     """
     files = list_frames(directory)
     baseline_idx = [i for i in baseline_range if 0 <= i < len(files)]
     if not baseline_idx:
         raise FrameError("baseline range selects no frames")
 
-    shape = None
-    baseline = None
-    for i in baseline_idx:
-        img = _select_channel(read_pnm(files[i]), channel)
-        if shape is None:
-            shape = img.shape
-            baseline = np.zeros(shape, dtype=np.float64)
-        elif img.shape != shape:
-            raise FrameError(f"{files[i]}: frame size {img.shape} != {shape}")
-        baseline += img
-    baseline /= len(baseline_idx)
+    imgs = [_select_channel(read_pnm(path), channel) for path in files]
+    for path, img in zip(files, imgs):
+        if img.shape != imgs[0].shape:
+            raise FrameError(f"{path}: frame size {img.shape} != {imgs[0].shape}")
+    baseline = sum(imgs[i] for i in baseline_idx) / len(baseline_idx)  # summed in index order
 
-    for path in files:
-        img = _select_channel(read_pnm(path), channel)
-        if img.shape != shape:
-            raise FrameError(f"{path}: frame size {img.shape} != {shape}")
-        yield path.name, Grid.from_array(img - baseline)
+    for path, img in zip(files, imgs):
+        img -= baseline  # in place: each frame's buffer becomes its Grid's
+        yield path.name, Grid.from_array(img)
 
 
 def parse_range(text: str) -> range:

@@ -319,23 +319,3 @@ class BlockPartition:
     @property
     def num_blocks(self) -> int:
         return int(np.prod(self.counts))
-
-
-class SubsampleError(LatticeError):
-    """Subsampling leaves too few points per axis for a first-stage search."""
-
-
-def subsample(cells, alpha: float) -> tuple[Grid, tuple[int, ...]]:
-    """Strided point sample of a ``Grid`` or of an array of cells (such as a view).
-
-    Keeps single observations (not block means) at the lower corner of every
-    block of ``BlockPartition.build(dims, alpha)``, so ceil(n_k / L_k) points.
-    """
-    data = cells.data if isinstance(cells, Grid) else cells
-    part = BlockPartition.build(data.shape, alpha)
-    if any(m < 4 for m in part.counts):
-        raise SubsampleError(
-            f"alpha={alpha} leaves counts {part.counts}; need >= 4 points per axis"
-        )
-    sampled = data[tuple(slice(None, None, l) for l in part.strides)]
-    return Grid.from_array(sampled), part.strides

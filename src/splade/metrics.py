@@ -10,6 +10,7 @@ Hausdorff distance is computed exactly without materializing cell masks.
 from __future__ import annotations
 
 import csv
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +145,20 @@ def score(scenario, seed, dims, truth_rects, est_rects, time_s) -> BenchRecord:
         ari=float(ari(a, b)),
         hausdorff=hausdorff(truth_rects, est_rects, dims),
         time_s=time_s,
+    )
+
+
+BenchSummary = namedtuple("BenchSummary", "k_hat_mean k_exact_frac ari_mean hausdorff_mean time_s_median")
+
+
+def summarize(records) -> BenchSummary:
+    """One bench cell's replicates: mean k_hat, P(k_hat = K), mean ARI and Hausdorff, median time."""
+    return BenchSummary(
+        np.mean([r.k_hat for r in records]),
+        np.mean([r.k_hat == r.k_true for r in records]),
+        np.mean([r.ari for r in records]),
+        np.mean([r.hausdorff for r in records]),
+        np.median([r.time_s for r in records]),
     )
 
 

@@ -2,12 +2,11 @@
 
 ``naive_ls`` is the least-squares estimator over every rectangle in the grid
 (equivalently the |contrast| argmax).  ``algorithm1`` is the two-stage
-accelerated version: a coarse pass on a strided subsample localizes the
+accelerated version: a coarse pass on a strided ``subsample`` localizes the
 corners, then a search restricted to windows around those corners refines them
 on the full grid.  Both searches are exact: the branch-and-bound search in
 ``_scan`` returns the same rectangle as scoring every candidate would.  The
-detector calls ``algorithm1``'s body, ``_two_stage``, on windows of one table.
-"""
+detector calls ``algorithm1`` on each envelope, through a window of one table."""
 
 from __future__ import annotations
 
@@ -16,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scan import best_rectangle, window_half_width
-from .lattice import Grid, LatticeError, PrefixSum, Rect, SubsampleError, build_prefix_sum, subsample
+from ._scan import best_rectangle
+from .lattice import BlockPartition, Grid, LatticeError, PrefixSum, Rect, build_prefix_sum
 
 
 @dataclass(frozen=True)
@@ -76,12 +75,39 @@ def naive_ls(grid: Grid, bounds: SearchBounds) -> Rect:
     return rect
 
 
+class SubsampleError(LatticeError):
+    """Subsampling leaves too few points per axis for a first-stage search."""
+
+
+def subsample(grid: Grid, alpha: float) -> tuple[Grid, tuple[int, ...]]:
+    """Strided point sample of ``grid``.
+
+    Keeps single observations (not block means) at the lower corner of every
+    block of ``BlockPartition.build(dims, alpha)``, so ceil(n_k / L_k) points.
+    """
+    part = BlockPartition.build(grid.dims, alpha)
+    if any(m < 4 for m in part.counts):
+        raise SubsampleError(
+            f"alpha={alpha} leaves counts {part.counts}; need >= 4 points per axis"
+        )
+    sampled = grid.data[tuple(slice(None, None, l) for l in part.strides)]
+    return Grid.from_array(sampled), part.strides
+
+
 def _stage1_bounds(m: int) -> SearchBounds:
     lam = min(4.0 / m, 0.49)
     return SearchBounds(lam, 1.0 - lam)
 
 
-def algorithm1(grid: Grid, params: Stage1Params, bounds: SearchBounds | None = None) -> Rect:
+def window_half_width(stride: int, axis_len: int, grid_size: int, d: int, kappa: float, const: float) -> int:
+    """Half-width of the refinement window around a coarse corner estimate."""
+    hw = math.ceil(const * stride * axis_len**kappa * math.log(grid_size) ** (1.0 / d))
+    return min(max(int(hw), 1), axis_len)
+
+
+def algorithm1(
+    grid: Grid, params: Stage1Params, bounds: SearchBounds | None = None, table: PrefixSum | None = None
+) -> Rect:
     """Two-stage single-patch localization.
 
     Stage 1 runs ``naive_ls`` on the subsampled grid (with conservative default
@@ -91,30 +117,27 @@ def algorithm1(grid: Grid, params: Stage1Params, bounds: SearchBounds | None = N
     the branch-and-bound search finds it without scoring most of the pairs.
     ``bounds``, when given, constrains stage-2 volumes relative to the full
     grid size; windows wide enough to cover the whole grid therefore make the
-    output identical to ``naive_ls(grid, bounds)``.
+    output identical to ``naive_ls(grid, bounds)``.  ``table`` is a prefix
+    table of ``grid``'s cells, such as a window of a larger grid's table; it is
+    built from ``grid`` when omitted.
     """
-    return _two_stage(grid.data, build_prefix_sum(grid), params, bounds)
-
-
-def _two_stage(
-    cells: np.ndarray, ps: PrefixSum, params: Stage1Params, bounds: SearchBounds | None = None
-) -> Rect:
-    """``algorithm1`` on ``cells`` (a view), whose table or window of one is ``ps``."""
-    sub, strides = subsample(cells, params.alpha)
+    if table is None:
+        table = build_prefix_sum(grid)
+    elif table.dims != grid.dims:
+        raise LatticeError(f"table dims {table.dims} != grid dims {grid.dims}")
+    sub, strides = subsample(grid, params.alpha)
     coarse = naive_ls(sub, _stage1_bounds(sub.size))
 
-    n = ps.size
-    d = len(ps.dims)
+    n = grid.size
     lo_axes = []
     hi_axes = []
-    for k, (nk, lk) in enumerate(zip(ps.dims, strides)):
-        hw = window_half_width(lk, nk, n, d, params.kappa, params.window_const)
+    for k, (nk, lk) in enumerate(zip(grid.dims, strides)):
+        hw = window_half_width(lk, nk, n, grid.ndim, params.kappa, params.window_const)
         c_lo = lk * coarse.lo[k]
         c_hi = lk * coarse.hi[k]
         lo_axes.append(np.arange(max(0, c_lo - hw), min(nk - 1, c_lo + hw) + 1))
         hi_axes.append(np.arange(max(1, c_hi - hw), min(nk, c_hi + hw) + 1))
 
-    if bounds is None:
-        bounds = SearchBounds()
-    rect, _ = best_rectangle(ps, lo_axes, hi_axes, n * bounds.lambda1, n * bounds.lambda2)
+    bounds = bounds or SearchBounds()
+    rect, _ = best_rectangle(table, lo_axes, hi_axes, n * bounds.lambda1, n * bounds.lambda2)
     return rect

@@ -524,3 +524,19 @@ def test_run_bench_script_checks_every_cell_first(argv, tmp_path, monkeypatch, c
     assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1, err
     assert "Traceback" not in err
     assert not outdir.exists()  # no cell ran
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 745. GiB", ""])
+def test_run_bench_script_out_of_memory_is_one_line(message, tmp_path, monkeypatch, capsys):
+    """As ``splade bench``: a MemoryError in a cell ends in one error line, not a
+    traceback; gen_field is replaced, so nothing is allocated."""
+    def no_memory(spec, dims):
+        raise MemoryError(message)
+
+    script = _run_bench_script(monkeypatch)
+    monkeypatch.setattr("splade.bench.gen_field", no_memory)
+    monkeypatch.setenv("SPLADE_THREADS", "1")  # the replicate runs in this process
+    argv = ["--grid", "64", "--reps", "1", "--scenarios", "config1", "--noises", "sar:0.04",
+            "--jumps", "1.0", "--outdir", str(tmp_path / "out")]
+    assert script.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message or 'MemoryError'}\n"

@@ -405,3 +405,20 @@ def test_perfbench_tracer_targets_resolve(monkeypatch):
     assert tracer.TARGETS
     for module, name in tracer.TARGETS:
         assert callable(getattr(importlib.import_module(module), name, None)), f"{module}.{name}"
+
+    # ...and every refinement is seen: one algorithm1 span per refined
+    # envelope, parenting that envelope's stage-2 search.
+    truth = canonical_scenario("config1", 128, 2.0)
+    grid = inject_patches(gen_field(FieldSpec(kind="sar", seed=7, rho=0.04), (128, 128)), truth)
+    t = tracer.Tracer()
+    with t.installed():
+        det = detect.splade_detect(grid)
+    refined = len(det.diagnostics["component_cells"]) - det.diagnostics["degenerate_envelopes"]
+    assert refined == det.k_hat == len(truth.rects)
+    names = [span.name for span in t.spans]
+    assert names.count("detect.algorithm1") == refined
+    stage2 = [span for span in t.spans if span.name == "single.best_rectangle"
+              and t.spans[span.parent].name != "single.naive_ls"]
+    assert len(stage2) == refined
+    assert all(t.spans[span.parent].name == "detect.algorithm1" for span in stage2)
+    assert t.layer_metrics(1)["single.refine_s"] > 0

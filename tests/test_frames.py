@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from splade import frames
 from splade.detect import SpladeConfig, splade_detect
 from splade.frames import FrameError, frames_to_grids, parse_range, read_pnm
 from splade.single import Stage1Params
@@ -67,6 +70,22 @@ def test_single_frame_baseline_offset(tmp_path):
     out = dict(frames_to_grids(tmp_path, range(0, 1), "g"))
     assert np.all(out["a0.ppm"].data == 0.0)
     assert np.allclose(out["a1.ppm"].data, 128 / 255)
+
+
+@pytest.mark.parametrize("channel", ["mean", "g"])
+def test_each_frame_decoded_once(channel, tmp_path, monkeypatch):
+    for i in range(4):
+        write_ppm(tmp_path / f"f{i}.ppm", _base_frame(8, 8, 60 + 10 * i))
+    reads = []
+
+    def counting_read_pnm(path):
+        reads.append(Path(path).name)
+        return read_pnm(path)
+
+    monkeypatch.setattr(frames, "read_pnm", counting_read_pnm)
+    out = dict(frames_to_grids(tmp_path, range(0, 3), channel))
+    assert sorted(reads) == ["f0.ppm", "f1.ppm", "f2.ppm", "f3.ppm"]
+    assert np.allclose(out["f3.ppm"].data, 20 / 255)  # 90 minus the baseline mean 70
 
 
 def test_mixed_sizes_rejected(tmp_path):

@@ -13,6 +13,7 @@ from splade.metrics import (
     jaccard_distance,
     labels_from_patches,
     read_bench_csv,
+    summarize,
     write_bench_csv,
 )
 
@@ -169,3 +170,14 @@ def test_bench_csv_roundtrip(tmp_path):
     assert back == recs
     header = path.read_text().splitlines()[0]
     assert header == ",".join(BENCH_CSV_HEADER)
+
+
+def test_summarize_bench_records():
+    recs = [
+        BenchRecord("config1", 7, 3, 3, 0.75, 0.125, 1.5),
+        BenchRecord("config1", 8, 2, 3, 0.25, 0.5, 0.5),
+        BenchRecord("config1", 9, 3, 3, 0.5, 0.375, 2.5),
+    ]
+    s = summarize(recs)
+    assert (s.k_hat_mean, s.k_exact_frac, s.ari_mean) == (8 / 3, 2 / 3, 0.5)
+    assert (s.hausdorff_mean, s.time_s_median) == (1 / 3, 1.5)

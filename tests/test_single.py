@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from splade._scan import DegenerateScanError
-from splade.lattice import Grid, LatticeError, PatchSet, Rect
+from splade.lattice import Grid, LatticeError, PatchSet, Rect, build_prefix_sum
 from splade.simulate import FieldSpec, gen_field, inject_patches
 from splade.single import (
     SearchBounds,
@@ -135,6 +135,26 @@ def test_algorithm1_full_windows_equal_naive():
     assert algorithm1(g, wide, bounds) == naive_ls(g, bounds)
 
 
+@pytest.mark.parametrize("dims, r", [
+    ((400,), Rect((37,), (330,))),
+    ((60, 70), Rect((5, 8), (50, 61))),
+    ((30, 28, 26), Rect((2, 3, 4), (25, 26, 24))),
+])
+def test_algorithm1_through_a_window_of_a_larger_table(dims, r):
+    """A window of a larger grid's table gives the rectangle of ``r``'s own table:
+    on integer cells every sum is exact, so the two searches see the same numbers."""
+    rng = np.random.default_rng(len(dims))
+    big = rng.integers(-3, 4, size=dims).astype(np.float64)
+    inner = tuple(slice(l + (h - l) // 4, h - (h - l) // 3) for l, h in zip(r.lo, r.hi))
+    big[inner] += 2.0
+    g = Grid.from_array(big[r.slices()])
+    params = Stage1Params(alpha=0.5, kappa=0.01)
+    table = build_prefix_sum(Grid.from_array(big)).window(r)
+    assert algorithm1(g, params, table=table) == algorithm1(g, params)
+    with pytest.raises(LatticeError, match="table dims"):
+        algorithm1(g, params, table=build_prefix_sum(Grid.from_array(big)))
+
+
 def test_algorithm1_3d_noiseless():
     r = Rect((4, 6, 8), (14, 16, 18))
     x = _patched((24, 24, 24), r)
@@ -180,8 +200,7 @@ def test_algorithm1_near_linear_runtime_scaling():
 def test_algorithm1_dominates_window_candidates():
     # output |contrast| >= |contrast| of every rectangle with corners in the
     # windows, each scored exactly by the oracle as sqrt(score_sq) / n
-    from splade.single import _stage1_bounds
-    from splade._scan import window_half_width
+    from splade.single import _stage1_bounds, window_half_width
 
     rng = np.random.default_rng(3)
     data = rng.standard_normal((30, 30))
