@@ -41,13 +41,13 @@ def stamp(img, cy, cx, half, level):
     return out
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--dir", default="demo_frames")
     ap.add_argument("--size", type=int, default=96)
     ap.add_argument("--baseline-frames", type=int, default=12)
     ap.add_argument("--out", default="demo_boxes.jsonl")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     rng = np.random.default_rng(0)
     n = args.size

@@ -22,11 +22,10 @@ from .simulate import FieldSpec, canonical_scenario, gen_field, inject_patches
 
 def worker_count(n_tasks: int) -> int:
     """Process cap: SPLADE_THREADS when set, else the core count."""
-    env = os.environ.get("SPLADE_THREADS", "")
-    try:
-        cap = int(env) if env.strip() else (os.cpu_count() or 1)
-    except ValueError:
-        raise LatticeError(f"SPLADE_THREADS must be an integer, got {env!r}") from None
+    env = os.environ.get("SPLADE_THREADS", "").strip()
+    if env and not (env.isdecimal() and int(env) >= 1):
+        raise LatticeError(f"SPLADE_THREADS must be an integer >= 1, got {env!r}")
+    cap = int(env) if env else (os.cpu_count() or 1)
     return max(1, min(cap, n_tasks))
 
 

@@ -88,6 +88,8 @@ def doc_to_detection(doc: dict) -> tuple[Detection, tuple[int, ...]]:
     try:  # operator.index: a fractional or string size is an error, not truncated
         dims = tuple(operator.index(x) for x in doc["dims"])
         patches = tuple(Rect(tuple(p["lo"]), tuple(p["hi"])) for p in doc["patches"])
+        if not dims or min(dims) < 1 or not all(r.within(dims) for r in patches):
+            raise ValueError(f"dims {list(dims)} must be sizes >= 1 that hold every patch")
         check_disjoint(patches)  # labels and the Hausdorff background assume disjoint patches
         jumps = tuple(float(p["jump_estimate"]) for p in doc["patches"])
         det = Detection(

@@ -9,10 +9,11 @@ with ``hi_k <= lo_k`` on any axis is empty.
 The layout of a prefix table (a zero border, trailing axes carried through,
 the order of the 2^d corner terms) is known to this module alone:
 ``prefix_table`` builds one, ``table_cells`` differences one back to its
-cells, and ``box_sums`` reads box sums off one.
+cells, and ``box_sums`` reads box sums off one, in float64 at every size.
 
-All objects here are immutable after construction and safe to share across
-threads; every operation is pure.
+A ``Grid`` wraps its caller's float64 array, strided or not, and nothing
+writes into it.  All objects here are immutable after construction and safe
+to share across threads; every operation is pure.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ from itertools import product
 import numpy as np
 
 MAX_DIM = 4
-
-# Above this cell count, prefix sums accumulate in extended precision to keep
-# rectangle sums (and hence contrast denominators) accurate.
-_EXTENDED_PRECISION_CELLS = 2**24
 
 
 class LatticeError(ValueError):
@@ -49,19 +46,18 @@ class Grid:
     """A dense d-dimensional real-valued lattice field."""
 
     dims: tuple[int, ...]
-    data: np.ndarray  # float64, shape == dims, C (row-major) order
+    data: np.ndarray  # float64, shape == dims: the caller's array, any strides, never written
 
     def __post_init__(self):
         object.__setattr__(self, "dims", _as_dims(self.dims))
-        arr = np.ascontiguousarray(self.data, dtype=np.float64)
+        arr = np.asarray(self.data, dtype=np.float64)
         if arr.shape != self.dims:
             raise LatticeError(f"data shape {arr.shape} != dims {self.dims}")
         object.__setattr__(self, "data", arr)
 
     @classmethod
     def from_array(cls, arr) -> "Grid":
-        a = np.asarray(arr, dtype=np.float64)
-        return cls(dims=a.shape, data=a)
+        return cls(dims=np.shape(arr), data=arr)
 
     @property
     def ndim(self) -> int:
@@ -197,13 +193,13 @@ class PrefixSum:
         return PrefixSum(tuple(h - l for l, h in zip(r.lo, r.hi)), self.table, origin)
 
 
-def prefix_table(cells: np.ndarray, d: int, dtype=np.float64) -> np.ndarray:
+def prefix_table(cells: np.ndarray, d: int) -> np.ndarray:
     """Zero-bordered running sums of ``cells`` over its first ``d`` axes.
 
     ``table[i1, ..., id]`` is the sum of ``cells[0:i1, ..., 0:id]``; axes of
     ``cells`` after the first ``d`` carry through.  One in-place pass per axis.
     """
-    table = np.zeros(tuple(n + 1 for n in cells.shape[:d]) + cells.shape[d:], dtype=dtype)
+    table = np.zeros(tuple(n + 1 for n in cells.shape[:d]) + cells.shape[d:])
     inner = table[(slice(1, None),) * d]
     inner[...] = cells
     for ax in range(d):
@@ -231,10 +227,7 @@ def box_sums(table: np.ndarray, lo, hi) -> np.ndarray:
     axis).  Axes of ``table`` after the first ``len(lo)`` carry through.
     """
     d = len(lo)
-    if all(isinstance(c, (int, np.integer)) for c in (*lo, *hi)):
-        s = 0.0  # one box: the sum stays a numpy scalar, with no 0-d temporaries
-    else:
-        s = np.zeros(np.broadcast(*lo, *hi).shape + table.shape[d:])
+    s = np.zeros(np.broadcast(*lo, *hi).shape + table.shape[d:])
     for mask in product((0, 1), repeat=d):
         term = table[tuple(l if m else h for l, h, m in zip(lo, hi, mask))]
         if sum(mask) & 1:
@@ -245,13 +238,8 @@ def box_sums(table: np.ndarray, lo, hi) -> np.ndarray:
 
 
 def build_prefix_sum(grid: Grid) -> PrefixSum:
-    """Summed table of the whole grid, enabling O(2^d) rectangle sums."""
-    n = grid.size
-    if n > np.iinfo(np.int64).max:
-        raise LatticeError("grid too large to address")
-    acc_dtype = np.longdouble if n > _EXTENDED_PRECISION_CELLS else np.float64
-    table = prefix_table(grid.data, grid.ndim, acc_dtype)
-    return PrefixSum(dims=grid.dims, table=np.asarray(table, dtype=np.float64))
+    """Summed float64 table of the whole grid, enabling O(2^d) rectangle sums."""
+    return PrefixSum(dims=grid.dims, table=prefix_table(grid.data, grid.ndim))
 
 
 def rect_sum(ps: PrefixSum, r: Rect) -> float:

@@ -38,24 +38,26 @@ def ari(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b)
     if a.shape != b.shape:
         raise MetricError(f"label shapes differ: {a.shape} vs {b.shape}")
-    af = a.ravel()
-    bf = b.ravel()
-    n = af.size
-    _, ai = np.unique(af, return_inverse=True)
-    _, bi = np.unique(bf, return_inverse=True)
+    _, ai = np.unique(a.ravel(), return_inverse=True)
+    _, bi = np.unique(b.ravel(), return_inverse=True)
     na = int(ai.max()) + 1
     nb = int(bi.max()) + 1
-    cont = np.bincount(ai * nb + bi, minlength=na * nb).reshape(na, nb)
+    return _table_ari(np.bincount(ai * nb + bi, minlength=na * nb).reshape(na, nb))
+
+
+def _table_ari(cont: np.ndarray) -> float:
+    """ARI off a contingency table: the cell count of every pair of clusters."""
 
     def comb2(x):
         x = x.astype(np.int64)
         return x * (x - 1) // 2
 
+    n = int(cont.sum())
     sum_cells = int(comb2(cont).sum())
     sum_rows = int(comb2(cont.sum(axis=1)).sum())
     sum_cols = int(comb2(cont.sum(axis=0)).sum())
     total = n * (n - 1) // 2
-    expected = sum_rows * sum_cols / total
+    expected = sum_rows * sum_cols / max(total, 1)  # one cell: no pairs, denom 0 below
     max_index = 0.5 * (sum_rows + sum_cols)
     denom = max_index - expected
     if denom == 0.0:
@@ -89,16 +91,24 @@ def hausdorff(truth, est, dims) -> float:
     ``truth`` and ``est`` are rectangle sequences; rectangles within a
     collection must be pairwise disjoint.
     """
+    return _table_hausdorff(_intersections(truth, est, dims))
+
+
+def _intersections(truth, est, dims) -> np.ndarray:
+    """Cells of each truth member in each estimate member: the ARI's contingency table."""
+    # Members: each side's rectangles, then its background.
     whole = Rect((0,) * len(dims), tuple(dims))
     tr = [r for r in truth if not r.is_empty] + [whole]
     er = [r for r in est if not r.is_empty] + [whole]
-    # Intersections of members: each side's rectangles, then its background.
     # The last row and column start as the whole grid; subtracting the
     # rectangles leaves the background.
     cap = np.array([[r.intersect(s).volume() for s in er] for r in tr], dtype=np.int64)
     cap[-1] -= cap[:-1].sum(axis=0)
     cap[:, -1] -= cap[:, :-1].sum(axis=1)
-    cap = cap[cap.sum(axis=1) != 0][:, cap.sum(axis=0) != 0]  # drop an empty background
+    return cap[cap.sum(axis=1) != 0][:, cap.sum(axis=0) != 0]  # drop an empty background
+
+
+def _table_hausdorff(cap: np.ndarray) -> float:
     if 0 in cap.shape:  # a side without members: equal only when both are
         return 0.0 if cap.shape == (0, 0) else 1.0
     union = cap.sum(axis=1, keepdims=True) + cap.sum(axis=0) - cap
@@ -135,15 +145,14 @@ class BenchRecord:
 
 def score(scenario, seed, dims, truth_rects, est_rects, time_s) -> BenchRecord:
     """One replicate's record: the rectangles ``est_rects`` scored against ``truth_rects``."""
-    a = labels_from_patches(dims, truth_rects)
-    b = labels_from_patches(dims, est_rects)
+    cap = _intersections(truth_rects, est_rects, dims)
     return BenchRecord(
         scenario=scenario,
         seed=seed,
         k_hat=len(est_rects),
         k_true=len(truth_rects),
-        ari=float(ari(a, b)),
-        hausdorff=hausdorff(truth_rects, est_rects, dims),
+        ari=_table_ari(cap),
+        hausdorff=_table_hausdorff(cap),
         time_s=time_s,
     )
 

@@ -284,6 +284,14 @@ def _eval_argv(tmp_path, est, truth=_PATCH_DOC):
     return ["eval", "--truth", paths[0], "--est", paths[1], "--out", str(tmp_path / "r.csv")]
 
 
+def test_eval_one_cell_grid(tmp_path):
+    """On one cell both labelings are one cluster: ARI 1 (was a ZeroDivisionError)."""
+    doc = {"dims": [1, 1], "k_hat": 0, "patches": []}
+    assert main(_eval_argv(tmp_path, doc, doc)) == 0
+    rec = read_bench_csv(str(tmp_path / "r.csv"))[0]
+    assert (rec.ari, rec.hausdorff) == (1.0, 0.0)
+
+
 def _noise_grid_file(tmp_path):
     """A SPLG grid whose payload is not UTF-8 (a zero grid's NUL bytes are)."""
     path = tmp_path / "noise.splg"
@@ -303,8 +311,11 @@ def _overflowing_splg(tmp_path):
 CLI_ERRORS = {
     "mu0 not a number": ({}, lambda t: ["detect", "--in", _grid_file(t), "--out", str(t / "o.json"),
                                         "--mu0", "abc"]),
-    "SPLADE_THREADS not a number": ({"SPLADE_THREADS": "x"}, lambda t: [
-        "bench", "--scenario", "config1", "--grid", "64", "--reps", "1", "--out", str(t / "b.csv")]),
+    **{
+        f"SPLADE_THREADS {name}": ({"SPLADE_THREADS": value}, lambda t: [
+            "bench", "--scenario", "config1", "--grid", "64", "--reps", "1", "--out", str(t / "b.csv")])
+        for name, value in [("not a number", "x"), ("0", "0"), ("-2", "-2")]  # 0 and -2 ran one worker
+    },
     "simulate spec not UTF-8": ({}, lambda t: [
         "simulate", "--spec", _noise_grid_file(t), "--out", str(t / "g.splg")]),
     "eval truth not UTF-8": ({}, lambda t: [
@@ -390,7 +401,14 @@ CLI_ERRORS = {
             ("time_s not a number", {**_PATCH_DOC, "diagnostics": {"time_s": "x"}}),
             ("without dims", {key: v for key, v in _PATCH_DOC.items() if key != "dims"}),
             ("patch without jump_estimate", {**_PATCH_DOC, "patches": [{"lo": [1, 2], "hi": [5, 5]}]}),
+            ("patch out of bounds", {**_PATCH_DOC, "patches": [{"lo": [60, 60], "hi": [70, 70],
+                                                                "jump_estimate": 1.0}]}),
         ]
+    },
+    **{
+        f"eval dims {name}": ({}, lambda t, doc={**_PATCH_DOC, "dims": dims, "k_hat": 0, "patches": []}:
+                              _eval_argv(t, doc, doc))
+        for name, dims in [("zero", [0, 64]), ("empty", [])]  # a traceback from the ARI
     },
     "eval truth overlapping patches": ({}, lambda t: _eval_argv(t, _PATCH_DOC, {
         **_PATCH_DOC, "k_hat": 2, "patches": [{"lo": [0, 0], "hi": [9, 9], "jump_estimate": 1.0},
@@ -434,6 +452,11 @@ CLI_ERROR_TEXT = {
     "patch without hi": "missing key 'hi'",
     "eval estimate without dims": "missing key 'dims'",
     "eval estimate patch without jump_estimate": "missing key 'jump_estimate'",
+    "eval estimate patch out of bounds": "dims [64, 64] must be sizes >= 1 that hold every patch",
+    "eval dims zero": "dims [0, 64] must be sizes >= 1",
+    "eval dims empty": "dims [] must be sizes >= 1",
+    "SPLADE_THREADS 0": "SPLADE_THREADS must be an integer >= 1, got '0'",
+    "SPLADE_THREADS -2": "SPLADE_THREADS must be an integer >= 1, got '-2'",
     "eval truth overlapping patches": "overlap",  # was scored, exit 0
     "bench jump inf": "jump must be finite",
     "bench jump 1e200": "squared sums would overflow",  # config2 cells reach 5e200
@@ -497,10 +520,10 @@ def test_bench_row_equals_simulate_detect_eval(tmp_path, monkeypatch):
     assert without_time == ["config2,2,4,5,0.8585325045189585,0.9590909090909091"] * 2
 
 
-def _run_bench_script(monkeypatch):
-    """scripts/run_bench.py, loaded by path (it is not part of the package)."""
-    path = Path(__file__).resolve().parent.parent / "scripts" / "run_bench.py"
-    spec = importlib.util.spec_from_file_location("run_bench_script", path)
+def _script(monkeypatch, name):
+    """scripts/<name>.py, loaded by path (it is not part of the package)."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"{name}_script", path)
     script = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, script)
     monkeypatch.setattr(sys, "path", list(sys.path))  # undo the script's own src insert
@@ -517,7 +540,7 @@ def _run_bench_script(monkeypatch):
 ])
 def test_run_bench_script_checks_every_cell_first(argv, tmp_path, monkeypatch, capsys):
     outdir = tmp_path / "out"
-    rc = _run_bench_script(monkeypatch).main(["--reps", "1"] + argv + ["--outdir", str(outdir)])
+    rc = _script(monkeypatch, "run_bench").main(["--reps", "1"] + argv + ["--outdir", str(outdir)])
     assert rc == 1
     out, err = capsys.readouterr()
     assert out == ""  # not even the table header
@@ -533,10 +556,21 @@ def test_run_bench_script_out_of_memory_is_one_line(message, tmp_path, monkeypat
     def no_memory(spec, dims):
         raise MemoryError(message)
 
-    script = _run_bench_script(monkeypatch)
+    script = _script(monkeypatch, "run_bench")
     monkeypatch.setattr("splade.bench.gen_field", no_memory)
     monkeypatch.setenv("SPLADE_THREADS", "1")  # the replicate runs in this process
     argv = ["--grid", "64", "--reps", "1", "--scenarios", "config1", "--noises", "sar:0.04",
             "--jumps", "1.0", "--outdir", str(tmp_path / "out")]
     assert script.main(argv) == 1
     assert capsys.readouterr().err == f"error: {message or 'MemoryError'}\n"
+
+
+def test_demo_frames_box_counts(tmp_path, monkeypatch):
+    """scripts/make_demo_frames.py finds the box counts its docstring and the
+    README promise: two subjects enter, merge into one blob, separate and leave."""
+    monkeypatch.setenv("SPLADE_THREADS", "1")
+    out = tmp_path / "boxes.jsonl"
+    script = _script(monkeypatch, "make_demo_frames")
+    assert script.main(["--dir", str(tmp_path / "frames"), "--out", str(out)]) == 0
+    counts = [json.loads(line)["k_hat"] for line in out.read_text().splitlines()]
+    assert counts == [0] * 12 + [2] * 5 + [1] * 7 + [2] * 3 + [0] * 2

@@ -237,6 +237,24 @@ def test_detect_determinism():
     assert d1 == d2
 
 
+def test_detect_on_views_equals_detect_on_contiguous_copy():
+    """A Grid wraps a strided or Fortran-ordered float64 array without copying
+    it, and the detection on it is the C-contiguous copy's, bit for bit."""
+    x = inject_patches(gen_field(FieldSpec(kind="sar", seed=7, rho=0.04), (192, 192)),
+                       canonical_scenario("config1", 192, 2.0))
+    big = np.full((2 * 192, 3 * 192), np.nan)  # a cell read outside the view is non-finite
+    big[::2, ::3] = x.data
+    view = big[::2, ::3]
+    assert np.shares_memory(Grid.from_array(view).data, view)
+    want = splade_detect(Grid.from_array(np.ascontiguousarray(x.data)))
+    assert want.k_hat == 3 and want.diagnostics["fallback"]
+    for arr in (view, np.asfortranarray(x.data)):
+        got = splade_detect(Grid.from_array(arr))
+        assert got.patches == want.patches
+        assert [j.hex() for j in got.jumps] == [j.hex() for j in want.jumps]
+        assert got.diagnostics == want.diagnostics
+
+
 def test_detect_given_mu0_sigma_skips_estimation():
     truth = canonical_scenario("config1", 128, 1.0)
     noise = gen_field(FieldSpec(kind="iid-gaussian", seed=6), (128, 128))
