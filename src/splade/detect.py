@@ -24,15 +24,18 @@ from itertools import product
 import numpy as np
 
 from ._scan import DegenerateScanError, NoAdmissibleRectError
-from .calibrate import BOUNDARY_BETA, boundary_layer_mask, default_kernel, masked_lrv, threshold_q
+from .calibrate import BOUNDARY_BETA, boundary_layer_mask, default_bandwidths, masked_lrv, threshold_q
 from .lattice import BlockPartition, Grid, LatticeError, PrefixSum, Rect, build_prefix_sum, rect_sum
 from .lattice import shifted, table_cells
 from .single import Stage1Params, SubsampleError, algorithm1
 
 _FALLBACK_MIN_CELLS = 256  # below this, a masked re-estimate is too thin to trust
-# Largest accepted |cell|.  The LRV power spectrum summed under ~sqrt(n) kernel taps
-# and the scan's squared contrasts grow like n^3 * x^2: at |x| <= 1e100 that stays
-# below float64's 1.8e308 for any grid of fewer than 1e30 cells.
+# Largest accepted |cell|.  The scan's squared contrasts grow like n^3 * x^2, and
+# they bound the long-run variance's sums too: it squares moving sums of centred
+# cells over windows of prod_k b_k <= ~2^d * sqrt(n) cells, ~2^d * n of them, so its
+# running sums stay below 2 * n * x and its sum of squares near n^2 * x^2.  At
+# |x| <= 1e100 all of it stays below float64's 1.8e308 for any grid of fewer than
+# 1e30 cells.
 _MAX_ABS = 1e100
 
 
@@ -274,19 +277,17 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
         raise DetectionError(
             f"grid needs >= 4 blocks per axis at alpha={cfg.alpha}, got {part.counts}"
         )
-    kernel = default_kernel(grid.dims)
+    bandwidths = default_bandwidths(grid.dims)
     min_cells = min_component_cells(grid.size, cfg.alpha, cfg.min_size_factor)
 
     mu0, sigma = cfg.mu0, cfg.sigma
     estimated = mu0 is None or sigma is None
-    lrv_clamped = False
     if estimated:
         layer = boundary_layer_mask(grid.dims, BOUNDARY_BETA)
         if mu0 is None:
             mu0 = float(grid.data[layer].mean())
         if sigma is None:
-            sigma2, lrv_clamped = masked_lrv(grid.data, layer, kernel)
-            sigma = math.sqrt(sigma2)
+            sigma = math.sqrt(masked_lrv(grid.data, layer, bandwidths))
 
     ps = build_prefix_sum(grid)
     means, vols = block_means(ps, part), part.volumes()
@@ -304,8 +305,7 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
                 np.median(grid.data[clean] if clean_count >= _FALLBACK_MIN_CELLS else grid.data)
             )
         if cfg.sigma is None and clean_count >= _FALLBACK_MIN_CELLS:
-            sigma2, lrv_clamped = masked_lrv(grid.data, clean, kernel)
-            sigma = math.sqrt(sigma2)
+            sigma = math.sqrt(masked_lrv(grid.data, clean, bandwidths))
         flags, comps = _first_stage(means, vols, part, mu0, sigma, lo, hi, cfg, min_cells)
 
     bboxes = [component_bbox(c, part) for c in comps]
@@ -341,7 +341,7 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
         "flagged_blocks": int(flags.sum()),
         "component_cells": [int(vols[tuple(np.transpose(c))].sum()) for c in comps],
         "fallback": fallback,
-        "lrv_clamped": lrv_clamped,
+        "lrv_clamped": False,  # kept for the doc format: a sum of squares needs no clamp
         "degenerate_envelopes": degenerate,
     }
     return Detection(

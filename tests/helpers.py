@@ -14,8 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from splade.calibrate import CalibrationError
+from splade.calibrate import BOUNDARY_BETA, CalibrationError, boundary_layer_mask, threshold_q
+from splade.detect import resolve_envelope_overlaps
 from splade.lattice import BlockPartition, Grid, Rect, shifted
+from splade.single import window_half_width
 
 
 def direct_rect_sum(grid: Grid, r: Rect) -> float:
@@ -204,3 +206,187 @@ def lag_sum_lrv(data: np.ndarray, mask: np.ndarray, bandwidths) -> tuple[float, 
     if sigma2 < 0.0:
         return float(np.sum(centered[mask] ** 2) / count), True
     return sigma2, False
+
+
+class OnThreshold(Exception):
+    """``brute_force_detect`` met a decision that rounding may take either way."""
+
+
+def _blocks(part: BlockPartition):
+    return [(idx, part.block(idx)) for idx in np.ndindex(*part.counts)]
+
+
+def _exact_mean(data: np.ndarray, r: Rect) -> float:
+    return math.fsum(data[r.slices()].ravel().tolist()) / r.volume()
+
+
+def _oracle_search(cells: np.ndarray, err: float, lambda1: float, lambda2: float, lo_axes=None, hi_axes=None):
+    """``brute_force_search``'s rectangle, or None where the search would raise
+    (no admissible candidate, or only zero contrasts).
+
+    Each non-empty candidate is scored alone by ``brute_force_search``, and the
+    smallest key (-score, volume, lo, hi) wins, as in one call over them all.
+    Raises ``OnThreshold`` when a candidate of another volume or sum ties the
+    best (see ``brute_force_detect``).
+    """
+    grid = Grid.from_array(cells)
+    lo_axes = lo_axes or [range(m) for m in cells.shape]
+    hi_axes = hi_axes or [range(1, m + 1) for m in cells.shape]
+    scored = []
+    for lo in itertools.product(*lo_axes):
+        above = [[h for h in hk if h > l] for hk, l in zip(hi_axes, lo)]
+        for hi in itertools.product(*above):
+            found = brute_force_search(grid, lambda1, lambda2, [[l] for l in lo], [[h] for h in hi])
+            if found is not None:
+                scored.append(found)
+    if not scored:
+        return None
+    score, rect = min(scored, key=lambda f: (-f[0], f[1].volume(), f[1].lo, f[1].hi))
+    if score == 0:
+        return None
+    top = math.sqrt(score)
+    margin = 8.0 * math.sqrt(cells.size) * err
+    own = (rect.volume(), direct_rect_sum(grid, rect))
+    for s, r in scored:
+        if math.sqrt(s) >= top - margin and (r.volume(), direct_rect_sum(grid, r)) != own:
+            raise OnThreshold(f"{r} ties {rect}")
+    return rect
+
+
+def _oracle_algorithm1(cells: np.ndarray, params, err: float):
+    """``algorithm1`` on ``cells``: a search of every rectangle of the strided
+    subsample, then of the corner windows around its corners on the full cells.
+    None where ``splade_detect`` takes the envelope as degenerate."""
+    dims, n = cells.shape, cells.size
+    strides = [max(1, math.floor(m**params.alpha)) for m in dims]
+    if any(-(-m // l) < 4 for m, l in zip(dims, strides)):
+        return None
+    sample = cells[tuple(slice(None, None, l) for l in strides)]
+    lam = min(4.0 / sample.size, 0.49)
+    coarse = _oracle_search(sample, err, lam, 1.0 - lam)
+    if coarse is None:
+        return None
+    lo_axes, hi_axes = [], []
+    for k, (m, l) in enumerate(zip(dims, strides)):
+        hw = window_half_width(l, m, n, len(dims), params.kappa, params.window_const)
+        c_lo, c_hi = l * coarse.lo[k], l * coarse.hi[k]
+        lo_axes.append(range(max(0, c_lo - hw), min(m - 1, c_lo + hw) + 1))
+        hi_axes.append(range(max(1, c_hi - hw), min(m, c_hi + hw) + 1))
+    return _oracle_search(cells, err, 0.0, 1.0, lo_axes, hi_axes)
+
+
+def brute_force_detect(grid: Grid, cfg) -> dict:
+    """``splade_detect`` written directly: its ``k_hat``, ``patches``, ``jumps``
+    and ``diagnostics``, as a dict.
+
+    Block means are exact sums of sliced cells (``math.fsum``) over the block
+    volume, components come from ``brute_force_components``, the long-run
+    variance from ``lag_sum_lrv``, both stages of every envelope search from
+    ``brute_force_search`` on the sliced cells, and the jumps from exact sums.
+    Shared with the package are only closed forms and geometry with tests of
+    their own: ``threshold_q``, ``boundary_layer_mask``, ``BlockPartition``,
+    ``window_half_width`` and the envelope shrink ``resolve_envelope_overlaps``.
+
+    Rounding may decide a test that the exact values pass by a hair; this
+    raises ``OnThreshold`` instead.  For a grid of N cells of magnitude at most
+    |x|, a sum read off its float64 prefix table errs by less than
+    err = 1e-12 * N * |x|: 2^d table entries, each off by at most
+    sum(n_k) * N * |x| unit roundoffs, which stays below err while
+    2^d * sum(n_k) < 9000, as for every grid of up to 40 cells per axis in
+    ranks 1 to 4.  So:
+
+    * a block mean m sits on its threshold q when
+      | |m - mu0| - q | <= 1e-12 * q + err, the first term covering the
+      relative rounding of sigma;
+    * a search over a box of n cells ties when a candidate of another volume
+      or sum has a sqrt(score_sq) within 8 * sqrt(n) * err of the best one's.
+      ``brute_force_search``'s sqrt(score_sq) is n * |z| / sqrt(v * (n - v))
+      with z = S - v * T / n off by at most 2 * err and v * (n - v) >= n - 1,
+      so each of the two scores errs by at most 4 * sqrt(n) * err.  A box and
+      its complement, both candidates, always tie.
+    """
+    data = grid.data
+    dims, d, n = grid.dims, grid.ndim, grid.size
+    lo_cell, hi_cell = float(data.min()), float(data.max())
+    part = BlockPartition.build(dims, cfg.alpha)
+    blocks = _blocks(part)
+    bandwidths = [math.ceil(m ** (1.0 / (2 * d))) for m in dims]
+    min_cells = math.ceil(cfg.min_size_factor * n**cfg.alpha * math.sqrt(math.log(n)))
+    means = {idx: _exact_mean(data, r) for idx, r in blocks}
+    err = 1e-12 * n * max(-lo_cell, hi_cell)  # bounds a table sum's rounding
+
+    mu0, sigma = cfg.mu0, cfg.sigma
+    estimated = mu0 is None or sigma is None
+    if estimated:
+        layer = boundary_layer_mask(dims, BOUNDARY_BETA)
+        if mu0 is None:
+            mu0 = float(data[layer].mean())
+        if sigma is None:
+            sigma = math.sqrt(lag_sum_lrv(data, layer, bandwidths)[0])
+
+    def first_stage(mu0, sigma):
+        floor = 64.0 * np.finfo(np.float64).eps * max(hi_cell - mu0, mu0 - lo_cell)
+        signs = np.zeros(part.counts, dtype=np.int64)
+        for idx, r in blocks:
+            q = threshold_q(sigma, r.volume(), part.num_blocks, cfg.kappa_level) if sigma > 0.0 else 0.0
+            q = max(q, floor)
+            dev = abs(means[idx] - mu0)
+            if abs(dev - q) <= 1e-12 * q + err:
+                raise OnThreshold(f"block {idx}: |mean - mu0| = {dev!r}, q = {q!r}")
+            if dev > q:
+                signs[idx] = 1 if means[idx] > mu0 else -1
+        return signs, brute_force_components(signs, part, min_cells, cfg.connectivity)
+
+    signs, comps = first_stage(mu0, sigma)
+    fallback = False
+    if estimated and any(layer[part.block(b).slices()].any() for c in comps for b in c):
+        fallback = True
+        clean = np.ones(dims, dtype=bool)
+        for idx, r in blocks:
+            if signs[idx]:
+                clean[r.slices()] = False
+        clean_count = int(clean.sum())
+        if cfg.mu0 is None:
+            mu0 = float(np.median(data[clean] if clean_count >= 256 else data))
+        if cfg.sigma is None and clean_count >= 256:
+            sigma = math.sqrt(lag_sum_lrv(data, clean, bandwidths)[0])
+        signs, comps = first_stage(mu0, sigma)
+
+    bboxes, envs = [], []
+    reach = [cfg.envelope_margin_blocks * l for l in part.strides]
+    for comp in comps:
+        cell_lo = [min(part.block(b).lo[k] for b in comp) for k in range(d)]
+        cell_hi = [max(part.block(b).hi[k] for b in comp) for k in range(d)]
+        bboxes.append(Rect(tuple(cell_lo), tuple(cell_hi)))
+        envs.append(Rect(tuple(max(0, a - r) for a, r in zip(cell_lo, reach)),
+                         tuple(min(m, b + r) for b, r, m in zip(cell_hi, reach, dims))))
+    envs = resolve_envelope_overlaps(envs, bboxes)
+
+    patches, degenerate = [], 0
+    for bbox, env in zip(bboxes, envs):
+        rect = None if env.is_empty else _oracle_algorithm1(data[env.slices()], cfg.stage2, err)
+        if rect is not None:
+            patches.append(rect.shift(env.lo))
+            continue
+        degenerate += 1
+        if not env.is_empty and not bbox.intersect(env).is_empty:
+            patches.append(bbox.intersect(env))
+    patches.sort(key=lambda r: (r.lo, r.hi))
+
+    vols = part.volumes()
+    interior = math.prod(part.strides)
+    return {
+        "k_hat": len(patches),
+        "patches": tuple(patches),
+        "jumps": tuple(_exact_mean(data, r) - mu0 for r in patches),
+        "diagnostics": {
+            "mu0": mu0,
+            "sigma": sigma,
+            "q": threshold_q(sigma, interior, part.num_blocks, cfg.kappa_level) if sigma > 0.0 else 0.0,
+            "flagged_blocks": int(np.count_nonzero(signs)),
+            "component_cells": [int(sum(int(vols[b]) for b in c)) for c in comps],
+            "fallback": fallback,
+            "lrv_clamped": False,
+            "degenerate_envelopes": degenerate,
+        },
+    }

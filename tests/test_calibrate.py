@@ -5,11 +5,8 @@ import pytest
 
 from splade.calibrate import (
     CalibrationError,
-    KernelSpec,
     boundary_layer_mask,
     default_bandwidths,
-    default_kernel,
-    fft_length,
     masked_lrv,
     threshold_q,
 )
@@ -39,10 +36,10 @@ def _layer_mu0(g, beta):
     return float(g.data[boundary_layer_mask(g.dims, beta)].mean())
 
 
-def _layer_lrv(g, beta, kernel=None):
+def _layer_lrv(g, beta, bandwidths=None):
     """The long-run variance as ``splade_detect`` estimates it, on the boundary layer."""
-    kernel = kernel or default_kernel(g.dims)
-    return masked_lrv(g.data, boundary_layer_mask(g.dims, beta), kernel)[0]
+    bandwidths = bandwidths or default_bandwidths(g.dims)
+    return masked_lrv(g.data, boundary_layer_mask(g.dims, beta), bandwidths)
 
 
 def test_mu0_constant_and_interior_patch():
@@ -76,10 +73,13 @@ def test_mu0_depends_only_on_layer_cells():
 
 
 def test_kernel_validation():
-    with pytest.raises(CalibrationError, match="bandwidths must be >= 1"):
-        KernelSpec((0.5, 2.0))
-    assert KernelSpec((1, 3)).bandwidths == (1.0, 3.0)
-    assert default_kernel((64, 100)) == KernelSpec(default_bandwidths((64, 100)))
+    data, mask = np.ones((4, 5)), np.ones((4, 5), dtype=bool)
+    for bad in [(0.5, 2), (2.5, 2), (2.0, 2), (0, 2), (2,), (2, 2, 2)]:
+        with pytest.raises(CalibrationError, match="integer bandwidths >= 1"):
+            masked_lrv(data, mask, bad)
+    assert masked_lrv(data, mask, (1, np.int64(3))) == 0.0
+    assert default_bandwidths((64, 100)) == (3, 4)
+    assert all(type(b) is int for b in default_bandwidths((64, 100)))
 
 
 def test_lrv_constant_grid_zero():
@@ -92,7 +92,7 @@ def test_lrv_iid_near_one():
         _layer_lrv(
             Grid.from_array(np.random.default_rng(s).standard_normal((128, 128))),
             0.7,
-            KernelSpec((1.0, 1.0)),  # only the lag-0 term survives
+            (1, 1),  # only the lag-0 term survives
         )
         for s in range(20)
     ]
@@ -106,37 +106,24 @@ def test_lrv_sar_exceeds_plain_variance():
         g = gen_field(FieldSpec(kind="sar", seed=s, rho=0.4), (128, 128))
         mask = boundary_layer_mask(g.dims, 0.7)
         plain = float(g.data[mask].var())
-        hac = _layer_lrv(g, 0.7, KernelSpec((8.0, 8.0)))
+        hac = _layer_lrv(g, 0.7, (8, 8))
         wins += hac > plain
     assert wins == 10
-
-
-def test_masked_lrv_negative_clamp_flag():
-    # strongly alternating field drives the Bartlett sum toward zero but the
-    # clamp path must return the plain variance when the raw value dips below
-    data = np.indices((30, 30)).sum(axis=0) % 2 * 2.0 - 1.0
-    mask = np.ones((30, 30), dtype=bool)
-    sigma2, clamped = masked_lrv(data, mask, KernelSpec((2.0, 2.0)))
-    assert sigma2 >= 0.0
-    if clamped:
-        assert sigma2 == pytest.approx(float(data.var()))
 
 
 @pytest.mark.parametrize("kind", ["bartlett"])  # the case ids name the kernel
 @pytest.mark.parametrize(
     "dims, bandwidths",
-    [((7,), (3.0,)), ((6, 5), (2.5, 2.0)), ((3, 8), (5.0, 1.5)), ((3, 4, 3), (2.0, 1.0, 4.5))],
+    [((7,), (3,)), ((6, 5), (3, 2)), ((3, 8), (5, 2)), ((3, 4, 3), (2, 1, 5))],
 )
 def test_masked_lrv_matches_double_sum(kind, dims, bandwidths):
-    # (3, 8) with bandwidth 5 on the short axis and (3, 4, 3) with 4.5 on the
+    # (3, 8) with bandwidth 5 on the short axis and (3, 4, 3) with 5 on the
     # last have kernel lags as long as the axis, whose cell pairs are empty
     rng = np.random.default_rng(len(dims) * 10 + len(kind))
     data = rng.standard_normal(dims) + np.indices(dims).sum(axis=0) * 0.3
     for mask in (np.ones(dims, dtype=bool), rng.random(dims) < 0.6):
-        sigma2, clamped = masked_lrv(data, mask, KernelSpec(bandwidths))
-        want, want_clamped = brute_force_lrv(data, mask, bandwidths)
-        assert clamped == want_clamped
-        assert sigma2 == pytest.approx(want, rel=1e-12)
+        want, _ = brute_force_lrv(data, mask, bandwidths)
+        assert masked_lrv(data, mask, bandwidths) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["bartlett"])  # the case ids name the kernel
@@ -145,41 +132,40 @@ def test_masked_lrv_matches_double_sum(kind, dims, bandwidths):
     [
         ((8192,), None),
         ((4099,), None),
-        ((4099,), (5000.0,)),
+        ((4099,), (5000,)),
         ((37, 53), None),
-        ((37, 53), (40.0, 2.5)),
+        ((37, 53), (40, 3)),
         ((19, 23, 17), None),
-        ((19, 23, 17), (20.0, 1.5, 3.0)),
+        ((19, 23, 17), (20, 2, 3)),
         ((7, 11, 5, 13), None),
-        ((7, 11, 5, 13), (8.0, 2.0, 1.0, 3.5)),
+        ((7, 11, 5, 13), (8, 2, 1, 4)),
     ],
 )
 def test_masked_lrv_matches_lag_sum(kind, dims, bandwidths):
     # medium grids with prime axis lengths, default bandwidths and bandwidths
-    # longer than an axis, on data offset by 1e3
+    # longer than an axis, on data offset by 1e3 and on an alternating +-1
+    # field, whose moving sums cancel to near zero; a Fortran-ordered copy and
+    # a strided view of each input give the C-ordered result bit for bit
     rng = np.random.default_rng(sum(dims) + len(kind))
-    data = rng.standard_normal(dims) + 1e3
+    offset = rng.standard_normal(dims) + 1e3
+    alternating = np.indices(dims).sum(axis=0) % 2 * 2.0 - 1.0
     bandwidths = bandwidths or default_bandwidths(dims)
     masks = (np.ones(dims, dtype=bool), rng.random(dims) < 0.5, boundary_layer_mask(dims, 0.7))
-    for mask in masks:
-        sigma2, clamped = masked_lrv(data, mask, KernelSpec(bandwidths))
-        want, want_clamped = lag_sum_lrv(data, mask, bandwidths)
-        assert clamped == want_clamped
-        assert sigma2 == pytest.approx(want, rel=1e-12)
+    for data in (offset, alternating):
+        for mask in masks:
+            sigma2 = masked_lrv(data, mask, bandwidths)
+            want, _ = lag_sum_lrv(data, mask, bandwidths)
+            assert sigma2 == pytest.approx(want, rel=1e-12)
+            assert masked_lrv(np.asfortranarray(data), np.asfortranarray(mask), bandwidths) == sigma2
+            assert masked_lrv(_strided(data, np.nan), _strided(mask, True), bandwidths) == sigma2
 
 
-def test_fft_length_is_smallest_5_smooth_length():
-    def smooth(m):
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        return m == 1
-
-    for n in range(1, 5001):
-        want = n
-        while not smooth(want):
-            want += 1
-        assert fft_length(n) == want, n
+def _strided(a, fill):
+    """``a`` as a view with a stride of 2 cells on every axis; the cells between are ``fill``."""
+    big = np.full(tuple(2 * n for n in a.shape), fill, dtype=a.dtype)
+    view = big[(slice(None, None, 2),) * a.ndim]
+    view[...] = a
+    return view
 
 
 def test_threshold_over_array_matches_scalar_bitwise():

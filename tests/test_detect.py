@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from splade import detect
@@ -26,7 +26,7 @@ from splade.lattice import Grid, PatchSet, Rect, build_prefix_sum
 from splade.simulate import FieldSpec, canonical_scenario, gen_field, inject_patches
 from splade.single import Stage1Params
 
-from helpers import brute_force_components, rect_mask
+from helpers import OnThreshold, brute_force_components, brute_force_detect, rect_mask
 
 
 def _sorted_rects(ps: PatchSet):
@@ -440,3 +440,74 @@ def test_perfbench_tracer_targets_resolve(monkeypatch):
     assert len(stage2) == refined
     assert all(t.spans[span.parent].name == "detect.algorithm1" for span in stage2)
     assert t.layer_metrics(1)["single.refine_s"] > 0
+
+
+# Side range per rank, the smallest stage-2 alpha and the largest window constant.
+# They keep the oracle's exhaustive searches small: a subsample of at most 7
+# points per axis in 2-D, 6 in 3-D and 4 in 4-D, with corner windows a few
+# cells wide.  In 1-D a subsample of fewer than 10 points has at most one
+# admissible stage-1 volume, so a smaller alpha gives the search a chance.
+ORACLE_RANKS = {1: ((16, 40), 0.25, 0.3), 2: ((16, 40), 0.5, 0.3), 3: ((16, 24), 0.45, 0.12),
+                4: ((16, 17), 0.58, 0.12)}
+ORACLE_EXAMPLES = {1: 40, 2: 30, 3: 12, 4: 6}
+
+
+@st.composite
+def _oracle_cases(draw, d):
+    (side_lo, side_hi), stage2_alpha, window_const = ORACLE_RANKS[d]
+    dims = tuple(draw(st.integers(side_lo, side_hi)) for _ in range(d))
+    kind = draw(st.sampled_from(["integer", "gaussian", "gaussian + 1e3"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "integer":  # four values: exact ties between cells and block means
+        data, level, spread = rng.integers(0, 4, size=dims).astype(np.float64), 1.5, 1.25**0.5
+    else:
+        level = 1e3 if kind == "gaussian + 1e3" else 0.0
+        data, spread = rng.standard_normal(dims) + level, 1.0
+    for _ in range(draw(st.integers(1, 3))):
+        lo = [int(rng.integers(0, n - n // 4)) for n in dims]
+        hi = [min(n, a + int(rng.integers(n // 4, n // 2 + 1))) for a, n in zip(lo, dims)]
+        size = float(rng.choice([3, 4, 5])) if kind == "integer" else float(rng.uniform(3.0, 6.0))
+        data[Rect(tuple(lo), tuple(hi)).slices()] += size * rng.choice([-1, 1])
+    cfg = SpladeConfig(
+        alpha=draw(st.floats(0.35, 0.5)),
+        kappa_level=draw(st.floats(0.01, 0.2)),
+        stage2=Stage1Params(alpha=draw(st.floats(stage2_alpha, 0.6)), kappa=draw(st.floats(0.0, 0.02)),
+                            window_const=draw(st.floats(0.05, window_const))),
+        envelope_margin_blocks=draw(st.integers(0, 2)),
+        min_size_factor=draw(st.floats(0.2, 1.0)),
+        mu0=draw(st.sampled_from([None, None, level])),
+        sigma=draw(st.sampled_from([None, None, spread])),
+        connectivity=draw(st.sampled_from(["faces", "faces+corners"])),
+    )
+    return Grid.from_array(data), cfg
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_detect_matches_whole_pipeline_oracle(d):
+    """``splade_detect`` equals ``brute_force_detect``: the patches and the exact
+    diagnostics exactly, and sigma, q and the jumps to 1e-12.  A jump is a
+    difference of means of cells up to max|x|, so its tolerance scales with
+    max|x|, not with the jump.  Draws where rounding may decide a threshold
+    test or a search tie are rejected (see ``brute_force_detect``)."""
+
+    @given(case=_oracle_cases(d))
+    @settings(max_examples=ORACLE_EXAMPLES[d], deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    def check(case):
+        grid, cfg = case
+        try:
+            want = brute_force_detect(grid, cfg)
+        except OnThreshold:
+            reject()
+        got = splade_detect(grid, cfg)
+        assert got.patches == want["patches"]
+        assert got.k_hat == want["k_hat"]
+        scale = float(np.abs(grid.data).max())
+        assert got.jumps == pytest.approx(want["jumps"], rel=1e-12, abs=1e-12 * scale)
+        for key, value in want["diagnostics"].items():
+            if key in ("sigma", "q"):
+                assert got.diagnostics[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+            else:
+                assert got.diagnostics[key] == value, key
+
+    check()

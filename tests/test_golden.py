@@ -3,8 +3,9 @@
 Each case is a seeded synthetic grid and a detector configuration; the fixture
 ``golden_detections.json`` holds what ``splade_detect`` returned for it.  A
 refactor that is meant to change nothing must leave every field equal, except
-the jumps and the spectrally summed ``sigma`` (with ``q``, which scales with
-it), which may move by rounding (1e-12 relative).
+the jumps and ``sigma``, summed from the long-run variance's moving box sums
+(with ``q``, which scales with it), which may move by rounding (1e-12
+relative).
 
 Regenerate the fixture only for a deliberate change of behaviour:
 
