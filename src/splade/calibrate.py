@@ -66,7 +66,7 @@ def masked_lrv(data: np.ndarray, mask: np.ndarray, bandwidths) -> float:
     buffer and a lag-b difference back.  The buffers are C-ordered whatever
     the layout of ``data``, so the result does not depend on that layout.
     """
-    count = int(mask.sum())
+    count = int(np.count_nonzero(mask))
     if count == 0:
         raise CalibrationError("empty estimation region")
     bw = tuple(bandwidths)

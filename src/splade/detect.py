@@ -6,8 +6,10 @@ blocks into connected components (split by contrast sign, so adjacent patches
 with opposite jumps never merge); discard components covering too few cells;
 envelope each surviving component in a margin-expanded bounding box, shrinking
 pairs of envelopes until disjoint; and run the two-stage single-patch search
-independently inside each envelope.  All of it reads one prefix table of the
-whole grid per call: block means, envelope searches (through windows) and jumps.
+independently inside each envelope.  Block means are summed straight from
+the cells.  A call builds at most one prefix table of the whole grid, after
+the screen and the fallback, and only when a component survives: the envelope
+searches (through windows of it) and the jumps read it.
 
 When the baseline mean or the long-run variance is estimated and a surviving
 component touches the boundary calibration layer, the layer estimates are
@@ -25,8 +27,7 @@ import numpy as np
 
 from ._scan import DegenerateScanError, NoAdmissibleRectError
 from .calibrate import BOUNDARY_BETA, boundary_layer_mask, default_bandwidths, masked_lrv, threshold_q
-from .lattice import BlockPartition, Grid, LatticeError, PrefixSum, Rect, build_prefix_sum, rect_sum
-from .lattice import shifted, table_cells
+from .lattice import BlockPartition, Grid, LatticeError, Rect, build_prefix_sum, rect_sum, shifted
 from .single import Stage1Params, SubsampleError, algorithm1
 
 _FALLBACK_MIN_CELLS = 256  # below this, a masked re-estimate is too thin to trust
@@ -43,10 +44,17 @@ class DetectionError(LatticeError):
     """Invalid detector configuration or undersized grid."""
 
 
-def block_means(ps: PrefixSum, part: BlockPartition) -> np.ndarray:
-    """Mean over each (possibly truncated) block of ``part``, read off the table ``ps``."""
-    edges = np.ix_(*(part.edges(k) + o for k, o in enumerate(ps.origin)))
-    return table_cells(ps.table[edges], len(ps.dims)) / part.volumes()
+def block_means(data: np.ndarray, part: BlockPartition) -> np.ndarray:
+    """Mean over each (possibly truncated) block of ``part``, summed from the cells ``data``.
+
+    ``data`` may have any strides; the result does not depend on them.  The
+    last axis is summed first: in a C-ordered array its runs are contiguous,
+    and every later pass reads an array already a block's width smaller.
+    """
+    sums = data
+    for ax in reversed(range(data.ndim)):
+        sums = np.add.reduceat(sums, part.edges(ax)[:-1], axis=ax)
+    return sums / part.volumes()
 
 
 def flag_blocks(means: np.ndarray, q, mu0: float) -> np.ndarray:
@@ -289,8 +297,7 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
         if sigma is None:
             sigma = math.sqrt(masked_lrv(grid.data, layer, bandwidths))
 
-    ps = build_prefix_sum(grid)
-    means, vols = block_means(ps, part), part.volumes()
+    means, vols = block_means(grid.data, part), part.volumes()
     flags, comps = _first_stage(means, vols, part, mu0, sigma, lo, hi, cfg, min_cells)
 
     fallback = False
@@ -299,7 +306,7 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
         # outside every flagged block, then redo the first stage once.
         fallback = True
         clean = ~_blocks_to_cells(flags, part)
-        clean_count = int(clean.sum())
+        clean_count = int(np.count_nonzero(clean))
         if cfg.mu0 is None:
             mu0 = float(
                 np.median(grid.data[clean] if clean_count >= _FALLBACK_MIN_CELLS else grid.data)
@@ -308,6 +315,8 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
             sigma = math.sqrt(masked_lrv(grid.data, clean, bandwidths))
         flags, comps = _first_stage(means, vols, part, mu0, sigma, lo, hi, cfg, min_cells)
 
+    # Only the envelope searches and the jumps read the table: a null grid needs none.
+    ps = build_prefix_sum(grid) if comps else None
     bboxes = [component_bbox(c, part) for c in comps]
     envs = [envelope(c, part, cfg.envelope_margin_blocks, grid.dims) for c in comps]
     envs = resolve_envelope_overlaps(envs, bboxes)

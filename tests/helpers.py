@@ -26,6 +26,14 @@ def direct_rect_sum(grid: Grid, r: Rect) -> float:
     return float(grid.data[r.slices()].sum())
 
 
+def strided(a, fill):
+    """``a`` as a view with a stride of 2 cells on every axis; the cells between are ``fill``."""
+    big = np.full(tuple(2 * n for n in a.shape), fill, dtype=a.dtype)
+    view = big[(slice(None, None, 2),) * a.ndim]
+    view[...] = a
+    return view
+
+
 def all_rects(dims):
     axes = [
         [(lo, hi) for lo in range(n) for hi in range(lo + 1, n + 1)] for n in dims
@@ -293,7 +301,8 @@ def brute_force_detect(grid: Grid, cfg) -> dict:
     err = 1e-12 * N * |x|: 2^d table entries, each off by at most
     sum(n_k) * N * |x| unit roundoffs, which stays below err while
     2^d * sum(n_k) < 9000, as for every grid of up to 40 cells per axis in
-    ranks 1 to 4.  So:
+    ranks 1 to 4.  A block mean, summed straight from the block's cells, errs
+    by less.  So:
 
     * a block mean m sits on its threshold q when
       | |m - mu0| - q | <= 1e-12 * q + err, the first term covering the

@@ -13,7 +13,7 @@ from splade.calibrate import (
 from splade.lattice import Grid
 from splade.simulate import FieldSpec, gen_field
 
-from helpers import brute_force_lrv, lag_sum_lrv
+from helpers import brute_force_lrv, lag_sum_lrv, strided
 
 
 def test_boundary_layer_matches_direct_enumeration():
@@ -157,15 +157,7 @@ def test_masked_lrv_matches_lag_sum(kind, dims, bandwidths):
             want, _ = lag_sum_lrv(data, mask, bandwidths)
             assert sigma2 == pytest.approx(want, rel=1e-12)
             assert masked_lrv(np.asfortranarray(data), np.asfortranarray(mask), bandwidths) == sigma2
-            assert masked_lrv(_strided(data, np.nan), _strided(mask, True), bandwidths) == sigma2
-
-
-def _strided(a, fill):
-    """``a`` as a view with a stride of 2 cells on every axis; the cells between are ``fill``."""
-    big = np.full(tuple(2 * n for n in a.shape), fill, dtype=a.dtype)
-    view = big[(slice(None, None, 2),) * a.ndim]
-    view[...] = a
-    return view
+            assert masked_lrv(strided(data, np.nan), strided(mask, True), bandwidths) == sigma2
 
 
 def test_threshold_over_array_matches_scalar_bitwise():

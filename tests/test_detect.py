@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -22,11 +23,11 @@ from splade.detect import (
     resolve_envelope_overlaps,
     splade_detect,
 )
-from splade.lattice import Grid, PatchSet, Rect, build_prefix_sum
+from splade.lattice import Grid, PatchSet, Rect
 from splade.simulate import FieldSpec, canonical_scenario, gen_field, inject_patches
 from splade.single import Stage1Params
 
-from helpers import OnThreshold, brute_force_components, brute_force_detect, rect_mask
+from helpers import OnThreshold, brute_force_components, brute_force_detect, rect_mask, strided
 
 
 def _sorted_rects(ps: PatchSet):
@@ -51,16 +52,39 @@ def test_partition_tiles_exactly():
 def test_block_means_hand_example():
     g = Grid.from_array(np.arange(1.0, 17.0).reshape(4, 4))
     part = BlockPartition.build((4, 4), 0.5)  # stride 2
-    m = block_means(build_prefix_sum(g), part)
+    m = block_means(g.data, part)
     assert np.allclose(m, [[3.5, 5.5], [11.5, 13.5]])
 
 
 def test_block_means_constant_and_truncated():
     g = Grid.from_array(np.full((10, 10), 3.25))
     part = BlockPartition.build((10, 10), 0.5)  # stride 3, last block width 1
-    m = block_means(build_prefix_sum(g), part)
+    m = block_means(g.data, part)
     assert np.allclose(m, 3.25)
     assert part.block((3, 3)).volume() == 1
+
+
+@pytest.mark.parametrize("dims", [(37,), (40001,), (23, 17), (300, 301), (11, 13, 10), (7, 5, 11, 5)])
+def test_block_means_match_exact_sums(dims):
+    """Block means against math.fsum of the sliced cells, on partitions whose
+    last block on every axis is truncated, plain and offset by 1e3; C-ordered,
+    Fortran-ordered and strided inputs give the same bits."""
+    part = BlockPartition.build(dims, 0.5)
+    assert all(n % l for n, l in zip(dims, part.strides))
+    rng = np.random.default_rng(len(dims))
+    eps = np.finfo(np.float64).eps
+    for x in (rng.standard_normal(dims), rng.standard_normal(dims) + 1e3):
+        means = block_means(x, part)
+        assert means.shape == part.counts
+        for idx in np.ndindex(*part.counts):
+            r = part.block(idx)
+            cells = x[r.slices()].ravel().tolist()
+            # one pass per axis, each adding at most width - 1 roundings of the
+            # sum of |cells|, and one rounding in the division
+            tol = (sum(h - l for l, h in zip(r.lo, r.hi)) + 1) * eps * math.fsum(map(abs, cells)) / r.volume()
+            assert abs(means[idx] - math.fsum(cells) / r.volume()) <= tol
+        assert block_means(np.asfortranarray(x), part).tobytes() == means.tobytes()
+        assert block_means(strided(x, np.nan), part).tobytes() == means.tobytes()
 
 
 # ---------------------------------------------------------------- flagging
@@ -96,7 +120,7 @@ def test_flag_containment_noiseless_config1():
     truth = canonical_scenario("config1", n, 1.0)
     x = inject_patches(Grid.from_array(np.zeros((n, n))), truth)
     part = BlockPartition.build((n, n), 0.5)
-    means = block_means(build_prefix_sum(x), part)
+    means = block_means(x.data, part)
     flags = flag_blocks(means, 0.5, 0.0)
     for r, _ in truth.patches:
         for i in range(part.counts[0]):
@@ -317,10 +341,10 @@ def test_detect_below_the_magnitude_bound_is_scale_exact():
     assert big.jumps == tuple(j * scale for j in det.jumps)
 
 
-def test_detect_computes_block_means_once_with_fallback(monkeypatch):
-    """The fallback re-runs the first stage on the same block means."""
-    calls = {"block_means": 0, "threshold_q": 0}
-    for name in calls:
+def _count_calls(monkeypatch, *names):
+    """Count the calls ``splade_detect`` makes to these globals of ``detect``."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         original = getattr(detect, name)
 
         def counted(*args, _name=name, _original=original):
@@ -328,15 +352,33 @@ def test_detect_computes_block_means_once_with_fallback(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(detect, name, counted)
+    return calls
+
+
+def test_detect_computes_block_means_once_with_fallback(monkeypatch):
+    """The fallback re-runs the first stage on the same block means, and the
+    prefix table is built once, after it."""
+    calls = _count_calls(monkeypatch, "block_means", "threshold_q", "build_prefix_sum")
     x = _config1_128()
     assert splade_detect(x).diagnostics["fallback"]
     # one threshold call per first stage (all block volumes at once), one for diagnostics
-    assert calls == {"block_means": 1, "threshold_q": 3}
+    assert calls == {"block_means": 1, "threshold_q": 3, "build_prefix_sum": 1}
+
+
+@pytest.mark.parametrize("jump, tables", [(None, 0), (2.0, 1)])
+def test_detect_builds_a_table_only_for_a_surviving_component(monkeypatch, jump, tables):
+    """A null grid builds no prefix table; one central patch, clear of the
+    calibration layer so that no fallback fires, builds exactly one."""
+    x = gen_field(FieldSpec(kind="iid-gaussian", seed=3), (128, 128))
+    if jump is not None:
+        x = inject_patches(x, PatchSet(((Rect((44, 44), (84, 84)), jump),)))
+    calls = _count_calls(monkeypatch, "build_prefix_sum")
+    det = splade_detect(x)
+    assert calls == {"build_prefix_sum": tables}
+    assert det.k_hat == tables and not det.diagnostics["fallback"]
 
 
 def test_min_component_cells_formula():
-    import math
-
     n = 256 * 256
     assert min_component_cells(n, 0.5, 1.0) == int(
         np.ceil(256 * math.sqrt(math.log(n)))
