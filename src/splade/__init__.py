@@ -15,10 +15,7 @@ from .lattice import (
     Grid,
     LatticeError,
     PatchSet,
-    PrefixSum,
     Rect,
-    build_prefix_sum,
-    rect_sum,
 )
 from .metrics import BenchRecord, ari, hausdorff, jaccard_distance, labels_from_patches
 from .simulate import FieldSpec, canonical_scenario, gen_field, inject_patches
@@ -32,7 +29,6 @@ __all__ = [
     "Grid",
     "LatticeError",
     "PatchSet",
-    "PrefixSum",
     "Rect",
     "SearchBounds",
     "SpladeConfig",
@@ -41,7 +37,6 @@ __all__ = [
     "ari",
     "block_means",
     "boundary_layer_mask",
-    "build_prefix_sum",
     "canonical_scenario",
     "components",
     "default_bandwidths",
@@ -53,7 +48,6 @@ __all__ = [
     "jaccard_distance",
     "labels_from_patches",
     "naive_ls",
-    "rect_sum",
     "splade_detect",
     "subsample",
     "threshold_q",

@@ -3,16 +3,22 @@
 The search space is the Cartesian product of per-axis lower-corner candidates
 and per-axis upper-corner candidates.  A pair is scored by its squared contrast
 (S - v*tbar)^2 / (v*(n - v)) (S = sum inside, v = volume, n = cell count,
-tbar = grand mean), read off the prefix table in 2^d terms through
-``lattice.box_sums``, all relative to the table's window (the candidates are
-shifted by its origin once).
+tbar = grand mean).  Each search tabulates its own cells: only those of the
+hull of its candidates, less ref = rint(tbar).  Its prefix table holds sums S'
+of those centred cells, so that S - v*tbar = S' - v*(tbar - ref), read off the
+table in 2^d terms through ``lattice.box_sums`` with the candidates taken
+relative to the hull.  Centring on an integer keeps integer cells exact, and
+tbar - ref is exact (Sterbenz), so two rectangles of equal volume and equal
+sum score the same bits and the tie rule below decides between them; and the
+table's magnitude, with it the rounding allowances, does not grow with the
+data's level.
 
 Rather than score every pair, the search works on nodes: a node holds one
 index range of lo candidates and one of hi candidates per axis.  Every
 rectangle of a node contains its smallest rectangle R_min (largest lo, smallest
 hi) and lies inside its largest R_max (smallest lo, largest hi).  Two prefix
-tables, stacked on a last axis and built from the cell values the prefix table
-encodes, bound every rectangle R of the node: Y+ of max(x - tbar, 0) and Q of
+tables, stacked on a last axis and built from the same centred hull cells,
+bound every rectangle R of the node: Y+ of max(x - tbar, 0) and Q of
 (x - tbar)^2.  With Z(R) = S(R) - v*tbar and Y-(R) = Y+(R) - Z(R) (the table of
 max(tbar - x, 0), not stored), the node's R have
 
@@ -31,15 +37,19 @@ thin, so there it is loose; but by Cauchy-Schwarz every R of the node also has
 with v_b the node's largest admissible volume, free of the smallest one.  A
 node's bound is the smaller of the two, each widened for rounding:
 
-* ``slack`` bounds the absolute error of any one sum of the tables (the prefix
-  table, its differencing into cells, the Y+ table and the scorer's own 2^d
-  terms) by 4^d * (cells + 1) unit roundoffs of the largest magnitude
-  involved; it widens the shell numerator, and in the Cauchy-Schwarz term it
-  covers the error of the scorer's Z, which enters the score as Z / sqrt(v).
+* ``slack`` bounds the absolute error of any one sum (the prefix table, the
+  Y+ table, and the scorer's own 2^d terms and v*(tbar - ref)) by
+  4^d * (cells + 1) unit roundoffs of ``scale``, a bound on every magnitude
+  involved, with cells the hull's cell count; it widens the shell numerator,
+  and in the Cauchy-Schwarz term it covers the error of the scorer's Z, which
+  enters the score as Z / sqrt(v).
 * ``q_err`` bounds how far sqrt(Q(R_max) + q_err) must reach to cover the
-  exact Q of the encoded cells; see ``_build_bound_tables``.  It grows
-  linearly with the tables' magnitude, so an offset on every cell (which Q
-  does not see) barely loosens the term.
+  exact Q of the hull's cells; see ``_build_bound_tables``.
+
+Both are sums over the hull of |x - ref| and (x - tbar)^2.  An offset on every
+cell moves ref with it (to the nearest integer), so it changes each |x - ref|
+by at most 1 and no (x - tbar)^2: the search prunes as well at any level of
+the data.
 
 The search runs in levels.  The root is halved _ROOT_SPLITS times before
 anything is bounded, since the first levels would prune nothing and one bound
@@ -69,7 +79,7 @@ import math
 
 import numpy as np
 
-from .lattice import LatticeError, PrefixSum, Rect, box_sums, prefix_table, table_cells
+from .lattice import LatticeError, Rect, block_sums, box_sums, prefix_table
 
 _LEAF_PAIRS = 256
 _BATCH_PAIRS = 1 << 18
@@ -94,14 +104,16 @@ class DegenerateScanError(LatticeError):
 _NONE = (math.inf,)
 
 
-def best_rectangle(ps: PrefixSum, lo_axes, hi_axes, vol_min: float, vol_max: float) -> tuple[Rect, float]:
-    """Return the admissible (lo, hi) pair maximizing |contrast|, with its score.
+def best_rectangle(cells, lo_axes, hi_axes, vol_min: float, vol_max: float) -> tuple[Rect, float]:
+    """Return the admissible (lo, hi) pair maximizing |contrast| over the array
+    ``cells`` (any strides), with its score.
 
     ``lo_axes[k]`` / ``hi_axes[k]`` are ascending int arrays of per-axis corner
-    candidates.  Admissible pairs satisfy ``lo < hi`` coordinatewise and
-    ``vol_min < volume < vol_max`` (both strict).
+    candidates in ``0..cells.shape[k]``.  Admissible pairs satisfy ``lo < hi``
+    coordinatewise and ``vol_min < volume < vol_max`` (both strict).
     """
-    n = ps.size
+    cells = np.asarray(cells, dtype=np.float64)
+    n = cells.size
     vmax = min(float(vol_max), float(n))
     vmin = max(float(vol_min), 0.0)
     lo_axes = [np.asarray(a, dtype=np.int64) for a in lo_axes]
@@ -109,7 +121,8 @@ def best_rectangle(ps: PrefixSum, lo_axes, hi_axes, vol_min: float, vol_max: flo
     if any(a.size == 0 for a in lo_axes) or any(a.size == 0 for a in hi_axes):
         raise NoAdmissibleRectError("empty candidate axis")
 
-    best = _Search(ps, lo_axes, hi_axes, vmin, vmax).run()
+    search = _Search(cells, lo_axes, hi_axes, vmin, vmax)
+    best = search.run()
     if best == _NONE:
         raise NoAdmissibleRectError(
             f"no candidate with volume in ({vmin}, {vmax}) and lo < hi"
@@ -117,20 +130,26 @@ def best_rectangle(ps: PrefixSum, lo_axes, hi_axes, vol_min: float, vol_max: flo
     neg_score_sq, _, lo, hi = best
     if neg_score_sq == 0.0:
         raise DegenerateScanError("all admissible contrasts are zero")
-    return Rect(lo, hi).shift(tuple(-o for o in ps.origin)), math.sqrt(-neg_score_sq)
+    return Rect(lo, hi).shift(search.hull), math.sqrt(-neg_score_sq)
 
 
 class _Search:
     """One branch-and-bound search; see the module docstring."""
 
-    def __init__(self, ps, lo_axes, hi_axes, vmin, vmax):
-        d = len(ps.dims)
+    def __init__(self, cells, lo_axes, hi_axes, vmin, vmax):
+        d = cells.ndim
         self.d = d
-        self.n = ps.size
-        self.tbar = ps.total / self.n
-        self.table = ps.table
+        self.n = cells.size
+        tbar = block_sums(cells, [(0,)] * d).item() / self.n
+        ref = float(np.rint(tbar))
+        self.delta = tbar - ref  # exact, by Sterbenz
+        # the hull of the candidates: every box a pair reads lies inside it
+        self.hull = tuple(min(int(lo[0]), int(hi[0])) for lo, hi in zip(lo_axes, hi_axes))
+        top = [max(int(lo[-1]), int(hi[-1])) for lo, hi in zip(lo_axes, hi_axes)]
+        self.centred = cells[tuple(slice(h, t) for h, t in zip(self.hull, top))] - ref
+        self.table = prefix_table(self.centred, d)
         # slot k < d: lo on axis k; slot d + k: hi; as table indices
-        self.cands = [a + o for a, o in zip(lo_axes + hi_axes, ps.origin + ps.origin)]
+        self.cands = [a - h for a, h in zip(lo_axes + hi_axes, self.hull + self.hull)]
         self.vmin, self.vmax = vmin, vmax
         # integer volumes v with vmin < v < vmax
         self.v_first = max(math.floor(vmin) + 1, 1)
@@ -174,16 +193,25 @@ class _Search:
         return best
 
     def _build_bound_tables(self):
-        """Y+ and Q over the hull of the candidates (stacked on a last axis of
-        2), and the bound's rounding allowances ``slack`` and ``q_err``.
+        """Y+ and Q over the hull (stacked on a last axis of 2), and the bound's
+        rounding allowances ``slack`` and ``q_err``.
 
-        ``slack`` is 4^d * (cells + 1) unit roundoffs u of ``scale``, the
-        largest magnitude a sum involves (see the module docstring).
+        Let x' = fl(c - ref) be the centred hull cells the score table sums,
+        y the exact deviations c - tbar (tbar as computed), and
+        y' = fl(x' - (tbar - ref)) those formed here.  To first order in the
+        unit roundoff u, every cell, every partial sum of the score and Y+
+        tables, every v*|tbar - ref| and every |Z| is at most
 
-        ``q_err`` covers the rounding in Q.  Let y be the exact deviations
-        x - tbar of the encoded cells and y' those formed here: differencing
-        the table and subtracting tbar err by at most delta = 4^d * u * scale
-        per cell, so by the triangle inequality over the cells of a box R,
+            scale = sum |x'| + cells * |tbar - ref|
+
+        (the sums over the hull's cells), since |y'| <= |x'| + |tbar - ref|
+        and no box holds more than ``cells`` cells.  ``slack`` is
+        4^d * (cells + 1) unit roundoffs of ``scale`` (see the module
+        docstring).
+
+        ``q_err`` covers the rounding in Q.  Each y' errs by at most
+        2 * u * scale <= delta = 4^d * u * scale, so by the triangle
+        inequality over the cells of a box R,
         sqrt(Q_y(R)) <= sqrt(Q_y'(R)) + eta with eta = sqrt(cells) * delta.
         Squaring y', the prefix sums of the squares (terms >= 0) and the 2^d
         corner terms err by at most q_abs = 4^d * (cells + 1) * u * Q_tot,
@@ -193,21 +221,14 @@ class _Search:
             sqrt(Q_y(R)) <= sqrt(Q(R) + q_abs) + eta <= sqrt(Q(R) + q_err)
             with q_err = q_abs + eta * (2 * sqrt(Q_tot + 3 * q_abs) + eta).
 
-        Q_tot does not see an offset on every cell and eta grows with scale,
-        so q_err grows linearly in the tables' magnitude; an allowance of
-        roundoffs * scale^2 would swamp Q once the cells sit near 1e3.
+        Neither ``scale`` nor Q_tot grows with an offset on every cell.
         """
         d = self.d
-        lo_axes, hi_axes = self.cands[:d], self.cands[d:]
-        self.hull = np.array([min(int(lo[0]), int(hi[0])) for lo, hi in zip(lo_axes, hi_axes)])
-        top = [max(int(lo[-1]), int(hi[-1])) for lo, hi in zip(lo_axes, hi_axes)]
-        sub = self.table[tuple(slice(o, t + 1) for o, t in zip(self.hull, top))]
-        y = table_cells(sub, d) - self.tbar
+        y = self.centred - self.delta
         self.ytab = prefix_table(np.stack((np.maximum(y, 0.0), y * y), axis=-1), d)
-        # The entries read accumulate every cell below ``top``, not only the hull's.
-        cells = math.prod(top)
+        cells = self.centred.size
         roundoffs = 4.0**d * (cells + 1) * _UNIT_ROUNDOFF
-        scale = float(np.abs(sub).max()) + abs(self.tbar * self.n) + float(np.abs(y).sum())
+        scale = float(np.abs(self.centred).sum()) + cells * abs(self.delta)
         self.slack = roundoffs * scale
         q_tot = float(self.ytab[(-1,) * d + (1,)])
         q_abs = roundoffs * q_tot
@@ -215,7 +236,8 @@ class _Search:
         self.q_err = q_abs + eta * (2.0 * math.sqrt(q_tot + 3.0 * q_abs) + eta)
 
     def _contrasts(self, lo, hi):
-        """S - v*tbar and the volume of every pair given by per-axis corner arrays.
+        """S - v*tbar = S' - v*(tbar - ref) and the volume of every pair given by
+        per-axis corner arrays (hull-relative table indices).
 
         ``lo[k]`` / ``hi[k]`` broadcast to one shape.  Empty pairs have volume 0
         and an arbitrary contrast.
@@ -224,7 +246,7 @@ class _Search:
         volf = np.maximum(hi[0] - lo[0], 0).astype(np.float64)
         for k in range(1, self.d):
             volf = volf * np.maximum(hi[k] - lo[k], 0)
-        z -= volf * self.tbar
+        z -= volf * self.delta
         return z, volf
 
     def _scores(self, z, volf, out=None):
@@ -252,8 +274,7 @@ class _Search:
         vb = np.minimum(v_out, self.v_last)
         den = np.minimum(va * (self.n - va), vb * (self.n - vb))
 
-        o = self.hull
-        yq = box_sums(self.ytab, [a - b for a, b in zip(lo, o)], [a - b for a, b in zip(hi, o)])
+        yq = box_sums(self.ytab, lo, hi)
         z_out, z_in = z[:m], z[m:]
         y_out, y_in, q_out = yq[:m, 0], yq[m:, 0], yq[:m, 1]
         empty = v_in == 0

@@ -6,10 +6,9 @@ blocks into connected components (split by contrast sign, so adjacent patches
 with opposite jumps never merge); discard components covering too few cells;
 envelope each surviving component in a margin-expanded bounding box, shrinking
 pairs of envelopes until disjoint; and run the two-stage single-patch search
-independently inside each envelope.  Block means are summed straight from
-the cells.  A call builds at most one prefix table of the whole grid, after
-the screen and the fallback, and only when a component survives: the envelope
-searches (through windows of it) and the jumps read it.
+independently inside each envelope.  No table of the whole grid is built:
+block means and jumps are summed straight from the cells, and each search
+tabulates only the cells around its own candidates.
 
 When the baseline mean or the long-run variance is estimated and a surviving
 component touches the boundary calibration layer, the layer estimates are
@@ -27,7 +26,8 @@ import numpy as np
 
 from ._scan import DegenerateScanError, NoAdmissibleRectError
 from .calibrate import BOUNDARY_BETA, boundary_layer_mask, default_bandwidths, masked_lrv, threshold_q
-from .lattice import BlockPartition, Grid, LatticeError, Rect, build_prefix_sum, rect_sum, shifted
+from .lattice import BlockPartition, Grid, LatticeError, Rect, block_sums, shifted
+from .lattice import build_prefix_sum  # noqa: F401 -- unused here; perfbench/tracer.py looks the name up
 from .single import Stage1Params, SubsampleError, algorithm1
 
 _FALLBACK_MIN_CELLS = 256  # below this, a masked re-estimate is too thin to trust
@@ -47,14 +47,10 @@ class DetectionError(LatticeError):
 def block_means(data: np.ndarray, part: BlockPartition) -> np.ndarray:
     """Mean over each (possibly truncated) block of ``part``, summed from the cells ``data``.
 
-    ``data`` may have any strides; the result does not depend on them.  The
-    last axis is summed first: in a C-ordered array its runs are contiguous,
-    and every later pass reads an array already a block's width smaller.
+    ``data`` may have any strides; the result does not depend on them
+    (``lattice.block_sums``).
     """
-    sums = data
-    for ax in reversed(range(data.ndim)):
-        sums = np.add.reduceat(sums, part.edges(ax)[:-1], axis=ax)
-    return sums / part.volumes()
+    return block_sums(data, [part.edges(ax)[:-1] for ax in range(data.ndim)]) / part.volumes()
 
 
 def flag_blocks(means: np.ndarray, q, mu0: float) -> np.ndarray:
@@ -315,8 +311,6 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
             sigma = math.sqrt(masked_lrv(grid.data, clean, bandwidths))
         flags, comps = _first_stage(means, vols, part, mu0, sigma, lo, hi, cfg, min_cells)
 
-    # Only the envelope searches and the jumps read the table: a null grid needs none.
-    ps = build_prefix_sum(grid) if comps else None
     bboxes = [component_bbox(c, part) for c in comps]
     envs = [envelope(c, part, cfg.envelope_margin_blocks, grid.dims) for c in comps]
     envs = resolve_envelope_overlaps(envs, bboxes)
@@ -328,7 +322,7 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
             continue
         try:
             cells = Grid.from_array(grid.data[env.slices()])
-            patches.append(algorithm1(cells, cfg.stage2, table=ps.window(env)).shift(env.lo))
+            patches.append(algorithm1(cells, cfg.stage2).shift(env.lo))
         except (SubsampleError, DegenerateScanError, NoAdmissibleRectError):
             degenerate += 1
             clipped = bbox.intersect(env)
@@ -336,7 +330,8 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
                 patches.append(clipped)
 
     patches.sort(key=lambda r: (r.lo, r.hi))
-    jumps = tuple(rect_sum(ps, r) / r.volume() - mu0 for r in patches)
+    whole = [(0,)] * grid.ndim  # one block: the patch
+    jumps = tuple(block_sums(grid.data[r.slices()], whole).item() / r.volume() - mu0 for r in patches)
 
     interior_vol = int(np.prod(part.strides))
     diagnostics = {

@@ -1,4 +1,4 @@
-"""Dense lattice grids, rectangles, prefix sums with windows, block tilings and shifted views.
+"""Dense lattice grids, rectangles, prefix tables, block sums, block tilings and shifted views.
 
 Indexing convention, used repo-wide: a rectangle is the half-open cell set
 ``(lo, hi]`` in 1-based lattice coordinates, which coincides with the 0-based
@@ -8,8 +8,9 @@ with ``hi_k <= lo_k`` on any axis is empty.
 
 The layout of a prefix table (a zero border, trailing axes carried through,
 the order of the 2^d corner terms) is known to this module alone:
-``prefix_table`` builds one, ``table_cells`` differences one back to its
-cells, and ``box_sums`` reads box sums off one, in float64 at every size.
+``prefix_table`` builds one and ``box_sums`` reads box sums off one, in
+float64 at every size.  Sums that are read once (block means, a grand mean, a
+patch's total) skip the table: ``block_sums`` adds the cells directly.
 
 A ``Grid`` wraps its caller's float64 array, strided or not, and nothing
 writes into it.  All objects here are immutable after construction and safe
@@ -157,42 +158,6 @@ class PatchSet:
         return tuple(j for _, j in self.patches)
 
 
-@dataclass(frozen=True)
-class PrefixSum:
-    """Cumulative-sum table with a zero-padded border, read through a window.
-
-    ``table[i1, ..., id]`` is the sum of grid cells in the slice
-    ``[0:i1, ..., 0:id]``, so any rectangle sum is a 2^d-term
-    inclusion-exclusion over corner entries.  ``dims``, ``size``, ``total`` and
-    the rectangles of ``rect_sum`` refer to the window of ``dims`` cells at
-    ``origin`` (default zeros: the whole grid); one table per grid thus serves
-    every rectangle sum.
-    """
-
-    dims: tuple[int, ...]
-    table: np.ndarray  # shape == grid dims + 1 per axis
-    origin: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if not self.origin:
-            object.__setattr__(self, "origin", (0,) * len(self.dims))
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.dims)
-
-    @property
-    def total(self) -> float:
-        return rect_sum(self, Rect((0,) * len(self.dims), self.dims))
-
-    def window(self, r: Rect) -> "PrefixSum":
-        """The same table read through the cells of ``r`` (in window coordinates)."""
-        if r.ndim != len(self.dims) or r.is_empty or not r.within(self.dims):
-            raise LatticeError(f"window {r} is empty or outside dims {self.dims}")
-        origin = tuple(o + l for o, l in zip(self.origin, r.lo))
-        return PrefixSum(tuple(h - l for l, h in zip(r.lo, r.hi)), self.table, origin)
-
-
 def prefix_table(cells: np.ndarray, d: int) -> np.ndarray:
     """Zero-bordered running sums of ``cells`` over its first ``d`` axes.
 
@@ -204,17 +169,6 @@ def prefix_table(cells: np.ndarray, d: int) -> np.ndarray:
     inner[...] = cells
     for ax in range(d):
         np.cumsum(inner, axis=ax, out=inner)
-    return table
-
-
-def table_cells(table: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of ``prefix_table``: one difference per axis over the first ``d``.
-
-    Applied to a slice of a table it yields the cells of that slice's box; to an
-    ``np.ix_`` gather at block edges, the block sums.
-    """
-    for ax in range(d):
-        table = np.diff(table, axis=ax)
     return table
 
 
@@ -237,21 +191,25 @@ def box_sums(table: np.ndarray, lo, hi) -> np.ndarray:
     return s
 
 
-def build_prefix_sum(grid: Grid) -> PrefixSum:
-    """Summed float64 table of the whole grid, enabling O(2^d) rectangle sums."""
-    return PrefixSum(dims=grid.dims, table=prefix_table(grid.data, grid.ndim))
+def build_prefix_sum(grid: Grid) -> np.ndarray:
+    """The prefix table of the whole grid (``prefix_table`` of its cells)."""
+    return prefix_table(grid.data, grid.ndim)
 
 
-def rect_sum(ps: PrefixSum, r: Rect) -> float:
-    """Sum of grid cells inside ``r`` (0.0 for an empty rectangle)."""
-    if r.ndim != len(ps.dims):
-        raise LatticeError(f"rectangle rank {r.ndim} != grid rank {len(ps.dims)}")
-    if r.is_empty:
-        return 0.0
-    if not r.within(ps.dims):
-        raise LatticeError(f"rectangle {r} out of bounds for dims {ps.dims}")
-    r = r.shift(ps.origin)
-    return float(box_sums(ps.table, r.lo, r.hi))
+def block_sums(data: np.ndarray, starts) -> np.ndarray:
+    """Sums of ``data`` over the blocks that start at ``starts[k]`` on axis k.
+
+    Each block runs to the next start, or to the end of its axis; with
+    ``starts[k] == (0,)`` on every axis the one block is the whole array.  One
+    ``np.add.reduceat`` per axis, the last axis first: in a C-ordered array its
+    runs are contiguous, and every later pass reads an array already a block's
+    width smaller.  Unlike ``ndarray.sum``, the chain adds in the same order
+    whatever the strides of ``data``, so the bits do not depend on them.
+    """
+    sums = data
+    for ax in reversed(range(data.ndim)):
+        sums = np.add.reduceat(sums, starts[ax], axis=ax)
+    return sums
 
 
 def shifted(offset, dims) -> tuple[tuple[slice, ...], tuple[slice, ...]]:

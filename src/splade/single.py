@@ -5,8 +5,9 @@
 accelerated version: a coarse pass on a strided ``subsample`` localizes the
 corners, then a search restricted to windows around those corners refines them
 on the full grid.  Both searches are exact: the branch-and-bound search in
-``_scan`` returns the same rectangle as scoring every candidate would.  The
-detector calls ``algorithm1`` on each envelope, through a window of one table."""
+``_scan`` returns the same rectangle as scoring every candidate would.  Each
+search is handed the cells it searches and tabulates its own candidates' hull,
+so the detector calls ``algorithm1`` on each envelope's cells, as a view."""
 
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._scan import best_rectangle
-from .lattice import BlockPartition, Grid, LatticeError, PrefixSum, Rect, build_prefix_sum
+from .lattice import BlockPartition, Grid, LatticeError, Rect
+from .lattice import build_prefix_sum  # noqa: F401 -- unused here; perfbench/tracer.py looks the name up
 
 
 @dataclass(frozen=True)
@@ -64,14 +66,13 @@ def naive_ls(grid: Grid, bounds: SearchBounds) -> Rect:
 
     Branch and bound skips candidates that provably cannot win; the worst
     case, such as constant data, is O(prod(n_k^2)) candidate evaluations,
-    each O(2^d) via the prefix table.  Ties break to the smallest
+    each O(2^d) via a prefix table.  Ties break to the smallest
     volume, then lexicographic corners.
     """
-    ps = build_prefix_sum(grid)
     lo_axes = [np.arange(0, n, dtype=np.int64) for n in grid.dims]
     hi_axes = [np.arange(1, n + 1, dtype=np.int64) for n in grid.dims]
     n = grid.size
-    rect, _ = best_rectangle(ps, lo_axes, hi_axes, n * bounds.lambda1, n * bounds.lambda2)
+    rect, _ = best_rectangle(grid.data, lo_axes, hi_axes, n * bounds.lambda1, n * bounds.lambda2)
     return rect
 
 
@@ -105,9 +106,7 @@ def window_half_width(stride: int, axis_len: int, grid_size: int, d: int, kappa:
     return min(max(int(hw), 1), axis_len)
 
 
-def algorithm1(
-    grid: Grid, params: Stage1Params, bounds: SearchBounds | None = None, table: PrefixSum | None = None
-) -> Rect:
+def algorithm1(grid: Grid, params: Stage1Params, bounds: SearchBounds | None = None) -> Rect:
     """Two-stage single-patch localization.
 
     Stage 1 runs ``naive_ls`` on the subsampled grid (with conservative default
@@ -117,14 +116,8 @@ def algorithm1(
     the branch-and-bound search finds it without scoring most of the pairs.
     ``bounds``, when given, constrains stage-2 volumes relative to the full
     grid size; windows wide enough to cover the whole grid therefore make the
-    output identical to ``naive_ls(grid, bounds)``.  ``table`` is a prefix
-    table of ``grid``'s cells, such as a window of a larger grid's table; it is
-    built from ``grid`` when omitted.
+    output identical to ``naive_ls(grid, bounds)``.
     """
-    if table is None:
-        table = build_prefix_sum(grid)
-    elif table.dims != grid.dims:
-        raise LatticeError(f"table dims {table.dims} != grid dims {grid.dims}")
     sub, strides = subsample(grid, params.alpha)
     coarse = naive_ls(sub, _stage1_bounds(sub.size))
 
@@ -139,5 +132,5 @@ def algorithm1(
         hi_axes.append(np.arange(max(1, c_hi - hw), min(nk, c_hi + hw) + 1))
 
     bounds = bounds or SearchBounds()
-    rect, _ = best_rectangle(table, lo_axes, hi_axes, n * bounds.lambda1, n * bounds.lambda2)
+    rect, _ = best_rectangle(grid.data, lo_axes, hi_axes, n * bounds.lambda1, n * bounds.lambda2)
     return rect

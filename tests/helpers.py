@@ -1,6 +1,6 @@
 """Independent brute-force oracles used to cross-check the fast paths.
 
-Nothing here touches PrefixSum or the vectorized scan: sums are direct cell
+Nothing here touches a prefix table or the vectorized scan: sums are direct cell
 loops and set metrics run on explicit boolean masks, so these stay valid
 reference implementations no matter how the production code evolves.
 """
@@ -297,12 +297,13 @@ def brute_force_detect(grid: Grid, cfg) -> dict:
 
     Rounding may decide a test that the exact values pass by a hair; this
     raises ``OnThreshold`` instead.  For a grid of N cells of magnitude at most
-    |x|, a sum read off its float64 prefix table errs by less than
-    err = 1e-12 * N * |x|: 2^d table entries, each off by at most
-    sum(n_k) * N * |x| unit roundoffs, which stays below err while
-    2^d * sum(n_k) < 9000, as for every grid of up to 40 cells per axis in
-    ranks 1 to 4.  A block mean, summed straight from the block's cells, errs
-    by less.  So:
+    |x|, a sum read off a search's float64 prefix table errs by less than
+    err = 1e-12 * N * |x|: the table holds cells less the integer nearest
+    their mean, each at most 2|x|, and its 2^d entries are each off by at most
+    2 * sum(n_k) * N * |x| unit roundoffs, which stays below err while
+    2^d * sum(n_k) < 4500, as for every grid of up to 40 cells per axis in
+    ranks 1 to 4.  A block mean or a jump, summed straight from the cells,
+    errs by less.  So:
 
     * a block mean m sits on its threshold q when
       | |m - mu0| - q | <= 1e-12 * q + err, the first term covering the

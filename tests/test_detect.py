@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from splade import detect
+from splade import _scan, detect, lattice
 from splade.detect import (
     BlockPartition,
     DetectionError,
@@ -261,12 +261,13 @@ def test_detect_determinism():
     assert d1 == d2
 
 
-def test_detect_on_views_equals_detect_on_contiguous_copy():
+@pytest.mark.parametrize("seed, n", [(7, 192), (8, 160), (9, 224), (10, 208)])
+def test_detect_on_views_equals_detect_on_contiguous_copy(seed, n):
     """A Grid wraps a strided or Fortran-ordered float64 array without copying
     it, and the detection on it is the C-contiguous copy's, bit for bit."""
-    x = inject_patches(gen_field(FieldSpec(kind="sar", seed=7, rho=0.04), (192, 192)),
-                       canonical_scenario("config1", 192, 2.0))
-    big = np.full((2 * 192, 3 * 192), np.nan)  # a cell read outside the view is non-finite
+    x = inject_patches(gen_field(FieldSpec(kind="sar", seed=seed, rho=0.04), (n, n)),
+                       canonical_scenario("config1", n, 2.0))
+    big = np.full((2 * n, 3 * n), np.nan)  # a cell read outside the view is non-finite
     big[::2, ::3] = x.data
     view = big[::2, ::3]
     assert np.shares_memory(Grid.from_array(view).data, view)
@@ -355,27 +356,48 @@ def _count_calls(monkeypatch, *names):
     return calls
 
 
+def _record_tables(monkeypatch):
+    """The shape of every prefix table built, recorded where ``lattice`` and
+    ``_scan`` bind ``prefix_table``."""
+    shapes = []
+    original = lattice.prefix_table
+
+    def recorded(cells, d):
+        table = original(cells, d)
+        shapes.append(table.shape)
+        return table
+
+    monkeypatch.setattr(lattice, "prefix_table", recorded)
+    monkeypatch.setattr(_scan, "prefix_table", recorded)
+    return shapes
+
+
 def test_detect_computes_block_means_once_with_fallback(monkeypatch):
-    """The fallback re-runs the first stage on the same block means, and the
-    prefix table is built once, after it."""
-    calls = _count_calls(monkeypatch, "block_means", "threshold_q", "build_prefix_sum")
+    """The fallback re-runs the first stage on the same block means, and no
+    prefix table of the whole grid is built: each search tabulates only the
+    hull of its own candidates."""
+    calls = _count_calls(monkeypatch, "block_means", "threshold_q")
+    shapes = _record_tables(monkeypatch)
     x = _config1_128()
     assert splade_detect(x).diagnostics["fallback"]
     # one threshold call per first stage (all block volumes at once), one for diagnostics
-    assert calls == {"block_means": 1, "threshold_q": 3, "build_prefix_sum": 1}
+    assert calls == {"block_means": 1, "threshold_q": 3}
+    assert shapes and all(s[:2] != (129, 129) for s in shapes), shapes
 
 
-@pytest.mark.parametrize("jump, tables", [(None, 0), (2.0, 1)])
-def test_detect_builds_a_table_only_for_a_surviving_component(monkeypatch, jump, tables):
+@pytest.mark.parametrize("jump, k_hat", [(None, 0), (2.0, 1)])
+def test_detect_builds_a_table_only_for_a_surviving_component(monkeypatch, jump, k_hat):
     """A null grid builds no prefix table; one central patch, clear of the
-    calibration layer so that no fallback fires, builds exactly one."""
+    calibration layer so that no fallback fires, builds tables for its
+    searches only, none of them of the whole grid."""
     x = gen_field(FieldSpec(kind="iid-gaussian", seed=3), (128, 128))
     if jump is not None:
         x = inject_patches(x, PatchSet(((Rect((44, 44), (84, 84)), jump),)))
-    calls = _count_calls(monkeypatch, "build_prefix_sum")
+    shapes = _record_tables(monkeypatch)
     det = splade_detect(x)
-    assert calls == {"build_prefix_sum": tables}
-    assert det.k_hat == tables and not det.diagnostics["fallback"]
+    assert det.k_hat == k_hat and not det.diagnostics["fallback"]
+    assert bool(shapes) == bool(k_hat), shapes
+    assert all(s[:2] != (129, 129) for s in shapes), shapes
 
 
 def test_min_component_cells_formula():

@@ -10,11 +10,8 @@ from splade.lattice import (
     PatchSet,
     Rect,
     box_sums,
-    build_prefix_sum,
     prefix_table,
-    rect_sum,
     shifted,
-    table_cells,
 )
 
 from helpers import all_rects, direct_rect_sum
@@ -29,39 +26,35 @@ def test_grid_validation():
         Grid.from_array(np.zeros((2, 2, 2, 2, 2)))  # d = 5 unsupported
 
 
+def _rect_sum(table, r: Rect) -> float:
+    return float(box_sums(table, r.lo, r.hi))
+
+
 def test_prefix_sum_2x2_hand():
-    ps = build_prefix_sum(Grid.from_array([[1.0, 2.0], [3.0, 4.0]]))
-    assert rect_sum(ps, Rect((0, 0), (2, 2))) == 10.0
+    table = prefix_table(np.array([[1.0, 2.0], [3.0, 4.0]]), 2)
+    assert _rect_sum(table, Rect((0, 0), (2, 2))) == 10.0
 
 
 def test_rect_sum_single_cell_and_constant():
-    ps = build_prefix_sum(Grid.from_array([[1.0, 2.0], [3.0, 4.0]]))
-    assert rect_sum(ps, Rect((1, 1), (2, 2))) == 4.0
-    const = build_prefix_sum(Grid.from_array(np.full((5, 7), 2.5)))
-    assert rect_sum(const, Rect((1, 2), (4, 6))) == pytest.approx(2.5 * 12)
+    table = prefix_table(np.array([[1.0, 2.0], [3.0, 4.0]]), 2)
+    assert _rect_sum(table, Rect((1, 1), (2, 2))) == 4.0
+    const = prefix_table(np.full((5, 7), 2.5), 2)
+    assert _rect_sum(const, Rect((1, 2), (4, 6))) == pytest.approx(2.5 * 12)
 
 
 def test_empty_rect_sums_to_zero():
-    ps = build_prefix_sum(Grid.from_array(np.arange(12.0).reshape(3, 4)))
-    assert rect_sum(ps, Rect((2, 2), (2, 2))) == 0.0
-    assert rect_sum(ps, Rect((2, 3), (1, 3))) == 0.0
-
-
-def test_rect_sum_out_of_bounds():
-    ps = build_prefix_sum(Grid.from_array(np.zeros((3, 3))))
-    with pytest.raises(LatticeError):
-        rect_sum(ps, Rect((0, 0), (4, 3)))
-    with pytest.raises(LatticeError):
-        rect_sum(ps, Rect((-1, 0), (2, 2)))
+    table = prefix_table(np.arange(12.0).reshape(3, 4), 2)
+    assert _rect_sum(table, Rect((2, 2), (2, 2))) == 0.0
+    assert _rect_sum(table, Rect((2, 3), (1, 3))) == 0.0
 
 
 def test_exhaustive_prefix_vs_direct_6x6():
     rng = np.random.default_rng(42)
     g = Grid.from_array(rng.standard_normal((6, 6)))
-    ps = build_prefix_sum(g)
+    table = prefix_table(g.data, 2)
     count = 0
     for r in all_rects(g.dims):
-        assert rect_sum(ps, r) == pytest.approx(direct_rect_sum(g, r), abs=1e-9)
+        assert _rect_sum(table, r) == pytest.approx(direct_rect_sum(g, r), abs=1e-9)
         count += 1
     assert count == 441
 
@@ -69,16 +62,16 @@ def test_exhaustive_prefix_vs_direct_6x6():
 def test_prefix_vs_direct_3d_random_rects():
     rng = np.random.default_rng(7)
     g = Grid.from_array(rng.standard_normal((4, 4, 4)))
-    ps = build_prefix_sum(g)
+    table = prefix_table(g.data, 3)
     rects = []
     for _ in range(20):
         lo = tuple(int(rng.integers(0, 4)) for _ in range(3))
         hi = tuple(int(rng.integers(l + 1, 5)) for l in lo)
         rects.append(Rect(lo, hi))
-        assert rect_sum(ps, rects[-1]) == pytest.approx(direct_rect_sum(g, rects[-1]), abs=1e-9)
+        assert _rect_sum(table, rects[-1]) == pytest.approx(direct_rect_sum(g, rects[-1]), abs=1e-9)
     # every rectangle at once, as one corner array per axis
     lo, hi = (np.array(corners).T for corners in zip(*((r.lo, r.hi) for r in rects)))
-    sums = box_sums(ps.table, list(lo), list(hi))
+    sums = box_sums(table, list(lo), list(hi))
     assert sums == pytest.approx([direct_rect_sum(g, r) for r in rects], abs=1e-9)
 
 
@@ -102,42 +95,30 @@ def test_patchset_rejects_non_finite_baseline():
 @pytest.mark.parametrize("accumulator", ["float64"])  # the one accumulator at every grid size
 def test_prefix_extended_precision_path(accumulator):
     # constant grid: rectangle sums must stay exact to ~1e-9 * |R|
-    g = Grid.from_array(np.full((64, 64), 1.0 / 3.0))
-    ps = build_prefix_sum(g)
-    assert ps.table.dtype == np.dtype(accumulator)
+    table = prefix_table(np.full((64, 64), 1.0 / 3.0), 2)
+    assert table.dtype == np.dtype(accumulator)
     r = Rect((10, 10), (60, 60))
-    assert rect_sum(ps, r) == pytest.approx(r.volume() / 3.0, abs=1e-9)
+    assert _rect_sum(table, r) == pytest.approx(r.volume() / 3.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("dims", [(11,), (7, 9), (5, 6, 4), (4, 5, 4, 6)])
 def test_window_sums_match_copied_subgrid(dims):
+    """The table of a strided view (a window of a larger array) sums the cells a
+    copy of that window holds; box sums of corner arrays broadcast."""
     rng = np.random.default_rng(len(dims))
     g = Grid.from_array(rng.standard_normal(dims) + 1e3)
-    ps = build_prefix_sum(g)
-    assert ps.origin == (0,) * len(dims)
-    assert ps.total == ps.table[dims]  # the whole grid reads one entry
-    win = Rect(tuple(1 for _ in dims), tuple(m - 1 for m in dims))
-    w = ps.window(win)
-    sub = Grid.from_array(g.data[win.slices()].copy())
-    assert w.origin == win.lo and w.dims == sub.dims and w.size == sub.size
-    assert w.total == pytest.approx(float(sub.data.sum()), rel=1e-12)
-    for r in all_rects(sub.dims):
-        assert rect_sum(w, r) == pytest.approx(direct_rect_sum(sub, r), rel=1e-12, abs=1e-9)
-    inner = Rect(tuple(1 for _ in dims), tuple(2 for _ in dims))
-    nested = w.window(inner)
-    assert nested.origin == tuple(2 for _ in dims)
-    assert nested.total == pytest.approx(float(g.data[(slice(2, 3),) * len(dims)].sum()))
-    with pytest.raises(LatticeError):
-        rect_sum(w, Rect(win.lo, win.hi))  # outside the window
-    with pytest.raises(LatticeError):
-        ps.window(Rect(win.lo, win.lo))  # empty
-
     d, x = len(dims), g.data
-    np.testing.assert_allclose(table_cells(prefix_table(x, d), d), x, rtol=0, atol=1e-9)
+    win = Rect(tuple(1 for _ in dims), tuple(m - 1 for m in dims))
+    sub = Grid.from_array(x[win.slices()].copy())
+    table = prefix_table(x[win.slices()], d)
+    assert table[sub.dims] == pytest.approx(float(sub.data.sum()), rel=1e-12)  # one entry: the whole window
+    for r in all_rects(sub.dims):
+        assert _rect_sum(table, r) == pytest.approx(direct_rect_sum(sub, r), rel=1e-12, abs=1e-9)
+
     # corner arrays that broadcast to a 5 x 4 set of boxes, lo <= hi in every pair
     lo = [rng.integers(0, m // 2 + 1, size=(5, 1)) for m in dims]
     hi = [rng.integers(m // 2, m + 1, size=(1, 4)) for m in dims]
-    sums = box_sums(ps.table, lo, hi)
+    sums = box_sums(prefix_table(x, d), lo, hi)
     for i, j in np.ndindex(5, 4):
         box = tuple(slice(int(l[i, 0]), int(h[0, j])) for l, h in zip(lo, hi))
         assert sums[i, j] == pytest.approx(float(x[box].sum()), rel=1e-12, abs=1e-9)

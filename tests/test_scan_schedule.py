@@ -8,7 +8,6 @@ import pytest
 
 from splade import _scan
 from splade._scan import best_rectangle
-from splade.lattice import Grid, build_prefix_sum
 
 
 def _halvings(node, times):
@@ -59,7 +58,6 @@ def test_large_2d_search_equals_whole_scoring_in_few_levels(monkeypatch):
     rng = np.random.default_rng(5)
     x = rng.standard_normal((32, 32))
     x[7:19, 11:29] += 0.8
-    ps = build_prefix_sum(Grid.from_array(x))
     lo, hi = [np.arange(32)] * 2, [np.arange(1, 33)] * 2
     pairs = 32**4
     assert pairs > _scan._BATCH_PAIRS
@@ -73,14 +71,14 @@ def test_large_2d_search_equals_whole_scoring_in_few_levels(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(_scan._Search, "_bound", counting)
-        rect, score = best_rectangle(ps, lo, hi, 0.0, 1024.0)
+        rect, score = best_rectangle(x, lo, hi, 0.0, 1024.0)
     # the root is pre-split and every level halves twice; one halving per
     # level from the root took 13 levels here
     assert 1 <= len(levels) <= 8, levels
     assert levels[0] == 1 << _scan._ROOT_SPLITS
 
     monkeypatch.setattr(_scan, "_BATCH_PAIRS", pairs + 1)
-    assert best_rectangle(ps, lo, hi, 0.0, 1024.0) == (rect, score)
+    assert best_rectangle(x, lo, hi, 0.0, 1024.0) == (rect, score)
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -91,10 +89,9 @@ def test_large_nd_search_equals_whole_scoring(d, monkeypatch):
     rng = np.random.default_rng(d)
     x = rng.standard_normal((side,) * d)
     x[(slice(side // 4, 3 * side // 4),) * d] += 0.8
-    ps = build_prefix_sum(Grid.from_array(x))
     lo, hi = [np.arange(width)] * d, [np.arange(side - width, side) + 1] * d
     assert width ** (2 * d) > _scan._BATCH_PAIRS
 
-    found = best_rectangle(ps, lo, hi, 0.0, float(x.size))
+    found = best_rectangle(x, lo, hi, 0.0, float(x.size))
     monkeypatch.setattr(_scan, "_BATCH_PAIRS", width ** (2 * d))
-    assert best_rectangle(ps, lo, hi, 0.0, float(x.size)) == found
+    assert best_rectangle(x, lo, hi, 0.0, float(x.size)) == found
