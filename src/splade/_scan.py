@@ -1,12 +1,13 @@
-"""Exact branch-and-bound argmax of the rectangle contrast over product candidate sets.
+"""Exact branch-and-bound argmax of the rectangle contrast over a box of corners.
 
-The search space is the Cartesian product of per-axis lower-corner candidates
-and per-axis upper-corner candidates.  A pair is scored by its squared contrast
+The search space is one integer range of lower corners and one of upper
+corners per axis: every corner for the naive estimator, a window around each
+coarse corner for the refinement.  A pair is scored by its squared contrast
 (S - v*tbar)^2 / (v*(n - v)) (S = sum inside, v = volume, n = cell count,
 tbar = grand mean).  Each search tabulates its own cells: only those of the
-hull of its candidates, less ref = rint(tbar).  Its prefix table holds sums S'
+hull of its corners, less ref = rint(tbar).  Its prefix table holds sums S'
 of those centred cells, so that S - v*tbar = S' - v*(tbar - ref), read off the
-table in 2^d terms through ``lattice.box_sums`` with the candidates taken
+table in 2^d terms through ``lattice.box_sums`` with the corners taken
 relative to the hull.  Centring on an integer keeps integer cells exact, and
 tbar - ref is exact (Sterbenz), so two rectangles of equal volume and equal
 sum score the same bits and the tie rule below decides between them; and the
@@ -14,7 +15,7 @@ table's magnitude, with it the rounding allowances, does not grow with the
 data's level.
 
 Rather than score every pair, the search works on nodes: a node holds one
-index range of lo candidates and one of hi candidates per axis.  Every
+range of lo corners and one of hi corners per axis, as table indices.  Every
 rectangle of a node contains its smallest rectangle R_min (largest lo, smallest
 hi) and lies inside its largest R_max (smallest lo, largest hi).  Two prefix
 tables, stacked on a last axis and built from the same centred hull cells,
@@ -104,24 +105,22 @@ class DegenerateScanError(LatticeError):
 _NONE = (math.inf,)
 
 
-def best_rectangle(cells, lo_axes, hi_axes, vol_min: float, vol_max: float) -> tuple[Rect, float]:
+def best_rectangle(cells, lo, hi, vol_min: float, vol_max: float) -> tuple[Rect, float]:
     """Return the admissible (lo, hi) pair maximizing |contrast| over the array
     ``cells`` (any strides), with its score.
 
-    ``lo_axes[k]`` / ``hi_axes[k]`` are ascending int arrays of per-axis corner
-    candidates in ``0..cells.shape[k]``.  Admissible pairs satisfy ``lo < hi``
-    coordinatewise and ``vol_min < volume < vol_max`` (both strict).
+    ``lo[k]`` / ``hi[k]`` are ``range``s (step 1) of the lower / upper corners
+    on axis k, within ``0..cells.shape[k]``.  Admissible pairs satisfy
+    ``lo < hi`` coordinatewise and ``vol_min < volume < vol_max`` (both strict).
     """
     cells = np.asarray(cells, dtype=np.float64)
     n = cells.size
     vmax = min(float(vol_max), float(n))
     vmin = max(float(vol_min), 0.0)
-    lo_axes = [np.asarray(a, dtype=np.int64) for a in lo_axes]
-    hi_axes = [np.asarray(a, dtype=np.int64) for a in hi_axes]
-    if any(a.size == 0 for a in lo_axes) or any(a.size == 0 for a in hi_axes):
+    if not all(lo) or not all(hi):
         raise NoAdmissibleRectError("empty candidate axis")
 
-    search = _Search(cells, lo_axes, hi_axes, vmin, vmax)
+    search = _Search(cells, lo, hi, vmin, vmax)
     best = search.run()
     if best == _NONE:
         raise NoAdmissibleRectError(
@@ -136,20 +135,22 @@ def best_rectangle(cells, lo_axes, hi_axes, vol_min: float, vol_max: float) -> t
 class _Search:
     """One branch-and-bound search; see the module docstring."""
 
-    def __init__(self, cells, lo_axes, hi_axes, vmin, vmax):
+    def __init__(self, cells, lo, hi, vmin, vmax):
         d = cells.ndim
         self.d = d
         self.n = cells.size
         tbar = block_sums(cells, [(0,)] * d).item() / self.n
         ref = float(np.rint(tbar))
         self.delta = tbar - ref  # exact, by Sterbenz
-        # the hull of the candidates: every box a pair reads lies inside it
-        self.hull = tuple(min(int(lo[0]), int(hi[0])) for lo, hi in zip(lo_axes, hi_axes))
-        top = [max(int(lo[-1]), int(hi[-1])) for lo, hi in zip(lo_axes, hi_axes)]
+        # the hull of the corners: every box a pair reads lies inside it
+        self.hull = tuple(min(l.start, h.start) for l, h in zip(lo, hi))
+        top = [max(l[-1], h[-1]) for l, h in zip(lo, hi)]
         self.centred = cells[tuple(slice(h, t) for h, t in zip(self.hull, top))] - ref
         self.table = prefix_table(self.centred, d)
-        # slot k < d: lo on axis k; slot d + k: hi; as table indices
-        self.cands = [a - h for a, h in zip(lo_axes + hi_axes, self.hull + self.hull)]
+        # the root node: slot k < d is lo on axis k, slot d + k is hi, as table indices
+        self.root = np.array(
+            [[[r.start - h, r.stop - h] for r, h in zip(lo + hi, self.hull + self.hull)]], dtype=np.int32
+        )
         self.vmin, self.vmax = vmin, vmax
         # integer volumes v with vmin < v < vmax
         self.v_first = max(math.floor(vmin) + 1, 1)
@@ -157,7 +158,7 @@ class _Search:
 
     def run(self) -> tuple:
         """The key of the best pair, or _NONE."""
-        nodes = np.array([[[0, a.size] for a in self.cands]], dtype=np.int32)
+        nodes = self.root
         if _pairs(nodes)[0] <= _BATCH_PAIRS:
             return self._score_leaves(nodes, _NONE)
         self._build_bound_tables()
@@ -263,10 +264,8 @@ class _Search:
         d, m = self.d, len(nodes)
         first, last = nodes[:, :, 0], nodes[:, :, 1] - 1
         # one corner set: every node's R_max, then every node's R_min (may be empty)
-        lo_at = np.concatenate((first[:, :d], last[:, :d]))
-        hi_at = np.concatenate((last[:, d:], first[:, d:]))
-        lo = [self.cands[k][lo_at[:, k]] for k in range(d)]
-        hi = [self.cands[d + k][hi_at[:, k]] for k in range(d)]
+        lo = np.concatenate((first[:, :d], last[:, :d])).T
+        hi = np.concatenate((last[:, d:], first[:, d:])).T
         z, volf = self._contrasts(lo, hi)
         seed = float(self._scores(z, volf).max())
         v_out, v_in = volf[:m], volf[m:]
@@ -296,13 +295,13 @@ class _Search:
         for g, sig in enumerate(sigs):
             members = leaves[group == g]
             m = len(members)
-            # candidate values per slot; the leaf axis goes last so the
+            # corner values per slot; the leaf axis goes last so the
             # broadcast passes run long inner loops
             axes = []
             for j in range(nslots):
                 shape = [1] * nslots + [m]
                 shape[j] = int(sig[j])
-                vals = self.cands[j][np.arange(sig[j])[:, None] + members[:, j, 0]]
+                vals = members[:, j, 0] + np.arange(sig[j])[:, None]
                 axes.append(vals.reshape(shape))
             z, volf = self._contrasts(axes[: self.d], axes[self.d :])
             score = self._scores(z, volf, out=z)
@@ -314,11 +313,9 @@ class _Search:
             if (-top, vmin) > best[:2]:
                 continue
             sel &= volf == vmin
+            # a hit's corner on slot j is its leaf's first corner there plus its offset
             hits = np.unravel_index(np.flatnonzero(sel), sel.shape)
-            corners = min(
-                tuple(int(axes[j].reshape(-1, m)[hits[j][h], i]) for j in range(nslots))
-                for h, i in enumerate(hits[-1])
-            )
+            corners = min(map(tuple, (members[hits[-1], :, 0] + np.stack(hits[:-1], axis=1)).tolist()))
             best = min(best, (-top, int(vmin), corners[: self.d], corners[self.d :]))
         return best
 

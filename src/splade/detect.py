@@ -8,12 +8,13 @@ envelope each surviving component in a margin-expanded bounding box, shrinking
 pairs of envelopes until disjoint; and run the two-stage single-patch search
 independently inside each envelope.  No table of the whole grid is built:
 block means and jumps are summed straight from the cells, and each search
-tabulates only the cells around its own candidates.
+tabulates only the cells of the hull of its corner ranges.
 
 When the baseline mean or the long-run variance is estimated and a surviving
-component touches the boundary calibration layer, the layer estimates are
-treated as contaminated: the pipeline re-estimates both quantities on the
-cells outside all flagged blocks and re-runs the first stage once.
+component touches the boundary calibration layer (the layer has a cell inside
+the component's bounding box), the layer estimates are treated as
+contaminated: the pipeline re-estimates both quantities on the cells outside
+all flagged blocks and re-runs the first stage once.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ _FALLBACK_MIN_CELLS = 256  # below this, a masked re-estimate is too thin to tru
 # |x| <= 1e100 all of it stays below float64's 1.8e308 for any grid of fewer than
 # 1e30 cells.
 _MAX_ABS = 1e100
+# Smallest accepted nonzero spread max - min: the long-run variance squares
+# moving sums of centred cells, and below a spread of ~1e-154 those squares
+# fall under float64's smallest normal 2.2e-308, so sigma loses bits or reads 0.
+_MIN_SPREAD = 1e-100
 
 
 class DetectionError(LatticeError):
@@ -244,13 +249,6 @@ def _first_stage(means, vols, part, mu0, sigma, lo, hi, cfg, min_cells):
     return flags, components(np.sign(means - mu0) * flags, part, min_cells, cfg.connectivity)
 
 
-def _cells_to_blocks(mask: np.ndarray, part: BlockPartition) -> np.ndarray:
-    """Block-level mask: the blocks holding at least one cell of ``mask``."""
-    for ax in range(mask.ndim):
-        mask = np.logical_or.reduceat(mask, part.edges(ax)[:-1], axis=ax)
-    return mask
-
-
 def _blocks_to_cells(flags: np.ndarray, part: BlockPartition) -> np.ndarray:
     """Cell-level mask: every cell of the flagged blocks."""
     for ax in range(flags.ndim):
@@ -262,8 +260,9 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
     """Run the full pipeline and return the detected patches.
 
     Deterministic given (grid, cfg); repeated calls are identical.  A grid
-    with a NaN or infinite cell, or with a cell beyond 1e100 in magnitude, is
-    rejected with ``DetectionError``.
+    with a NaN or infinite cell, with a cell beyond 1e100 in magnitude, or
+    with a nonzero spread max - min below 1e-100, is rejected with
+    ``DetectionError``.
     """
     if cfg is None:
         cfg = SpladeConfig()
@@ -276,6 +275,9 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
     if max(-lo, hi) > _MAX_ABS:
         raise DetectionError(f"grid has a cell of magnitude {max(-lo, hi):.3g} > {_MAX_ABS:g}: "
                              "the detector's squared sums would overflow; rescale the data")
+    if 0.0 < hi - lo < _MIN_SPREAD:
+        raise DetectionError(f"grid has a spread max - min of {hi - lo:.3g} < {_MIN_SPREAD:g}: "
+                             "the detector's squared sums would underflow; rescale the data")
     part = BlockPartition.build(grid.dims, cfg.alpha)
     if any(m < 4 for m in part.counts):
         raise DetectionError(
@@ -297,7 +299,9 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
     flags, comps = _first_stage(means, vols, part, mu0, sigma, lo, hi, cfg, min_cells)
 
     fallback = False
-    if estimated and comps and _cells_to_blocks(layer, part)[tuple(np.concatenate(comps).T)].any():
+    # The layer is an OR of per-axis slabs, so the cells outside it form one box,
+    # and a set of blocks misses the layer exactly when their bounding box does.
+    if estimated and any(layer[component_bbox(c, part).slices()].any() for c in comps):
         # Anomalies reach into the calibration layer: re-estimate on the cells
         # outside every flagged block, then redo the first stage once.
         fallback = True

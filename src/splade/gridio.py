@@ -1,8 +1,8 @@
 """Persistence: the SPLG binary grid format and JSON patch docs.
 
 SPLG layout (little-endian): magic ``SPLG`` (4 bytes), u32 version (= 1),
-u32 rank d, d x u64 dims, then exactly prod(dims) IEEE-754 f64 payload values
-in row-major order.  Round-trips are bitwise lossless.
+u32 rank d (1..4), d x u64 dims, then exactly prod(dims) IEEE-754 f64 payload
+values in row-major order.  Round-trips are bitwise lossless.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import struct
 import numpy as np
 
 from .detect import Detection
-from .lattice import Grid, LatticeError, Rect, check_disjoint
+from .lattice import MAX_DIM, Grid, LatticeError, Rect, check_disjoint
 
 MAGIC = b"SPLG"
 VERSION = 1
@@ -55,11 +55,13 @@ def read_grid(path) -> Grid:
     version, d = struct.unpack_from("<II", raw, 4)
     if version != VERSION:
         raise VersionMismatchError(f"{path}: version {version}, expected {VERSION}")
+    if not 1 <= d <= MAX_DIM:
+        raise GridFileError(f"{path}: rank {d} outside 1..{MAX_DIM}")
     head = 12 + 8 * d
     if len(raw) < head:
         raise TruncatedFileError(f"{path}: dims cut short")
     dims = struct.unpack_from(f"<{d}Q", raw, 12)
-    count = math.prod(dims) if d else 0  # Python ints: dims near 2^64 must not wrap
+    count = math.prod(dims)  # Python ints: dims near 2^64 must not wrap
     expected = head + 8 * count
     if len(raw) < expected:
         raise TruncatedFileError(

@@ -6,15 +6,14 @@ accelerated version: a coarse pass on a strided ``subsample`` localizes the
 corners, then a search restricted to windows around those corners refines them
 on the full grid.  Both searches are exact: the branch-and-bound search in
 ``_scan`` returns the same rectangle as scoring every candidate would.  Each
-search is handed the cells it searches and tabulates its own candidates' hull,
+search is handed the cells it searches and one range of lower and one of upper
+corners per axis (every corner, or a window), and tabulates only their hull,
 so the detector calls ``algorithm1`` on each envelope's cells, as a view."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from ._scan import best_rectangle
 from .lattice import BlockPartition, Grid, LatticeError, Rect
@@ -69,10 +68,10 @@ def naive_ls(grid: Grid, bounds: SearchBounds) -> Rect:
     each O(2^d) via a prefix table.  Ties break to the smallest
     volume, then lexicographic corners.
     """
-    lo_axes = [np.arange(0, n, dtype=np.int64) for n in grid.dims]
-    hi_axes = [np.arange(1, n + 1, dtype=np.int64) for n in grid.dims]
+    lo = [range(0, m) for m in grid.dims]
+    hi = [range(1, m + 1) for m in grid.dims]
     n = grid.size
-    rect, _ = best_rectangle(grid.data, lo_axes, hi_axes, n * bounds.lambda1, n * bounds.lambda2)
+    rect, _ = best_rectangle(grid.data, lo, hi, n * bounds.lambda1, n * bounds.lambda2)
     return rect
 
 
@@ -106,31 +105,28 @@ def window_half_width(stride: int, axis_len: int, grid_size: int, d: int, kappa:
     return min(max(int(hw), 1), axis_len)
 
 
-def algorithm1(grid: Grid, params: Stage1Params, bounds: SearchBounds | None = None) -> Rect:
+def algorithm1(grid: Grid, params: Stage1Params) -> Rect:
     """Two-stage single-patch localization.
 
     Stage 1 runs ``naive_ls`` on the subsampled grid (with conservative default
     volume bounds that exclude only near-degenerate candidates).  Stage 2
-    returns the argmax of the full-grid contrast over every (lo, hi) pair whose
-    corners fall in windows around the stage-1 corners, clipped to the domain;
-    the branch-and-bound search finds it without scoring most of the pairs.
-    ``bounds``, when given, constrains stage-2 volumes relative to the full
-    grid size; windows wide enough to cover the whole grid therefore make the
-    output identical to ``naive_ls(grid, bounds)``.
+    returns the argmax of the full-grid contrast, over volumes in (0, n), of
+    every (lo, hi) pair whose corners fall in windows around the stage-1
+    corners, clipped to the domain; the branch-and-bound search finds it
+    without scoring most of the pairs.  Windows wide enough to cover the whole
+    grid therefore make the output identical to ``naive_ls(grid, SearchBounds())``.
     """
     sub, strides = subsample(grid, params.alpha)
     coarse = naive_ls(sub, _stage1_bounds(sub.size))
 
     n = grid.size
-    lo_axes = []
-    hi_axes = []
+    lo, hi = [], []
     for k, (nk, lk) in enumerate(zip(grid.dims, strides)):
         hw = window_half_width(lk, nk, n, grid.ndim, params.kappa, params.window_const)
         c_lo = lk * coarse.lo[k]
         c_hi = lk * coarse.hi[k]
-        lo_axes.append(np.arange(max(0, c_lo - hw), min(nk - 1, c_lo + hw) + 1))
-        hi_axes.append(np.arange(max(1, c_hi - hw), min(nk, c_hi + hw) + 1))
+        lo.append(range(max(0, c_lo - hw), min(nk - 1, c_lo + hw) + 1))
+        hi.append(range(max(1, c_hi - hw), min(nk, c_hi + hw) + 1))
 
-    bounds = bounds or SearchBounds()
-    rect, _ = best_rectangle(grid.data, lo_axes, hi_axes, n * bounds.lambda1, n * bounds.lambda2)
+    rect, _ = best_rectangle(grid.data, lo, hi, 0.0, float(n))
     return rect

@@ -306,6 +306,21 @@ def _overflowing_splg(tmp_path):
     return str(path)
 
 
+def _splg_of_rank(tmp_path, rank):
+    path = tmp_path / f"rank{rank}.splg"
+    path.write_bytes(b"SPLG" + (1).to_bytes(4, "little") + rank.to_bytes(4, "little")
+                     + (2).to_bytes(8, "little") * rank + bytes(8 * 2**rank))
+    return str(path)
+
+
+def _tiny_grid_file(tmp_path):
+    """An iid 128^2 grid times 2^-560: a spread of 2e-168."""
+    path = tmp_path / "tiny.splg"
+    noise = gen_field(FieldSpec(kind="iid-gaussian", seed=3), (128, 128))
+    write_grid(str(path), Grid.from_array(noise.data * 2.0**-560))
+    return str(path)
+
+
 # case -> (environment, argv built from tmp_path); each must fail with one
 # "error: ..." line and no traceback
 CLI_ERRORS = {
@@ -334,6 +349,13 @@ CLI_ERRORS = {
     },
     "SPLG dims overflow": ({}, lambda t: ["detect", "--in", _overflowing_splg(t),
                                           "--out", str(t / "o.json")]),
+    **{
+        f"SPLG rank {rank}": ({}, lambda t, rank=rank: ["detect", "--in", _splg_of_rank(t, rank),
+                                                        "--out", str(t / "o.json")])
+        for rank in (0, 5)
+    },
+    "detect spread below 1e-100": ({}, lambda t: ["detect", "--in", _tiny_grid_file(t),
+                                                  "--out", str(t / "o.json")]),
     **{
         f"{flag} {value}": ({}, lambda t, flag=flag, value=value: [
             "detect", "--in", _grid_file(t), "--out", str(t / "o.json"), flag, value])
@@ -461,6 +483,9 @@ CLI_ERROR_TEXT = {
     "bench jump inf": "jump must be finite",
     "bench jump 1e200": "squared sums would overflow",  # config2 cells reach 5e200
     "bench jump 1e308": "patch jump must be finite",  # config2's 2 x 1e308 is inf
+    "SPLG rank 0": "rank 0 outside 1..4",  # was a traceback from the payload's reshape
+    "SPLG rank 5": "rank 5 outside 1..4",
+    "detect spread below 1e-100": "squared sums would underflow",  # was exit 0, sigma 0, k_hat 7
 }
 
 

@@ -332,14 +332,31 @@ def _config1_128():
 
 
 def test_detect_below_the_magnitude_bound_is_scale_exact():
-    """A power-of-two scale is exact in floating point: near the 1e100 bound the
-    detections are the same, with no overflow (the suite fails on RuntimeWarning)."""
+    """A power-of-two scale is exact in floating point: near the 1e100 bound on
+    magnitude, and near the 1e-100 bound on spread, the detections and the
+    calibration are the same, scaled, with no overflow or underflow (the suite
+    fails on RuntimeWarning)."""
     x = _config1_128()
-    scale = 2.0**329
-    assert 1e99 < np.abs(x.data).max() * scale < 1e100
-    det, big = splade_detect(x), splade_detect(Grid.from_array(x.data * scale))
-    assert big.patches == det.patches and det.k_hat == 3
-    assert big.jumps == tuple(j * scale for j in det.jumps)
+    det = splade_detect(x)
+    assert det.k_hat == 3
+    big, small = 2.0**329, 2.0**-329
+    assert 1e99 < np.abs(x.data).max() * big < 1e100
+    assert 1e-100 < np.ptp(x.data) * small < 1e-97
+    for scale in (big, small):
+        scaled = splade_detect(Grid.from_array(x.data * scale))
+        assert scaled.patches == det.patches
+        assert scaled.jumps == tuple(j * scale for j in det.jumps)
+        for key in ("mu0", "sigma", "q"):
+            assert scaled.diagnostics[key] == det.diagnostics[key] * scale, (scale, key)
+
+
+def test_detect_rejects_a_spread_whose_squares_underflow():
+    """An iid grid times 2^-560 (spread 2e-168) read sigma 0 and k_hat 7; a
+    constant grid, spread 0, is still taken."""
+    noise = gen_field(FieldSpec(kind="iid-gaussian", seed=3), (128, 128)).data
+    with pytest.raises(DetectionError, match="spread max - min of 2.04e-168 < 1e-100"):
+        splade_detect(Grid.from_array(noise * 2.0**-560))
+    assert splade_detect(Grid.from_array(np.full((128, 128), 2.0**-560))).k_hat == 0
 
 
 def _count_calls(monkeypatch, *names):
@@ -487,6 +504,10 @@ def test_perfbench_tracer_targets_resolve(monkeypatch):
     assert tracer.TARGETS
     for module, name in tracer.TARGETS:
         assert callable(getattr(importlib.import_module(module), name, None)), f"{module}.{name}"
+    # the searches take ranges; the stage pair counts read them as the arrays they span
+    lo, hi = [range(0, 7), range(0, 4)], [range(1, 8), range(10, 18)]
+    arrays = [[np.array(r) for r in rs] for rs in (lo, hi)]
+    assert tracer.pair_count(lo, hi) == tracer.pair_count(*arrays) == 896
 
     # ...and every refinement is seen: one algorithm1 span per refined
     # envelope, parenting that envelope's stage-2 search.

@@ -1,5 +1,6 @@
 """The package's exported names and the README's entry-point table stay in step."""
 
+import inspect
 import re
 from pathlib import Path
 
@@ -23,3 +24,9 @@ def test_readme_entry_points_are_package_attributes():
     assert len(names) >= len(rows)
     missing = [name for name in names if not hasattr(splade, name)]
     assert not missing, missing
+    # a row written as `name(a, b, ...)` lists every parameter of the call
+    calls = [call for row in rows for call in re.findall(r"`([A-Za-z_]\w*)\(([^)]*)\)`", row.split("|")[1])]
+    assert calls
+    wrong = [(name, args) for name, args in calls
+             if len(args.split(",")) != len(inspect.signature(getattr(splade, name)).parameters)]
+    assert not wrong, wrong

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -61,6 +62,16 @@ def test_truncated_payload(tmp_path):
     raw = p.read_bytes()
     p.write_bytes(raw[:-5])
     with pytest.raises(TruncatedFileError):
+        read_grid(p)
+
+
+@pytest.mark.parametrize("rank", [0, 5])
+def test_rank_outside_1_to_4_rejected_at_the_header(tmp_path, rank):
+    """Rank 0 once crashed in the payload's reshape; rank 5 was read in full
+    before ``Grid`` rejected it."""
+    p = tmp_path / "g.splg"
+    p.write_bytes(b"SPLG" + struct.pack(f"<II{rank}Q", 1, rank, *[2] * rank) + bytes(8 * 2**rank))
+    with pytest.raises(GridFileError, match=f"rank {rank} outside 1..4"):
         read_grid(p)
 
 

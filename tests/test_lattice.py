@@ -92,11 +92,10 @@ def test_patchset_rejects_non_finite_baseline():
             PatchSet(patches=((Rect((0, 0), (2, 2)), 1.0),), baseline=baseline)
 
 
-@pytest.mark.parametrize("accumulator", ["float64"])  # the one accumulator at every grid size
-def test_prefix_extended_precision_path(accumulator):
-    # constant grid: rectangle sums must stay exact to ~1e-9 * |R|
+def test_float64_table_sums_a_constant_grid_of_thirds():
+    # rectangle sums of a constant 1/3 grid stay within 1e-9 of |R| / 3
     table = prefix_table(np.full((64, 64), 1.0 / 3.0), 2)
-    assert table.dtype == np.dtype(accumulator)
+    assert table.dtype == np.float64
     r = Rect((10, 10), (60, 60))
     assert _rect_sum(table, r) == pytest.approx(r.volume() / 3.0, abs=1e-9)
 

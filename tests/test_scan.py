@@ -38,14 +38,16 @@ def _zero_sum_integers(rng, dims):
 
 
 def _candidates(rng, n, windowed):
-    lo, hi = np.arange(0, n), np.arange(1, n + 1)
+    """Every lo and hi corner of an axis of ``n`` cells, or a random window of each."""
+    lo, hi = range(0, n), range(1, n + 1)
     if not windowed:
         return lo, hi
 
-    def pick(a):
-        return np.sort(rng.choice(a, size=int(rng.integers(1, a.size + 1)), replace=False))
+    def window(r):
+        start = int(rng.integers(len(r)))
+        return r[start:int(rng.integers(start + 1, len(r) + 1))]
 
-    return pick(lo), pick(hi)
+    return window(lo), window(hi)
 
 
 def _assert_argmax(grid, lam1, lam2, rect, found, exact):
@@ -125,8 +127,8 @@ def test_best_rectangle_oracle_hypothesis(search, data):
     lam2 = data.draw(st.sampled_from([lam for lam in (0.3, 0.6, 0.9, 1.0) if lam > lam1]))
 
     def corners(first, count):
-        picked = data.draw(st.lists(st.integers(first, first + count - 1), min_size=1, unique=True))
-        return np.array(sorted(picked))
+        start = data.draw(st.integers(first, first + count - 1))
+        return range(start, start + data.draw(st.integers(1, first + count - start)))
 
     _check(x, lam1, lam2, [corners(0, m) for m in dims], [corners(1, m) for m in dims], True)
 
@@ -169,8 +171,8 @@ def test_equal_volume_and_sum_fall_to_the_tie_rule(d, search):
         found = brute_force_search(grid, 0.0, 1.0)
         if found is None or found[0] == 0:
             continue
-        lo = [np.arange(m) for m in dims]
-        hi = [np.arange(1, m + 1) for m in dims]
+        lo = [range(m) for m in dims]
+        hi = [range(1, m + 1) for m in dims]
         rect, _ = best_rectangle(x, lo, hi, 0.0, float(x.size))
         checked += 1
         if rect != found[1]:
@@ -207,22 +209,21 @@ def test_best_rectangle_does_not_depend_on_strides(d):
 SMALL = {1: (24,), 2: (8, 7), 3: (5, 4, 5), 4: (4, 3, 3, 4)}
 
 
-def _random_nodes(rng, cands, count):
-    """Nodes of random index ranges over the candidate arrays ``cands``
-    (lo slots, then hi slots).  Many have an empty R_min; about one in three
-    is pulled, where the candidates allow, to an R_min one cell thick on one
-    axis."""
-    d = len(cands) // 2
+def _random_nodes(rng, root, count):
+    """Nodes of random sub-ranges of the search's root node ``root`` (lo
+    slots, then hi slots, as table indices).  Many have an empty R_min; about
+    one in three is pulled, where the root allows, to an R_min one cell thick
+    on one axis."""
+    d = len(root) // 2
     nodes = np.empty((count, 2 * d, 2), dtype=np.int32)
     for node in nodes:
-        for j, c in enumerate(cands):
-            start = int(rng.integers(c.size))
-            node[j] = start, int(rng.integers(start + 1, c.size + 1))
+        for j, (first, stop) in enumerate(root):
+            start = int(rng.integers(first, stop))
+            node[j] = start, int(rng.integers(start + 1, stop + 1))
         if rng.random() < 1 / 3:  # pull R_min's hi to one cell past its lo on one axis
             k = int(rng.integers(d))
-            lo_last = cands[k][node[k, 1] - 1]
-            at = int(np.searchsorted(cands[d + k], lo_last + 1))
-            if at < cands[d + k].size and cands[d + k][at] == lo_last + 1:
+            at = int(node[k, 1])  # R_min's lo is node[k, 1] - 1
+            if root[d + k, 0] <= at < root[d + k, 1]:
                 node[d + k] = at, max(at + 1, int(node[d + k, 1]))
     return nodes
 
@@ -243,21 +244,18 @@ def test_bound_is_at_least_every_score_of_its_node(d):
         n = x.size
         lam1, lam2 = (0.0, 1.0) if case < 2 else sorted(rng.uniform(0.0, 1.0, 2))
         axes = [_candidates(rng, m, windowed=case % 3 == 2) for m in dims]
-        lo_axes = [lo.astype(np.int64) for lo, _ in axes]
-        hi_axes = [hi.astype(np.int64) for _, hi in axes]
+        lo_axes, hi_axes = [lo for lo, _ in axes], [hi for _, hi in axes]
         for cells in _tables(x, exact):
             search = _scan._Search(cells, lo_axes, hi_axes, n * lam1, min(n * lam2, n))
             search._build_bound_tables()
-            nodes = _random_nodes(rng, search.cands, 150)
+            nodes = _random_nodes(rng, search.root[0], 150)
             bounds, _ = search._bound(nodes)
             for node, bound in zip(nodes, bounds):
                 best = search._score_leaves(node[None], _scan._NONE)
                 if best == _scan._NONE:
                     continue  # no admissible pair: nothing to cover
                 assert bound >= -best[0], (dims, exact, node.tolist(), bound, best)
-                thickness = min(
-                    search.cands[d + k][node[d + k, 0]] - search.cands[k][node[k, 1] - 1] for k in range(d)
-                )
+                thickness = min(node[d + k, 0] - (node[k, 1] - 1) for k in range(d))
                 checked["empty" if thickness <= 0 else "thin" if thickness == 1 else "thick"] += 1
     assert checked["empty"] >= 20 and checked["thin"] >= 20, checked
 
@@ -271,9 +269,9 @@ def test_offset_table_prunes_as_well(monkeypatch):
     rng = np.random.default_rng(3)
     x = rng.standard_normal((256, 256))
     x[100:124, 90:114] += 1.5
-    lo = [np.arange(86, 114), np.arange(76, 104)]
-    hi = [np.arange(110, 138), np.arange(100, 128)]
-    pairs = math.prod(a.size for a in lo + hi)
+    lo = [range(86, 114), range(76, 104)]
+    hi = [range(110, 138), range(100, 128)]
+    pairs = math.prod(len(r) for r in lo + hi)
     monkeypatch.setattr(_scan, "_BATCH_PAIRS", 4096)  # count in small steps
     scored = []
     score_leaves = _scan._Search._score_leaves
@@ -295,21 +293,22 @@ def test_offset_table_prunes_as_well(monkeypatch):
 
 def test_best_rectangle_no_admissible_candidate(search):
     x = np.arange(24.0).reshape(2, 3, 4)
-    lo = [np.arange(2), np.arange(3), np.arange(4)]
-    hi = [np.arange(1, 3), np.arange(1, 4), np.arange(1, 5)]
+    lo = [range(2), range(3), range(4)]
+    hi = [range(1, 3), range(1, 4), range(1, 5)]
     with pytest.raises(NoAdmissibleRectError, match="empty candidate axis"):
-        best_rectangle(x, [lo[0], np.array([], dtype=np.int64), lo[2]], hi, 0.0, 24.0)
+        best_rectangle(x, [lo[0], range(0), lo[2]], hi, 0.0, 24.0)
     with pytest.raises(NoAdmissibleRectError):
         best_rectangle(x, lo, hi, 20.5, 21.5)  # 21 = 3 * 7 is no box volume here
+    corners = [range(1, 2), range(2, 3), range(3, 4)]
     with pytest.raises(NoAdmissibleRectError):
-        best_rectangle(x, [[1], [2], [3]], [[1], [2], [3]], 0.0, 24.0)  # lo == hi
+        best_rectangle(x, corners, corners, 0.0, 24.0)  # lo == hi
 
 
 @pytest.mark.parametrize("dims", [(9,), (5, 4), (3, 4, 3), (3, 2, 3, 2)])
 def test_constant_grid_is_degenerate(dims, search):
     grid = Grid.from_array(np.full(dims, 2.5))
-    lo = [np.arange(m) for m in dims]
-    hi = [np.arange(1, m + 1) for m in dims]
+    lo = [range(m) for m in dims]
+    hi = [range(1, m + 1) for m in dims]
     for cells in _tables(grid.data, exact=True):
         with pytest.raises(DegenerateScanError):
             best_rectangle(cells, lo, hi, 0.0, float(grid.size))

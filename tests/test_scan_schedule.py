@@ -58,7 +58,7 @@ def test_large_2d_search_equals_whole_scoring_in_few_levels(monkeypatch):
     rng = np.random.default_rng(5)
     x = rng.standard_normal((32, 32))
     x[7:19, 11:29] += 0.8
-    lo, hi = [np.arange(32)] * 2, [np.arange(1, 33)] * 2
+    lo, hi = [range(32)] * 2, [range(1, 33)] * 2
     pairs = 32**4
     assert pairs > _scan._BATCH_PAIRS
 
@@ -89,7 +89,7 @@ def test_large_nd_search_equals_whole_scoring(d, monkeypatch):
     rng = np.random.default_rng(d)
     x = rng.standard_normal((side,) * d)
     x[(slice(side // 4, 3 * side // 4),) * d] += 0.8
-    lo, hi = [np.arange(width)] * d, [np.arange(side - width, side) + 1] * d
+    lo, hi = [range(width)] * d, [range(side - width + 1, side + 1)] * d
     assert width ** (2 * d) > _scan._BATCH_PAIRS
 
     found = best_rectangle(x, lo, hi, 0.0, float(x.size))
