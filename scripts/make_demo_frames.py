@@ -101,7 +101,7 @@ def main(argv=None) -> int:
     import json
 
     print("frame  boxes")
-    for line in open(args.out):
+    for line in Path(args.out).read_text().splitlines():
         doc = json.loads(line)
         boxes = " ".join(
             f"[{p['lo'][0]}:{p['hi'][0]},{p['lo'][1]}:{p['hi'][1]}]"

@@ -4,11 +4,13 @@ Pipeline: partition the lattice into blocks of side floor(n_k^alpha); test
 every block mean against the max-calibrated Gaussian threshold; group flagged
 blocks into connected components (split by contrast sign, so adjacent patches
 with opposite jumps never merge); discard components covering too few cells;
-envelope each surviving component in a margin-expanded bounding box, shrinking
-pairs of envelopes until disjoint; and run the two-stage single-patch search
-independently inside each envelope.  No table of the whole grid is built:
-block means and jumps are summed straight from the cells, and each search
-tabulates only the cells of the hull of its corner ranges.
+envelope each surviving component in a margin-expanded bounding box, cutting
+each overlapping pair of envelopes once, at the midpoint between their
+components' bounding boxes across the axis where those lie furthest apart;
+and run the two-stage single-patch search independently inside each
+envelope.  No table of the whole grid is built: block means and jumps are
+summed straight from the cells, and each search tabulates only the cells of
+the hull of its corner ranges.
 
 When the baseline mean or the long-run variance is estimated and a surviving
 component touches the boundary calibration layer (the layer has a cell inside
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -119,75 +121,48 @@ def component_bbox(comp, part: BlockPartition) -> Rect:
     return Rect(part.block(np.min(comp, axis=0)).lo, part.block(np.max(comp, axis=0)).hi)
 
 
-def envelope(comp, part: BlockPartition, margin_blocks: int, dims) -> Rect:
+def envelope(comp, part: BlockPartition, margin_blocks: int) -> Rect:
     """Bounding box of the component's cells, expanded by whole blocks per side."""
     if not comp:
         raise DetectionError("empty component has no envelope")
     if margin_blocks < 0:
         raise DetectionError("margin_blocks must be >= 0")
     bbox = component_bbox(comp, part)
-    lo = tuple(
-        max(0, b - margin_blocks * l) for b, l in zip(bbox.lo, part.strides)
-    )
-    hi = tuple(
-        min(n, b + margin_blocks * l)
-        for b, l, n in zip(bbox.hi, part.strides, dims)
-    )
+    lo = tuple(max(0, b - margin_blocks * l) for b, l in zip(bbox.lo, part.strides))
+    hi = tuple(min(n, b + margin_blocks * l) for b, l, n in zip(bbox.hi, part.strides, part.dims))
     return Rect(lo, hi)
 
 
-def _shrink_pair(a: Rect, b: Rect, bbox_a: Rect, bbox_b: Rect) -> tuple[Rect, Rect]:
-    """Shrink two overlapping envelopes symmetrically along one axis.
+def _cut_pair(a: Rect, b: Rect, box_a: Rect, box_b: Rect) -> tuple[Rect, Rect]:
+    """Cut two envelopes apart at the midpoint between their components' boxes.
 
-    The axis with the smallest overlap is cut; each envelope keeps its own
-    component bounding box when possible, and only cuts into it if the boxes
-    themselves overlap.
+    The cut runs across the axis where the boxes lie furthest apart, so each
+    envelope keeps its own box whenever the boxes are disjoint on some axis;
+    boxes that overlap on every axis split their least overlap evenly.  The
+    cut only shrinks the envelopes and leaves them disjoint.
     """
-    overlap = a.intersect(b)
-    extents = [h - l for l, h in zip(overlap.lo, overlap.hi)]
-    ax = int(np.argmin(extents))
-    need = extents[ax]
-    first, second = (a, b) if a.lo[ax] <= b.lo[ax] else (b, a)
-    fb, sb = (bbox_a, bbox_b) if first is a else (bbox_b, bbox_a)
-
-    give_first = min((need + 1) // 2, max(0, first.hi[ax] - fb.hi[ax]))
-    give_second = min(need - give_first, max(0, sb.lo[ax] - second.lo[ax]))
-    rem = need - give_first - give_second
-    if rem > 0:  # bounding boxes themselves overlap: cut into them evenly
-        give_first += (rem + 1) // 2
-        give_second += rem - (rem + 1) // 2
-
-    def cut_hi(r: Rect, amount: int) -> Rect:
-        hi = list(r.hi)
-        hi[ax] = max(r.lo[ax], hi[ax] - amount)
-        return Rect(r.lo, tuple(hi))
-
-    def cut_lo(r: Rect, amount: int) -> Rect:
-        lo = list(r.lo)
-        lo[ax] = min(r.hi[ax], lo[ax] + amount)
-        return Rect(tuple(lo), r.hi)
-
-    first, second = cut_hi(first, give_first), cut_lo(second, give_second)
-    return (first, second) if a.lo[ax] <= b.lo[ax] else (second, first)
+    gaps = [max(lb - ha, la - hb) for la, ha, lb, hb in zip(box_a.lo, box_a.hi, box_b.lo, box_b.hi)]
+    ax = int(np.argmax(gaps))
+    if box_a.lo[ax] + box_a.hi[ax] > box_b.lo[ax] + box_b.hi[ax]:
+        return _cut_pair(b, a, box_b, box_a)[::-1]
+    cut = (box_a.hi[ax] + box_b.lo[ax]) // 2
+    a_hi, b_lo = list(a.hi), list(b.lo)
+    a_hi[ax] = max(a.lo[ax], min(a.hi[ax], cut))
+    b_lo[ax] = min(b.hi[ax], max(b.lo[ax], cut))
+    return Rect(a.lo, tuple(a_hi)), Rect(tuple(b_lo), b.hi)
 
 
 def resolve_envelope_overlaps(envelopes, bboxes):
-    """Pairwise-shrink envelopes until all are disjoint (order-deterministic)."""
+    """Cut every overlapping pair of envelopes apart, in one pass over the pairs.
+
+    A cut leaves its pair disjoint and later cuts only shrink, so one pass
+    leaves every pair disjoint.
+    """
     envs = list(envelopes)
-    for _ in range(64):
-        changed = False
-        for i in range(len(envs)):
-            for j in range(i + 1, len(envs)):
-                if envs[i].is_empty or envs[j].is_empty:
-                    continue
-                if not envs[i].intersect(envs[j]).is_empty:
-                    envs[i], envs[j] = _shrink_pair(
-                        envs[i], envs[j], bboxes[i], bboxes[j]
-                    )
-                    changed = True
-        if not changed:
-            return envs
-    raise DetectionError("failed to separate envelopes")  # pragma: no cover
+    for i, j in combinations(range(len(envs)), 2):
+        if not envs[i].intersect(envs[j]).is_empty:
+            envs[i], envs[j] = _cut_pair(envs[i], envs[j], bboxes[i], bboxes[j])
+    return envs
 
 
 @dataclass(frozen=True)
@@ -316,7 +291,7 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
         flags, comps = _first_stage(means, vols, part, mu0, sigma, lo, hi, cfg, min_cells)
 
     bboxes = [component_bbox(c, part) for c in comps]
-    envs = [envelope(c, part, cfg.envelope_margin_blocks, grid.dims) for c in comps]
+    envs = [envelope(c, part, cfg.envelope_margin_blocks) for c in comps]
     envs = resolve_envelope_overlaps(envs, bboxes)
 
     patches, degenerate = [], 0

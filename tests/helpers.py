@@ -293,7 +293,10 @@ def brute_force_detect(grid: Grid, cfg) -> dict:
     ``brute_force_search`` on the sliced cells, and the jumps from exact sums.
     Shared with the package are only closed forms and geometry with tests of
     their own: ``threshold_q``, ``boundary_layer_mask``, ``BlockPartition``,
-    ``window_half_width`` and the envelope shrink ``resolve_envelope_overlaps``.
+    ``window_half_width`` and the envelope cut ``resolve_envelope_overlaps``,
+    a closed form in the two components' boxes whose own property test checks
+    that its outputs are disjoint, lie inside its inputs and keep every box
+    that some axis separates (``test_envelope_cut_separates_and_keeps_separable_boxes``).
 
     Rounding may decide a test that the exact values pass by a hair; this
     raises ``OnThreshold`` instead.  For a grid of N cells of magnitude at most

@@ -216,7 +216,7 @@ def test_frames_command_jsonl(tmp_path):
     rc = main(["frames", "--dir", _hot_frames_dir(tmp_path), "--baseline", "0:3",
                "--channel", "mean", "--out", out])
     assert rc == 0
-    lines = [json.loads(line) for line in open(out)]
+    lines = [json.loads(line) for line in Path(out).read_text().splitlines()]
     assert len(lines) == 4
     assert [d["k_hat"] for d in lines[:3]] == [0, 0, 0]
     assert lines[3]["k_hat"] == 1
@@ -235,7 +235,7 @@ def test_bench_and_frames_identical_serial_and_pooled(tmp_path, monkeypatch):
                      "--reps", "3", "--out", csv_path]) == 0
         assert main(["frames", "--dir", frames_dir, "--baseline", "0:3", "--out", jsonl_path]) == 0
         rows = [dataclasses.replace(r, time_s=0.0) for r in read_bench_csv(csv_path)]
-        docs = [json.loads(line) for line in open(jsonl_path)]
+        docs = [json.loads(line) for line in Path(jsonl_path).read_text().splitlines()]
         for doc in docs:
             doc["diagnostics"].pop("time_s")
         results.append((rows, docs))

@@ -187,13 +187,13 @@ def test_components_min_cells_filter():
 def test_envelope_margin_zero_is_bbox():
     part = BlockPartition.build((20, 20), 0.5)  # stride 4
     comp = ((1, 1), (1, 2), (2, 1))
-    env = envelope(comp, part, 0, (20, 20))
+    env = envelope(comp, part, 0)
     assert env == Rect((4, 4), (12, 12))
 
 
 def test_envelope_clipped_at_domain():
     part = BlockPartition.build((20, 20), 0.5)
-    env = envelope(((0, 0),), part, 3, (20, 20))
+    env = envelope(((0, 0),), part, 3)
     assert env.lo == (0, 0)
     assert env == Rect((0, 0), (16, 16))
 
@@ -202,10 +202,10 @@ def test_envelopes_five_blocks_apart_stay_disjoint():
     part = BlockPartition.build((48, 48), 0.5)  # stride 6, 8 blocks per axis
     c1 = ((0, 0),)
     c2 = ((0, 6),)  # 5 block rows between them on axis 1
-    e1 = envelope(c1, part, 2, (48, 48))
-    e2 = envelope(c2, part, 2, (48, 48))
+    e1 = envelope(c1, part, 2)
+    e2 = envelope(c2, part, 2)
     out = resolve_envelope_overlaps([e1, e2], [component_bbox(c1, part), component_bbox(c2, part)])
-    assert out == [e1, e2]  # no shrink needed
+    assert out == [e1, e2]  # no cut needed
     gap = out[1].lo[1] - out[0].hi[1]
     assert gap >= part.strides[1]  # at least one clear block between envelopes
 
@@ -215,13 +215,92 @@ def test_envelope_overlap_shrink_preserves_bboxes():
     c1 = ((1, 1), (1, 2))
     c2 = ((1, 4),)
     b1, b2 = component_bbox(c1, part), component_bbox(c2, part)
-    e1 = envelope(c1, part, 2, (64, 64))
-    e2 = envelope(c2, part, 2, (64, 64))
+    e1 = envelope(c1, part, 2)
+    e2 = envelope(c2, part, 2)
     assert not e1.intersect(e2).is_empty
     r1, r2 = resolve_envelope_overlaps([e1, e2], [b1, b2])
     assert r1.intersect(r2).is_empty
     for env, bbox in ((r1, b1), (r2, b2)):
         assert env.intersect(bbox) == bbox  # bbox still contained
+
+
+def _apart_on_some_axis(a: Rect, b: Rect) -> bool:
+    return any(lb >= ha or la >= hb for la, ha, lb, hb in zip(a.lo, a.hi, b.lo, b.hi))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_envelope_cut_separates_and_keeps_separable_boxes(d):
+    """Random block layouts with margins 0-3: the cut envelopes are pairwise
+    disjoint and each lies inside its input; when every pair of component boxes
+    is apart (or touching) on some axis, each envelope also keeps its box."""
+    rng = np.random.default_rng(100 + d)
+    max_count = {1: 40, 2: 14, 3: 7, 4: 5}[d]
+    cut, kept = 0, 0
+    for _ in range(150):
+        counts = rng.integers(2, max_count + 1, size=d)
+        strides = rng.integers(1, 5, size=d)
+        dims = tuple(int(c * l - rng.integers(0, l)) for c, l in zip(counts, strides))
+        part = BlockPartition(dims, tuple(int(l) for l in strides), tuple(int(c) for c in counts))
+        mask = np.where(rng.random(part.counts) < 0.12, rng.choice([-1, 1], size=part.counts), 0)
+        comps = components(mask, part, 0)
+        margin = int(rng.integers(0, 4))
+        boxes = [component_bbox(c, part) for c in comps]
+        envs = [envelope(c, part, margin) for c in comps]
+        out = resolve_envelope_overlaps(envs, boxes)
+        assert len(out) == len(envs)
+        for i, (r, env) in enumerate(zip(out, envs)):
+            assert r.is_empty or r.intersect(env) == r
+            assert all(r.intersect(s).is_empty for s in out[i + 1 :])
+        cut += out != envs
+        if all(_apart_on_some_axis(a, b) for i, a in enumerate(boxes) for b in boxes[i + 1 :]):
+            assert all(r.intersect(box) == box for r, box in zip(out, boxes))
+            kept += out != envs
+    assert kept >= 20 and cut >= kept  # the layouts do overlap, and mostly separably
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_envelopes_clipped_at_the_edge_keep_their_patches(seed):
+    """Two patches on row 0, 24 columns apart: both envelopes are clipped at the
+    grid's edge and overlap as much on each axis, and the cut must fall between
+    the columns, not across the rows."""
+    truth = PatchSet(((Rect((0, 16), (14, 96)), 2.0), (Rect((0, 120), (14, 200)), 2.0)))
+    x = inject_patches(gen_field(FieldSpec(kind="iid-gaussian", seed=seed), (256, 256)), truth)
+    det = splade_detect(x, SpladeConfig(mu0=0.0, sigma=1.0))
+    assert list(det.patches) == _sorted_rects(truth)
+
+
+CROWDED = """\
+........-...
+.-.......+..
+..+.-.......
+......--....
+........-...
+............
+....+.......
+...+........
+-...+.......
+....-.......
+............
+............"""
+
+
+def test_crowded_envelopes_are_separated_in_one_pass():
+    """Twelve components of +-4 blocks, noiseless, with margins of 3 blocks:
+    many pairs of envelopes overlap, and one pass of cuts leaves each patch
+    equal to its component's box."""
+    part = BlockPartition.build((128, 128), 0.5)  # stride 11, 12 blocks per axis
+    data = np.zeros((128, 128))
+    for i, row in enumerate(CROWDED.splitlines()):
+        for j, ch in enumerate(row):
+            if ch != ".":
+                data[part.block((i, j)).slices()] = 4.0 if ch == "+" else -4.0
+    cfg = SpladeConfig(mu0=0.0, sigma=1.0, min_size_factor=1e-6, envelope_margin_blocks=3)
+    comps = components(np.sign(data[::11, ::11]), part, 0)
+    det = splade_detect(Grid.from_array(data), cfg)
+    assert len(comps) == 12
+    assert list(det.patches) == sorted((component_bbox(c, part) for c in comps), key=lambda r: (r.lo, r.hi))
+    assert det.diagnostics["degenerate_envelopes"] == 0
+    lattice.check_disjoint(det.patches)
 
 
 # ---------------------------------------------------------------- pipeline
