@@ -34,12 +34,12 @@ from .lattice import build_prefix_sum  # noqa: F401 -- unused here; perfbench/tr
 from .single import Stage1Params, SubsampleError, algorithm1
 
 _FALLBACK_MIN_CELLS = 256  # below this, a masked re-estimate is too thin to trust
-# Largest accepted |cell|.  The scan's squared contrasts grow like n^3 * x^2, and
-# they bound the long-run variance's sums too: it squares moving sums of centred
-# cells over windows of prod_k b_k <= ~2^d * sqrt(n) cells, ~2^d * n of them, so its
-# running sums stay below 2 * n * x and its sum of squares near n^2 * x^2.  At
-# |x| <= 1e100 all of it stays below float64's 1.8e308 for any grid of fewer than
-# 1e30 cells.
+# Largest accepted |cell|.  The scan's squared contrasts grow like n^3 * x^2.  The
+# long-run variance squares window sums of centred cells (each at most 2 * |x|)
+# over windows of prod_k b_k <= ~2^d * sqrt(n) cells, so every window sum stays
+# below 2 * prod_k b_k * |x|; with ~2^d * n windows its sum of squares stays below
+# ~2^(3d+2) * n^2 * x^2.  At |x| <= 1e100 all of it stays below float64's 1.8e308
+# for any grid of fewer than 1e30 cells in up to 50 dimensions.
 _MAX_ABS = 1e100
 # Smallest accepted nonzero spread max - min: the long-run variance squares
 # moving sums of centred cells, and below a spread of ~1e-154 those squares

@@ -167,9 +167,10 @@ def brute_force_lrv(data: np.ndarray, mask: np.ndarray, bandwidths) -> tuple[flo
     """Bartlett long-run variance as the direct double sum over masked cell pairs.
 
     sum_{x, y} K(x - y) c(x) c(y) / count, with c the masked cells centred on
-    their mean and K the product Bartlett kernel of ``bandwidths``; a negative
-    value is replaced by the plain masked variance and flagged, as
-    ``masked_lrv`` does.
+    their mean and K the product Bartlett kernel of ``bandwidths``.  A negative
+    value is replaced by the plain masked variance and flagged.  The kernel is
+    positive semi-definite, so only rounding could make one; ``masked_lrv``
+    sums squares and has no such branch.
     """
     cells = [tuple(int(i) for i in x) for x in np.argwhere(mask)]
     mean = sum(float(data[x]) for x in cells) / len(cells)

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from splade import calibrate
 from splade.calibrate import (
     CalibrationError,
+    _moving_sums,
     boundary_layer_mask,
     default_bandwidths,
     masked_lrv,
@@ -116,14 +119,17 @@ def test_lrv_sar_exceeds_plain_variance():
     "dims, bandwidths",
     [((7,), (3,)), ((6, 5), (3, 2)), ((3, 8), (5, 2)), ((3, 4, 3), (2, 1, 5))],
 )
-def test_masked_lrv_matches_double_sum(kind, dims, bandwidths):
+def test_masked_lrv_matches_double_sum(kind, dims, bandwidths, monkeypatch):
     # (3, 8) with bandwidth 5 on the short axis and (3, 4, 3) with 5 on the
-    # last have kernel lags as long as the axis, whose cell pairs are empty
+    # last have kernel lags as long as the axis, whose cell pairs are empty;
+    # every strip size of ``_strip_sizes`` gives the same value
     rng = np.random.default_rng(len(dims) * 10 + len(kind))
     data = rng.standard_normal(dims) + np.indices(dims).sum(axis=0) * 0.3
     for mask in (np.ones(dims, dtype=bool), rng.random(dims) < 0.6):
         want, _ = brute_force_lrv(data, mask, bandwidths)
-        assert masked_lrv(data, mask, bandwidths) == pytest.approx(want, rel=1e-12)
+        for cells in _strip_sizes(dims, bandwidths):
+            monkeypatch.setattr(calibrate, "_STRIP_CELLS", cells)
+            assert masked_lrv(data, mask, bandwidths) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["bartlett"])  # the case ids name the kernel
@@ -141,11 +147,13 @@ def test_masked_lrv_matches_double_sum(kind, dims, bandwidths):
         ((7, 11, 5, 13), (8, 2, 1, 4)),
     ],
 )
-def test_masked_lrv_matches_lag_sum(kind, dims, bandwidths):
+def test_masked_lrv_matches_lag_sum(kind, dims, bandwidths, monkeypatch):
     # medium grids with prime axis lengths, default bandwidths and bandwidths
     # longer than an axis, on data offset by 1e3 and on an alternating +-1
-    # field, whose moving sums cancel to near zero; a Fortran-ordered copy and
-    # a strided view of each input give the C-ordered result bit for bit
+    # field, whose moving sums cancel to near zero, at the default strip size
+    # (one strip for every grid here) and at each size of ``_strip_sizes``;
+    # a Fortran-ordered copy and a strided view of each input give the
+    # C-ordered result bit for bit
     rng = np.random.default_rng(sum(dims) + len(kind))
     offset = rng.standard_normal(dims) + 1e3
     alternating = np.indices(dims).sum(axis=0) % 2 * 2.0 - 1.0
@@ -153,11 +161,54 @@ def test_masked_lrv_matches_lag_sum(kind, dims, bandwidths):
     masks = (np.ones(dims, dtype=bool), rng.random(dims) < 0.5, boundary_layer_mask(dims, 0.7))
     for data in (offset, alternating):
         for mask in masks:
-            sigma2 = masked_lrv(data, mask, bandwidths)
             want, _ = lag_sum_lrv(data, mask, bandwidths)
-            assert sigma2 == pytest.approx(want, rel=1e-12)
-            assert masked_lrv(np.asfortranarray(data), np.asfortranarray(mask), bandwidths) == sigma2
-            assert masked_lrv(strided(data, np.nan), strided(mask, True), bandwidths) == sigma2
+            for cells in (calibrate._STRIP_CELLS, *_strip_sizes(dims, bandwidths)):
+                monkeypatch.setattr(calibrate, "_STRIP_CELLS", cells)
+                sigma2 = masked_lrv(data, mask, bandwidths)
+                assert sigma2 == pytest.approx(want, rel=1e-12)
+                assert masked_lrv(np.asfortranarray(data), np.asfortranarray(mask), bandwidths) == sigma2
+                assert masked_lrv(strided(data, np.nan), strided(mask, True), bandwidths) == sigma2
+
+
+def _strip_sizes(dims, bandwidths, max_strips=256):
+    """``_STRIP_CELLS`` values for strips of 1, 2 and ceil((b_0 - 1) / 2) padded-grid rows.
+
+    Each strip also holds the b_0 - 1 halo rows before it, so the last size
+    has fewer rows than its halo once b_0 > 3.  Sizes that would walk more
+    than ``max_strips`` strips are left out: they are the one- and two-cell
+    strips of the long 1-D grids, whose seams the small grids of
+    ``test_masked_lrv_matches_double_sum`` cover.
+    """
+    padded = [n + b - 1 for n, b in zip(dims, bandwidths)]
+    row, halo = math.prod(padded[1:]), bandwidths[0] - 1
+    rows = sorted({1, 2, math.ceil(halo / 2)} - {0})
+    return [row * (halo + k) for k in rows if math.ceil(padded[0] / k) <= max_strips]
+
+
+@pytest.mark.parametrize("step", [1, 7])
+def test_moving_sums_match_a_loop(step):
+    # integer-valued cells, so every sum is exact whatever its order; widths
+    # 1..17 and widths past the buffer's end, whose windows all run off its start
+    x = np.random.default_rng(step).integers(-9, 10, 61).astype(np.float64)
+    for b in [*range(1, 18), 60, 61, 62, 500]:
+        p, q, r = x.copy(), np.full_like(x, np.nan), np.full_like(x, np.nan)
+        sums, *scratch = _moving_sums(p, q, r, step, b)
+        want = [sum(x[i - t * step] for t in range(b) if i - t * step >= 0) for i in range(x.size)]
+        assert sums.tolist() == want, b
+        assert sorted(map(id, (sums, *scratch))) == sorted(map(id, (p, q, r)))
+
+
+def test_masked_lrv_makes_no_grid_sized_buffer():
+    dims = (1024, 1024)
+    data = np.random.default_rng(5).standard_normal(dims)
+    mask = boundary_layer_mask(dims, 0.7)
+    tracemalloc.start()
+    try:
+        masked_lrv(data, mask, default_bandwidths(dims))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * data.nbytes
 
 
 def test_threshold_over_array_matches_scalar_bitwise():

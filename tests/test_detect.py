@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -376,6 +377,20 @@ def test_detect_pure_noise_mostly_empty():
         g = gen_field(FieldSpec(kind="iid-gaussian", seed=seed), (128, 128))
         ks.append(splade_detect(g).k_hat)
     assert ks.count(0) >= 4
+
+
+def test_detect_on_a_null_grid_peaks_below_the_grid_size():
+    # the long-run variance walks the grid in strips, so a null call holds no
+    # float buffer the size of the grid
+    g = gen_field(FieldSpec(kind="iid-gaussian", seed=3), (1024, 1024))
+    tracemalloc.start()
+    try:
+        det = splade_detect(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert det.k_hat == 0
+    assert peak < g.data.nbytes
 
 
 def test_detect_rejects_small_grids():
