@@ -231,7 +231,7 @@ class _Search:
         roundoffs = 4.0**d * (cells + 1) * _UNIT_ROUNDOFF
         scale = float(np.abs(self.centred).sum()) + cells * abs(self.delta)
         self.slack = roundoffs * scale
-        q_tot = float(self.ytab[(-1,) * d + (1,)])
+        q_tot = float(box_sums(self.ytab, (0,) * d, self.centred.shape)[1])
         q_abs = roundoffs * q_tot
         eta = math.sqrt(cells) * 4.0**d * _UNIT_ROUNDOFF * scale
         self.q_err = q_abs + eta * (2.0 * math.sqrt(q_tot + 3.0 * q_abs) + eta)

@@ -8,9 +8,10 @@ pairs, evaluated as a sum of squared moving box sums.  Those sums are formed
 strip by strip along the first axis, in three buffers of about
 ``_STRIP_CELLS`` cells, each axis's as a few shifted adds of a strip's flat
 buffer whose widths double; no buffer the size of the grid is made and no
-running sum is taken.  The first-stage flag threshold is the exact
-closed-form quantile of the maximum absolute normalized Gaussian block
-increment.
+running sum is taken.  The cells are centred on the mean the caller has
+already taken of them, so a grid is walked once per call.  The first-stage
+flag threshold is the exact closed-form quantile of the maximum absolute
+normalized Gaussian block increment.
 """
 
 from __future__ import annotations
@@ -85,13 +86,14 @@ def _moving_sums(p: np.ndarray, q: np.ndarray, r: np.ndarray, step: int, b: int)
     return (sums, *(x for x in (p, q, r) if x is not sums))
 
 
-def masked_lrv(data: np.ndarray, mask: np.ndarray, bandwidths) -> float:
-    """Bartlett long-run variance over the masked cells.
+def masked_lrv(data: np.ndarray, mask: np.ndarray, bandwidths, mean: float) -> float:
+    """Bartlett long-run variance over the masked cells, centred on ``mean``.
 
     The kernel-weighted double sum sum_{x, y} w(x - y) c(x) c(y) over the
-    masked cells c, centred on their mean, normalized by their count, with the
-    product kernel w(lag) = prod_k max(0, 1 - |lag_k| / b_k) of one integer
-    bandwidth b_k >= 1 per axis.
+    masked cells c, centred on the caller's ``mean`` (the masked cells' own
+    mean, which the caller has already gathered), normalized by their count,
+    with the product kernel w(lag) = prod_k max(0, 1 - |lag_k| / b_k) of one
+    integer bandwidth b_k >= 1 per axis.
 
     The weight 1 - |lag| / b is the autocorrelation of a b-wide box, divided by
     b, so the double sum is sum_y W(y)^2 / prod_k b_k, where W holds the b-wide
@@ -100,8 +102,8 @@ def masked_lrv(data: np.ndarray, mask: np.ndarray, bandwidths) -> float:
     every window that meets a cell; its cells sit at the low corner and the
     padding is zero.
 
-    The padded grid is walked in strips along axis 0, so no buffer the size of
-    the grid is made.  Each strip is one C-ordered flat buffer of about
+    The padded grid is walked once, in strips along axis 0, so no buffer the
+    size of the grid is made.  Each strip is one C-ordered flat buffer of about
     ``_STRIP_CELLS`` cells holding the strip's rows and the b_0 - 1 rows before
     them, refilled with centred masked cells.  On every axis the moving sums
     are adds of that buffer to itself shifted by the axis's flat step, in
@@ -114,9 +116,10 @@ def masked_lrv(data: np.ndarray, mask: np.ndarray, bandwidths) -> float:
     is summed: the axes are summed in order, and a sum along an earlier axis
     only adds entries that share their index on axis k.  A window that runs
     off the strip's start reads nothing; only the b_0 - 1 leading rows, whose
-    sums are dropped, have such windows on axis 0.  The centring mean is
-    summed strip by strip from the same buffer, so the result does not depend
-    on the layout of ``data``.
+    sums are dropped, have such windows on axis 0.  Every cell is centred in
+    the C-ordered strip buffer, so given the same ``mean`` the result does not
+    depend on the layout of ``data``; ``data[mask].mean()`` gathers the cells
+    in C order whatever their layout.
     """
     count = int(np.count_nonzero(mask))
     if count == 0:
@@ -131,22 +134,15 @@ def masked_lrv(data: np.ndarray, mask: np.ndarray, bandwidths) -> float:
     bufs = [np.empty(rows * steps[0]) for _ in range(3)]
     strip = bufs[0].reshape(rows, *padded[1:])
     cells = (slice(None),) + tuple(slice(n) for n in data.shape[1:])
-
-    def fill(lo: int, hi: int, mean: float) -> np.ndarray:
-        """Padded rows lo..hi - 1, flat: masked cells minus ``mean``, zero elsewhere."""
+    squares = 0.0
+    for lo in range(-halo, padded[0] - halo, rows - halo):
+        hi = min(lo + rows, padded[0])
         strip[: hi - lo].fill(0.0)
         a, z = max(lo, 0), min(hi, data.shape[0])
         if a < z:
             np.subtract(data[a:z], mean, out=strip[a - lo : z - lo][cells], where=mask[a:z])
-        return bufs[0][: (hi - lo) * steps[0]]
-
-    total = 0.0
-    for lo in range(0, data.shape[0], rows):
-        total += float(fill(lo, min(lo + rows, data.shape[0]), 0.0).sum())
-    mean, squares = total / count, 0.0
-    for lo in range(-halo, padded[0] - halo, rows - halo):
-        sums = fill(lo, min(lo + rows, padded[0]), mean)
-        p, q, r = sums, bufs[1][: sums.size], bufs[2][: sums.size]
+        size = (hi - lo) * steps[0]
+        p, q, r = bufs[0][:size], bufs[1][:size], bufs[2][:size]
         for b, step in zip(bw, steps):
             p, q, r = _moving_sums(p, q, r, step, b)
         own = p[halo * steps[0] :]

@@ -225,7 +225,7 @@ def _first_stage(means, vols, part, mu0, sigma, lo, hi, cfg, min_cells):
 
 
 def _blocks_to_cells(flags: np.ndarray, part: BlockPartition) -> np.ndarray:
-    """Cell-level mask: every cell of the flagged blocks."""
+    """Cell-level mask: every cell of the blocks set in ``flags``."""
     for ax in range(flags.ndim):
         flags = np.repeat(flags, np.diff(part.edges(ax)), axis=ax)
     return flags
@@ -265,10 +265,12 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
     estimated = mu0 is None or sigma is None
     if estimated:
         layer = boundary_layer_mask(grid.dims, BOUNDARY_BETA)
+        # one gather: the layer's mean is mu0, and the LRV's centre even when mu0 is given
+        centre = float(grid.data[layer].mean())
         if mu0 is None:
-            mu0 = float(grid.data[layer].mean())
+            mu0 = centre
         if sigma is None:
-            sigma = math.sqrt(masked_lrv(grid.data, layer, bandwidths))
+            sigma = math.sqrt(masked_lrv(grid.data, layer, bandwidths, centre))
 
     means, vols = block_means(grid.data, part), part.volumes()
     flags, comps = _first_stage(means, vols, part, mu0, sigma, lo, hi, cfg, min_cells)
@@ -280,14 +282,14 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
         # Anomalies reach into the calibration layer: re-estimate on the cells
         # outside every flagged block, then redo the first stage once.
         fallback = True
-        clean = ~_blocks_to_cells(flags, part)
-        clean_count = int(np.count_nonzero(clean))
+        clean = _blocks_to_cells(~flags, part)
+        values = grid.data[clean]  # one gather: the median, the count and the LRV's centre
+        enough = values.size >= _FALLBACK_MIN_CELLS
         if cfg.mu0 is None:
-            mu0 = float(
-                np.median(grid.data[clean] if clean_count >= _FALLBACK_MIN_CELLS else grid.data)
-            )
-        if cfg.sigma is None and clean_count >= _FALLBACK_MIN_CELLS:
-            sigma = math.sqrt(masked_lrv(grid.data, clean, bandwidths))
+            mu0 = float(np.median(values if enough else grid.data))
+        if cfg.sigma is None and enough:
+            sigma = math.sqrt(masked_lrv(grid.data, clean, bandwidths, float(values.mean())))
+        del clean, values  # grid-sized: free them before stage 2's tables set the call's peak
         flags, comps = _first_stage(means, vols, part, mu0, sigma, lo, hi, cfg, min_cells)
 
     bboxes = [component_bbox(c, part) for c in comps]

@@ -42,7 +42,8 @@ def _layer_mu0(g, beta):
 def _layer_lrv(g, beta, bandwidths=None):
     """The long-run variance as ``splade_detect`` estimates it, on the boundary layer."""
     bandwidths = bandwidths or default_bandwidths(g.dims)
-    return masked_lrv(g.data, boundary_layer_mask(g.dims, beta), bandwidths)
+    mask = boundary_layer_mask(g.dims, beta)
+    return masked_lrv(g.data, mask, bandwidths, float(g.data[mask].mean()))
 
 
 def test_mu0_constant_and_interior_patch():
@@ -79,8 +80,8 @@ def test_kernel_validation():
     data, mask = np.ones((4, 5)), np.ones((4, 5), dtype=bool)
     for bad in [(0.5, 2), (2.5, 2), (2.0, 2), (0, 2), (2,), (2, 2, 2)]:
         with pytest.raises(CalibrationError, match="integer bandwidths >= 1"):
-            masked_lrv(data, mask, bad)
-    assert masked_lrv(data, mask, (1, np.int64(3))) == 0.0
+            masked_lrv(data, mask, bad, 1.0)
+    assert masked_lrv(data, mask, (1, np.int64(3)), 1.0) == 0.0
     assert default_bandwidths((64, 100)) == (3, 4)
     assert all(type(b) is int for b in default_bandwidths((64, 100)))
 
@@ -127,9 +128,10 @@ def test_masked_lrv_matches_double_sum(kind, dims, bandwidths, monkeypatch):
     data = rng.standard_normal(dims) + np.indices(dims).sum(axis=0) * 0.3
     for mask in (np.ones(dims, dtype=bool), rng.random(dims) < 0.6):
         want, _ = brute_force_lrv(data, mask, bandwidths)
+        mean = float(data[mask].mean())
         for cells in _strip_sizes(dims, bandwidths):
             monkeypatch.setattr(calibrate, "_STRIP_CELLS", cells)
-            assert masked_lrv(data, mask, bandwidths) == pytest.approx(want, rel=1e-12)
+            assert masked_lrv(data, mask, bandwidths, mean) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["bartlett"])  # the case ids name the kernel
@@ -162,12 +164,17 @@ def test_masked_lrv_matches_lag_sum(kind, dims, bandwidths, monkeypatch):
     for data in (offset, alternating):
         for mask in masks:
             want, _ = lag_sum_lrv(data, mask, bandwidths)
+            fortran = np.asfortranarray(data), np.asfortranarray(mask)
+            views = strided(data, np.nan), strided(mask, True)
+            mean = float(data[mask].mean())
+            # the caller's gather reads the cells in C order whatever their layout
+            assert float(fortran[0][fortran[1]].mean()) == float(views[0][views[1]].mean()) == mean
             for cells in (calibrate._STRIP_CELLS, *_strip_sizes(dims, bandwidths)):
                 monkeypatch.setattr(calibrate, "_STRIP_CELLS", cells)
-                sigma2 = masked_lrv(data, mask, bandwidths)
+                sigma2 = masked_lrv(data, mask, bandwidths, mean)
                 assert sigma2 == pytest.approx(want, rel=1e-12)
-                assert masked_lrv(np.asfortranarray(data), np.asfortranarray(mask), bandwidths) == sigma2
-                assert masked_lrv(strided(data, np.nan), strided(mask, True), bandwidths) == sigma2
+                assert masked_lrv(*fortran, bandwidths, mean) == sigma2
+                assert masked_lrv(*views, bandwidths, mean) == sigma2
 
 
 def _strip_sizes(dims, bandwidths, max_strips=256):
@@ -202,9 +209,10 @@ def test_masked_lrv_makes_no_grid_sized_buffer():
     dims = (1024, 1024)
     data = np.random.default_rng(5).standard_normal(dims)
     mask = boundary_layer_mask(dims, 0.7)
+    mean = float(data[mask].mean())
     tracemalloc.start()
     try:
-        masked_lrv(data, mask, default_bandwidths(dims))
+        masked_lrv(data, mask, default_bandwidths(dims), mean)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

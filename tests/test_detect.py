@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from splade import _scan, detect, lattice
+from splade.calibrate import BOUNDARY_BETA, boundary_layer_mask, default_bandwidths, masked_lrv
 from splade.detect import (
     BlockPartition,
     DetectionError,
@@ -393,6 +394,28 @@ def test_detect_on_a_null_grid_peaks_below_the_grid_size():
     assert peak < g.data.nbytes
 
 
+def test_detect_enters_stage_2_holding_no_float_buffer_the_size_of_the_grid(monkeypatch):
+    # the fallback's gather of the clean cells is freed before the searches
+    # build their tables, which set the call's memory peak
+    x = _config1_128()
+    splade_detect(x)  # first-call allocations that outlive the call
+    held = []
+    original = detect.algorithm1
+
+    def recorded(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return original(*args)
+
+    monkeypatch.setattr(detect, "algorithm1", recorded)
+    tracemalloc.start()
+    try:
+        det = splade_detect(x)
+    finally:
+        tracemalloc.stop()
+    assert det.diagnostics["fallback"] and held
+    assert max(held) < 0.5 * x.data.nbytes, held
+
+
 def test_detect_rejects_small_grids():
     with pytest.raises(DetectionError):
         splade_detect(Grid.from_array(np.zeros((8, 8))), SpladeConfig(alpha=0.9))
@@ -487,12 +510,13 @@ def test_detect_computes_block_means_once_with_fallback(monkeypatch):
     """The fallback re-runs the first stage on the same block means, and no
     prefix table of the whole grid is built: each search tabulates only the
     hull of its own candidates."""
-    calls = _count_calls(monkeypatch, "block_means", "threshold_q")
+    calls = _count_calls(monkeypatch, "block_means", "threshold_q", "masked_lrv")
     shapes = _record_tables(monkeypatch)
     x = _config1_128()
     assert splade_detect(x).diagnostics["fallback"]
-    # one threshold call per first stage (all block volumes at once), one for diagnostics
-    assert calls == {"block_means": 1, "threshold_q": 3}
+    # one threshold call per first stage (all block volumes at once), one for
+    # diagnostics; one long-run variance per calibration region
+    assert calls == {"block_means": 1, "threshold_q": 3, "masked_lrv": 2}
     assert shapes and all(s[:2] != (129, 129) for s in shapes), shapes
 
 
@@ -509,6 +533,20 @@ def test_detect_builds_a_table_only_for_a_surviving_component(monkeypatch, jump,
     assert det.k_hat == k_hat and not det.diagnostics["fallback"]
     assert bool(shapes) == bool(k_hat), shapes
     assert all(s[:2] != (129, 129) for s in shapes), shapes
+
+
+def test_detect_centres_the_lrv_on_the_layer_mean_when_mu0_is_given():
+    """With mu0 given and sigma estimated, the long-run variance is still
+    centred on the calibration layer's own mean, not on the given mu0."""
+    x = gen_field(FieldSpec(kind="iid-gaussian", seed=3), (128, 128))
+    x = inject_patches(x, PatchSet(((Rect((44, 44), (84, 84)), 2.0),)))
+    det = splade_detect(x, SpladeConfig(mu0=0.0))
+    assert not det.diagnostics["fallback"]
+    layer = boundary_layer_mask(x.dims, BOUNDARY_BETA)
+    centre = float(x.data[layer].mean())
+    assert centre != 0.0
+    sigma2 = masked_lrv(x.data, layer, default_bandwidths(x.dims), centre)
+    assert det.diagnostics["sigma"] == math.sqrt(sigma2)
 
 
 def test_min_component_cells_formula():
@@ -624,10 +662,15 @@ def test_perfbench_tracer_targets_resolve(monkeypatch):
 # Side range per rank, the smallest stage-2 alpha and the largest window constant.
 # They keep the oracle's exhaustive searches small: a subsample of at most 7
 # points per axis in 2-D, 6 in 3-D and 4 in 4-D, with corner windows a few
-# cells wide.  In 1-D a subsample of fewer than 10 points has at most one
-# admissible stage-1 volume, so a smaller alpha gives the search a chance.
+# cells wide.  In 4-D the window constant is capped at 0.1, so every draw's
+# half-width is 1: ceil(0.1 * floor(17^0.6) * 17^0.02 * ln(17^4)^(1/4)) =
+# ceil(0.97).  A half-width of 2 makes the oracle score 5^8 pairs one at a
+# time, tens of seconds for one draw; test_scan's 4-D oracle tests cover
+# wide windows.
+# In 1-D a subsample of fewer than 10 points has at most one admissible
+# stage-1 volume, so a smaller alpha gives the search a chance.
 ORACLE_RANKS = {1: ((16, 40), 0.25, 0.3), 2: ((16, 40), 0.5, 0.3), 3: ((16, 24), 0.45, 0.12),
-                4: ((16, 17), 0.58, 0.12)}
+                4: ((16, 17), 0.58, 0.1)}
 ORACLE_EXAMPLES = {1: 40, 2: 30, 3: 12, 4: 6}
 
 
