@@ -17,6 +17,7 @@ import numpy as np
 from splade.calibrate import BOUNDARY_BETA, CalibrationError, boundary_layer_mask, threshold_q
 from splade.detect import resolve_envelope_overlaps
 from splade.lattice import BlockPartition, Grid, Rect, shifted
+from splade.simulate import SimulationError, frechet_centering
 from splade.single import window_half_width
 
 
@@ -215,6 +216,58 @@ def lag_sum_lrv(data: np.ndarray, mask: np.ndarray, bandwidths) -> tuple[float, 
     if sigma2 < 0.0:
         return float(np.sum(centered[mask] ** 2) / count), True
     return sigma2, False
+
+
+def whole_grid_sar(rng, dims, rho, tol=1e-10, max_sweeps=1000):
+    """The sar field by Jacobi sweeps over the whole grid, eps <- rho * (W eps / counts) + e.
+
+    Each cell's neighbour sum starts from 0.0 and adds its neighbour at -1,
+    then at +1, along each axis in turn, as ``gen_field`` does.  Raises
+    ``SimulationError`` where ``gen_field`` does.
+    """
+
+    def neighbour_sum(x):
+        out = np.zeros(x.shape)
+        for ax in range(x.ndim):
+            for step in (1, -1):
+                dst, src = shifted([step if k == ax else 0 for k in range(x.ndim)], x.shape)
+                out[dst] += x[src]
+        return out
+
+    e = rng.standard_normal(dims)
+    if rho == 0.0:
+        return e
+    counts = neighbour_sum(np.ones(dims))
+    if not counts.all():
+        raise SimulationError(f"sar needs at least two cells, got dims {dims}")
+    eps = e.copy()
+    for _ in range(max_sweeps):
+        new = rho * (neighbour_sum(eps) / counts) + e
+        delta = float(np.max(np.abs(new - eps)))
+        eps = new
+        if delta < tol:
+            return eps
+    raise SimulationError(f"sar fixed point did not converge within {max_sweeps} sweeps (rho={rho})")
+
+
+def per_offset_max_stable(rng, dims, tail_index, base):
+    """The max-stable field as one weighted maximum per stencil offset s >= 0.
+
+    The stencil holds every s with base^(s_1+...+s_d) >= 1e-6, its weights
+    formed as one numpy power of the offsets' sums.
+    """
+    d = len(dims)
+    kmax = int(math.floor(math.log(1e-6) / math.log(base)))
+    offsets = np.array([s for s in itertools.product(range(kmax + 1), repeat=d) if sum(s) <= kmax])
+    weights = base ** offsets.sum(axis=1).astype(np.float64)
+    u = rng.random(tuple(n + kmax for n in dims))
+    np.maximum(u, np.finfo(np.float64).tiny, out=u)
+    innov = (-np.log(u)) ** (-1.0 / tail_index) - frechet_centering(tail_index)
+    out = np.full(dims, -np.inf)
+    for off, w in zip(offsets, weights):
+        sl = tuple(slice(kmax - off[k], kmax - off[k] + dims[k]) for k in range(d))
+        np.maximum(out, w * innov[sl], out=out)
+    return out - out.mean()
 
 
 class OnThreshold(Exception):

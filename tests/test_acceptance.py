@@ -25,7 +25,7 @@ from splade.simulate import (
 from splade.single import SearchBounds, naive_ls
 
 from helpers import brute_force_ls, mask_hausdorff
-from test_simulate import _neighbor_stats, _neighbor_sum
+from test_simulate import sar_residual
 
 
 def _verdict(num, ok, detail):
@@ -214,10 +214,7 @@ def test_criterion_10_generator_suite():
     rho = 0.4
     out = gen_field(FieldSpec(kind="sar", seed=13, rho=rho), dims)
     e = np.random.default_rng(13).standard_normal(dims)
-    counts = _neighbor_stats(dims)
-    resid = float(
-        np.max(np.abs(out.data - rho * (_neighbor_sum(out.data, np.empty(dims)) / counts) - e))
-    )
+    resid = sar_residual(out.data, e, rho)
     identity = np.array_equal(
         gen_field(FieldSpec(kind="sar", seed=21, rho=0.0), dims).data,
         np.random.default_rng(21).standard_normal(dims),

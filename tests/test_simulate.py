@@ -1,13 +1,15 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from splade import simulate
 from splade.lattice import Grid, LatticeError, PatchSet, Rect
 from splade.simulate import (
     FieldSpec,
     SimulationError,
-    _neighbor_stats,
     _neighbor_sum,
     canonical_scenario,
     decay_stencil,
@@ -15,6 +17,20 @@ from splade.simulate import (
     gen_field,
     inject_patches,
 )
+
+from helpers import per_offset_max_stable, whole_grid_sar
+
+# two cells, a single row, a single column and a one-cell axis in ranks 1 to 4,
+# then longer shapes that take several strips at the smaller strip sizes
+ORACLE_SHAPES = [(2,), (1, 7), (7, 1), (3, 5, 2), (3, 2, 1, 4), (37,), (13, 11), (9, 6, 5), (5, 4, 3, 6)]
+
+
+def sar_residual(field, e, rho):
+    """Largest |eps - rho * (W eps) - e| over the grid, W the row-normalised neighbour sum."""
+    n = field.shape[0]
+    counts = _neighbor_sum(np.ones(field.shape), 0, n, np.empty(field.shape))
+    neighbours = _neighbor_sum(field, 0, n, np.empty(field.shape))
+    return float(np.max(np.abs(field - rho * (neighbours / counts) - e)))
 
 
 def test_spec_validation():
@@ -39,10 +55,73 @@ def test_sar_residual_satisfies_defining_equation(rho):
     dims = (48, 48)
     out = gen_field(FieldSpec(kind="sar", seed=13, rho=rho), dims)
     e = np.random.default_rng(13).standard_normal(dims)
-    counts = _neighbor_stats(dims)
-    buf = np.empty(dims)
-    resid = out.data - rho * (_neighbor_sum(out.data, buf) / counts) - e
-    assert float(np.max(np.abs(resid))) < 1e-8
+    assert sar_residual(out.data, e, rho) < 1e-8
+
+
+def _sar_strip_sizes(dims):
+    """``_STRIP_CELLS`` values for strips of less than a row, 1 row, 2 rows, a
+    ragged last strip (n // 2 + 1 rows of n) and the whole grid."""
+    row, n = math.prod(dims[1:]), dims[0]
+    return sorted({1, row, 2 * row, (n // 2 + 1) * row, n * row})
+
+
+@pytest.mark.parametrize("rho", [0.04, 0.4, 0.9])
+@pytest.mark.parametrize("dims", ORACLE_SHAPES)
+def test_sar_equals_whole_grid_sweeps_bit_for_bit(dims, rho, monkeypatch):
+    want = whole_grid_sar(np.random.default_rng(3), dims, rho).tobytes()
+    for cells in _sar_strip_sizes(dims):
+        monkeypatch.setattr(simulate, "_STRIP_CELLS", cells)
+        assert gen_field(FieldSpec(kind="sar", seed=3, rho=rho), dims).data.tobytes() == want, cells
+
+
+# base 0.85 reaches shell 85, whose stencil has 2.8e6 offsets in 4-D: ranks 1 and 2 only
+@pytest.mark.parametrize(
+    "dims, tail_index, base",
+    [(dims, t, b) for dims in ORACLE_SHAPES for t, b in [(3.0, 0.6), (2.5, 0.3), (2.2, 0.85)]
+     if b < 0.85 or len(dims) <= 2],
+)
+def test_max_stable_equals_per_offset_maxima_bit_for_bit(dims, tail_index, base):
+    want = per_offset_max_stable(np.random.default_rng(5), dims, tail_index, base).tobytes()
+    spec = FieldSpec(kind="max-stable", seed=5, tail_index=tail_index, decay_base=base)
+    assert gen_field(spec, dims).data.tobytes() == want
+
+
+@pytest.mark.parametrize("dims", [(512, 512), (1024, 1024)])
+def test_sar_sweeps_make_no_grid_sized_temporaries(dims):
+    # the innovations, the counts and two sweep buffers are four grids; the
+    # whole-grid sweep peaked at 7.0x with its temporaries
+    tracemalloc.start()
+    try:
+        out = gen_field(FieldSpec(kind="sar", seed=7, rho=0.4), dims)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * out.data.nbytes
+
+
+def test_sar_that_does_not_converge_names_the_sweep_cap():
+    with pytest.raises(SimulationError, match="did not converge within 1000 sweeps"):
+        gen_field(FieldSpec(kind="sar", seed=1, rho=0.995), (16, 16))
+
+
+@pytest.mark.parametrize(
+    "kind, kw, digest",
+    [
+        ("iid-gaussian", {}, "d44c02b2d559573f45a75a4070f86ed1c5f6680752df70a46363653c2013c10f"),
+        ("sar", {"rho": 0.4}, "5e5174aecd9ede9072a644cc63662509d356aa3b34e79a58a4ed2815a3cb6cfe"),
+        ("linear", {"stencil": (((0, 0), 1.0), ((1, 0), 0.5), ((-1, 2), -0.25))},
+         "25ca96691f70b00a4b344d91faa35bf93de53a59f9fa59542623c9451b4b2c9e"),
+        ("m-dependent", {"m": 2}, "2ac2264f87a231a1fdd6fc29ac547b2425e17c84fd417c77d09cdbb72b06a559"),
+        ("max-stable", {"tail_index": 2.5},
+         "0c5f7febdb01cfe7883a5484c76de84179fb84546cb6e457868343cb31465ece"),
+    ],
+)
+def test_generator_fingerprint(kind, kw, digest):
+    # sha256 of the little-endian float64 cells of a 9x7 field at seed 2024,
+    # taken before sar was swept in strips and max-stable taken by shells: a
+    # change to any generator's bits fails here, not only in the golden corpus
+    data = gen_field(FieldSpec(kind=kind, seed=2024, **kw), (9, 7)).data
+    assert hashlib.sha256(data.astype("<f8").tobytes()).hexdigest() == digest
 
 
 def test_sar_one_cell_grid_rejected_up_front():
