@@ -28,7 +28,7 @@ from itertools import combinations, product
 import numpy as np
 
 from ._scan import DegenerateScanError, NoAdmissibleRectError
-from .calibrate import BOUNDARY_BETA, boundary_layer_mask, default_bandwidths, masked_lrv, threshold_q
+from .calibrate import BOUNDARY_BETA, boundary_layer_mask, default_bandwidths, masked_lrv, median, threshold_q
 from .lattice import BlockPartition, Grid, LatticeError, Rect, block_sums, shifted
 from .lattice import build_prefix_sum  # noqa: F401 -- unused here; perfbench/tracer.py looks the name up
 from .single import Stage1Params, SubsampleError, algorithm1
@@ -118,7 +118,11 @@ def components(mask: np.ndarray, part: BlockPartition, min_cells: int, connectiv
 
 
 def component_bbox(comp, part: BlockPartition) -> Rect:
-    return Rect(part.block(np.min(comp, axis=0)).lo, part.block(np.max(comp, axis=0)).hi)
+    """Bounding box of the component's cells: block i on axis k starts at
+    min(i * L_k, n_k) and ends at min((i + 1) * L_k, n_k)."""
+    lo = tuple(min(i * l, n) for i, l, n in zip(map(min, zip(*comp)), part.strides, part.dims))
+    hi = tuple(min((i + 1) * l, n) for i, l, n in zip(map(max, zip(*comp)), part.strides, part.dims))
+    return Rect(lo, hi)
 
 
 def envelope(comp, part: BlockPartition, margin_blocks: int) -> Rect:
@@ -127,7 +131,11 @@ def envelope(comp, part: BlockPartition, margin_blocks: int) -> Rect:
         raise DetectionError("empty component has no envelope")
     if margin_blocks < 0:
         raise DetectionError("margin_blocks must be >= 0")
-    bbox = component_bbox(comp, part)
+    return _grow(component_bbox(comp, part), part, margin_blocks)
+
+
+def _grow(bbox: Rect, part: BlockPartition, margin_blocks: int) -> Rect:
+    """``bbox`` expanded by ``margin_blocks`` whole blocks per side, clipped to the domain."""
     lo = tuple(max(0, b - margin_blocks * l) for b, l in zip(bbox.lo, part.strides))
     hi = tuple(min(n, b + margin_blocks * l) for b, l, n in zip(bbox.hi, part.strides, part.dims))
     return Rect(lo, hi)
@@ -274,11 +282,12 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
 
     means, vols = block_means(grid.data, part), part.volumes()
     flags, comps = _first_stage(means, vols, part, mu0, sigma, lo, hi, cfg, min_cells)
+    bboxes = [component_bbox(c, part) for c in comps]
 
     fallback = False
     # The layer is an OR of per-axis slabs, so the cells outside it form one box,
     # and a set of blocks misses the layer exactly when their bounding box does.
-    if estimated and any(layer[component_bbox(c, part).slices()].any() for c in comps):
+    if estimated and any(layer[b.slices()].any() for b in bboxes):
         # Anomalies reach into the calibration layer: re-estimate on the cells
         # outside every flagged block, then redo the first stage once.
         fallback = True
@@ -286,14 +295,14 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
         values = grid.data[clean]  # one gather: the median, the count and the LRV's centre
         enough = values.size >= _FALLBACK_MIN_CELLS
         if cfg.mu0 is None:
-            mu0 = float(np.median(values if enough else grid.data))
+            mu0 = median(values if enough else grid.data)
         if cfg.sigma is None and enough:
             sigma = math.sqrt(masked_lrv(grid.data, clean, bandwidths, float(values.mean())))
         del clean, values  # grid-sized: free them before stage 2's tables set the call's peak
         flags, comps = _first_stage(means, vols, part, mu0, sigma, lo, hi, cfg, min_cells)
+        bboxes = [component_bbox(c, part) for c in comps]
 
-    bboxes = [component_bbox(c, part) for c in comps]
-    envs = [envelope(c, part, cfg.envelope_margin_blocks) for c in comps]
+    envs = [_grow(b, part, cfg.envelope_margin_blocks) for b in bboxes]
     envs = resolve_envelope_overlaps(envs, bboxes)
 
     patches, degenerate = [], 0

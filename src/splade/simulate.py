@@ -46,6 +46,12 @@ _SAR_MAX_SWEEPS = 1000
 # smaller of the two keeps the step buffer at an eighth of a 512^2 grid.
 _STRIP_CELLS = 2**15
 _STENCIL_CUTOFF = 1e-6
+# Cells a max-stable draw, or the offset grid of ``decay_stencil``, may hold:
+# 2^27 float64 cells are 1 GiB.  The stencil reaches shell
+# kmax = floor(log(1e-6) / log(base)) and the draw pads every axis by kmax, so
+# at base 0.99 (kmax = 1374) a 16^3 field would draw 1390^3 = 2.7e9 cells; at
+# base 0.6 (kmax = 27) a 4096^2 field draws 1.7e7.
+_MAX_STABLE_CELLS = 2**27
 
 
 class SimulationError(LatticeError):
@@ -172,15 +178,27 @@ def _gen_m_dependent(rng, dims, m):
     return _gen_linear(rng, dims, stencil) / (2 * m + 1) ** (len(dims) / 2.0)
 
 
-def _shell_weights(base: float):
-    """Weights base^m of the stencil's shells m = 0..kmax, the last m with base^m >= 1e-6."""
+def _shell_weights(base: float, shape_at, what: str):
+    """Weights base^m of the stencil's shells m = 0..kmax, the last m with base^m >= 1e-6.
+
+    ``shape_at(kmax)`` is the shape of the ``what`` the caller allocates next;
+    raises ``SimulationError`` first when it holds more than
+    ``_MAX_STABLE_CELLS`` cells.
+    """
     kmax = int(math.floor(math.log(_STENCIL_CUTOFF) / math.log(base)))
+    cells = math.prod(shape_at(kmax))
+    if cells > _MAX_STABLE_CELLS:
+        raise SimulationError(
+            f"max-stable {what} at decay_base {base} would hold {cells:.3g} cells (stencil reach "
+            f"{kmax} per axis), over the budget of {_MAX_STABLE_CELLS} cells; lower decay_base or the grid"
+        )
     return base ** np.arange(kmax + 1, dtype=np.float64)
 
 
 def decay_stencil(base: float, d: int):
     """Offsets s >= 0 with weight base^(s_1+...+s_d) >= 1e-6, plus the weights."""
-    shells = _shell_weights(base)
+    # the offsets come from a meshgrid of d integer arrays of (kmax + 1)^d cells
+    shells = _shell_weights(base, lambda kmax: (d,) + (kmax + 1,) * d, "stencil")
     axes = [np.arange(shells.size)] * d
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     offsets = grid[grid.sum(axis=1) < shells.size]
@@ -212,7 +230,7 @@ def _gen_max_stable(rng, dims, tail_index, base):
     every offset stays in the padded draw.  Rounding keeps w * a monotone in a
     for w > 0, so max_m w_m * R_m has the bits of the maximum over every offset.
     """
-    weights = _shell_weights(base)
+    weights = _shell_weights(base, lambda kmax: tuple(n + kmax for n in dims), f"draw for dims {tuple(dims)}")
     pad = weights.size - 1
     u = rng.random(tuple(n + pad for n in dims))
     np.maximum(u, np.finfo(np.float64).tiny, out=u)

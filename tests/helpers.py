@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to cross-check the fast paths.
 
-Nothing here touches a prefix table or the vectorized scan: sums are direct cell
-loops and set metrics run on explicit boolean masks, so these stay valid
-reference implementations no matter how the production code evolves.
+Nothing here touches the vectorized scan: sums are direct cell loops (or, in
+``fancy_box_sums``, tuple fancy indexing of a prefix table) and set metrics run
+on explicit boolean masks, so these stay valid reference implementations no
+matter how the production code evolves.
 """
 
 from __future__ import annotations
@@ -25,6 +26,24 @@ def direct_rect_sum(grid: Grid, r: Rect) -> float:
     if r.is_empty:
         return 0.0
     return float(grid.data[r.slices()].sum())
+
+
+def fancy_box_sums(table: np.ndarray, lo, hi) -> np.ndarray:
+    """Box sums of a prefix table read by tuple fancy indexing, one corner term
+    at a time in ``itertools.product((0, 1), repeat=d)`` order, over the
+    table's last ``d`` axes; leading axes carry through."""
+    d = len(lo)
+    lead = table.shape[:-d]
+    s = np.zeros(lead + np.broadcast(*lo, *hi).shape)
+    for mask in itertools.product((0, 1), repeat=d):
+        term = table[(Ellipsis,) + tuple(l if m else h for l, h, m in zip(lo, hi, mask))]
+        # a term of fewer corner axes lines up with the boxes' trailing axes
+        term = term.reshape(lead + (1,) * (s.ndim - term.ndim) + term.shape[len(lead) :])
+        if sum(mask) & 1:
+            s -= term
+        else:
+            s += term
+    return s
 
 
 def strided(a, fill):

@@ -11,6 +11,7 @@ from splade.calibrate import (
     boundary_layer_mask,
     default_bandwidths,
     masked_lrv,
+    median,
     threshold_q,
 )
 from splade.lattice import Grid
@@ -292,3 +293,21 @@ def test_threshold_vs_monte_carlo_oracle():
     mc = sigma / math.sqrt(v) * float(np.quantile(peak, 1 - kappa))
     closed = threshold_q(sigma, v, m, kappa)
     assert abs(closed - mc) / mc < 0.02
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 1000, 1001])
+def test_median_equals_numpy_median_bit_for_bit(n):
+    """The one-partition median has the bits of ``np.median`` for odd and even
+    sizes, with ties, on constant arrays (-0.0 among them) and on a view."""
+    rng = np.random.default_rng(n)
+    cases = {
+        "normal": rng.standard_normal(n),
+        "ties": rng.integers(-2, 3, size=n).astype(np.float64),
+        "one tie at the middle": np.sort(rng.standard_normal(n)).repeat(2)[: n],
+        "constant": np.full(n, 0.1),
+        "constant -0.0": np.full(n, -0.0),
+        "view": strided(rng.standard_normal(n) * 1e6, np.nan),
+    }
+    for name, x in cases.items():
+        got, want = median(x), np.median(x)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (name, got, want)

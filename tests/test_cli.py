@@ -382,6 +382,10 @@ CLI_ERRORS = {
     "patch corner fractional": ({}, lambda t: [
         "simulate", "--spec", _patch_spec_file(t, {"lo": [1.5, 2], "hi": [3, 3], "jump": 1.0}),
         "--out", str(t / "g.splg")]),
+    "simulate max-stable over the cell budget": ({}, lambda t: [
+        "simulate", "--spec", _spec_file(t, {"dims": [16, 16, 16], "patches": [],
+                                             "field": {"kind": "max-stable", "decay_base": 0.99}}),
+        "--out", str(t / "g.splg")]),
     "simulate mu0 inf": ({}, lambda t: [
         "simulate", "--spec", _spec_file(t, {"dims": [64, 64], "field": {"kind": "iid-gaussian"},
                                              "mu0": float("inf")}),
@@ -465,6 +469,7 @@ CLI_ERRORS = {
 # it succeeds (an infinite baseline gave an all-inf grid and exit 0)
 CLI_ERROR_TEXT = {
     "simulate mu0 inf": "baseline must be finite",
+    "simulate max-stable over the cell budget": "over the budget of 134217728 cells",
     "spec scenario form unknown key": "unknown scenario spec keys ['jmup']",  # was ignored, exit 0
     "spec explicit form unknown key": "unknown explicit spec keys ['jmup']",
     "spec explicit form with dims and n": "unknown explicit spec keys ['n']",

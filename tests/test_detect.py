@@ -491,14 +491,14 @@ def _count_calls(monkeypatch, *names):
 
 
 def _record_tables(monkeypatch):
-    """The shape of every prefix table built, recorded where ``lattice`` and
-    ``_scan`` bind ``prefix_table``."""
+    """The shape of every prefix table built, less any leading channel axis,
+    recorded where ``lattice`` and ``_scan`` bind ``prefix_table``."""
     shapes = []
     original = lattice.prefix_table
 
     def recorded(cells, d):
         table = original(cells, d)
-        shapes.append(table.shape)
+        shapes.append(table.shape[-d:])
         return table
 
     monkeypatch.setattr(lattice, "prefix_table", recorded)

@@ -14,7 +14,7 @@ from splade.lattice import (
     shifted,
 )
 
-from helpers import all_rects, direct_rect_sum
+from helpers import all_rects, direct_rect_sum, fancy_box_sums
 
 
 def test_grid_validation():
@@ -121,11 +121,55 @@ def test_window_sums_match_copied_subgrid(dims):
     for i, j in np.ndindex(5, 4):
         box = tuple(slice(int(l[i, 0]), int(h[0, j])) for l, h in zip(lo, hi))
         assert sums[i, j] == pytest.approx(float(x[box].sum()), rel=1e-12, abs=1e-9)
-    # a trailing axis of 2 carries through (the layout of the scan's Y+/Y- tables)
-    pair = box_sums(prefix_table(np.stack((x, -x), axis=-1), d), lo, hi)
-    assert pair.shape == (5, 4, 2)
-    np.testing.assert_array_equal(pair[..., 0], sums)
-    np.testing.assert_array_equal(pair[..., 1], -sums)
+    # a leading axis of 2 carries through (the layout of the scan's channels),
+    # whether the channels come as a list or as one stacked array
+    for channels in ([x, -x], np.stack((x, -x))):
+        pair = box_sums(prefix_table(channels, d), lo, hi)
+        assert pair.shape == (2, 5, 4)
+        np.testing.assert_array_equal(pair[0], sums)
+        np.testing.assert_array_equal(pair[1], -sums)
+
+
+# corner shapes that broadcast together to (2, 3, 4)
+_CORNER_SHAPES = [(), (4,), (3, 1), (1, 4), (3, 4), (2, 3, 4), (2, 1, 1)]
+
+
+@pytest.mark.parametrize("channels", [0, 1, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_box_sums_equal_fancy_indexing_bit_for_bit(d, channels):
+    """``box_sums`` reads its corner terms at flat indices, and adds them in the
+    order tuple fancy indexing does: the same bits, for Python-int, int32
+    and int64 corners of any broadcast shape, over 0, 1 or 3 leading channel
+    axes, with boxes empty or inverted on some axis among them."""
+    rng = np.random.default_rng(10 * d + channels)
+    dims = tuple(int(m) for m in rng.integers(2, 7, size=d))
+    x = rng.standard_normal((channels,) * bool(channels) + dims) * 1e3
+    table = prefix_table(list(x) if channels else x, d)
+    np.testing.assert_array_equal(table, prefix_table(x, d))  # a stacked array: the same table
+    lead = table.shape[:-d]
+
+    def corner(k, kind, shape):
+        values = rng.integers(0, dims[k] + 1, size=shape)
+        return int(values.flat[0]) if kind == "int" else values.astype(kind)
+
+    for trial in range(40):
+        kinds = rng.choice(["int", "int32", "int64"], size=2 * d)
+        shapes = [_CORNER_SHAPES[i] for i in rng.integers(0, len(_CORNER_SHAPES), size=2 * d)]
+        lo = [corner(k, kinds[k], shapes[k]) for k in range(d)]
+        hi = [corner(k, kinds[d + k], shapes[d + k]) for k in range(d)]
+        got = box_sums(table, lo, hi)
+        want = fancy_box_sums(table, lo, hi)
+        assert got.shape == want.shape == lead + np.broadcast(*lo, *hi).shape
+        np.testing.assert_array_equal(got, want)
+    # every box with lo == hi on axis 0, and so empty, as one open mesh
+    lo = list(np.ix_(*[np.arange(m) for m in dims]))
+    hi = lo[:1] + [c + 1 for c in lo[1:]]
+    empty = box_sums(table, lo, hi)
+    assert empty.shape == lead + dims
+    np.testing.assert_array_equal(empty, fancy_box_sums(table, lo, hi))
+    full = box_sums(table, (0,) * d, dims)
+    np.testing.assert_array_equal(full, fancy_box_sums(table, (0,) * d, dims))
+    assert full.shape == lead
 
 
 @pytest.mark.parametrize("dims", [(5,), (4, 3), (3, 1, 4)])

@@ -291,6 +291,59 @@ def test_offset_table_prunes_as_well(monkeypatch):
     assert max(scored[1:]) <= 1.1 * scored[0], scored
 
 
+def test_whole_scored_search_reads_only_nonempty_pairs(monkeypatch):
+    """A search small enough to be scored whole (15 x 22 corners, the size of
+    stage 1 on a subsampled 512^2 envelope) reads the box sums of its
+    nonempty pairs alone: 120 * 253 = 30,360 of the 15^2 * 22^2 = 108,900 in
+    the product of its corner ranges.  It still finds the oracle's rectangle."""
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((15, 22))
+    x[3:9, 5:14] += 2.0
+    lo, hi = [range(15), range(22)], [range(1, 16), range(1, 23)]
+    read = []
+    box_sums = _scan.box_sums
+
+    def counting(table, lo, hi):
+        read.append(np.broadcast(*lo, *hi).size)
+        return box_sums(table, lo, hi)
+
+    monkeypatch.setattr(_scan, "box_sums", counting)
+    rect, _ = best_rectangle(x, lo, hi, 4.0, 326.0)
+    assert read == [30360]
+    assert rect == brute_force_search(Grid.from_array(x), 4.0 / 330, 326.0 / 330)[1]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_leaves_read_only_their_nonempty_pairs(d, monkeypatch):
+    """Scored as one batch, random leaves (across, beside and beyond the
+    diagonal lo = hi on each axis) read exactly their nonempty pairs, and
+    give the best key of scoring each leaf alone."""
+    rng = np.random.default_rng(90 + d)
+    x = rng.standard_normal(SMALL[d])
+    lo, hi = [range(m) for m in SMALL[d]], [range(1, m + 1) for m in SMALL[d]]
+    search = _scan._Search(x, lo, hi, 0.0, float(x.size))
+    leaves = _random_nodes(rng, search.root[0], 200)
+    per_axis = [[sum(l < h for l in range(*leaf[k]) for h in range(*leaf[d + k])) for k in range(d)]
+                for leaf in leaves.tolist()]
+    lengths = (leaves[:, :, 1] - leaves[:, :, 0]).tolist()
+    kinds = {"none": 0, "some": 0, "all": 0}
+    for counts, lens in zip(per_axis, lengths):
+        for k, c in enumerate(counts):
+            kinds["none" if c == 0 else "all" if c == lens[k] * lens[d + k] else "some"] += 1
+    assert min(kinds.values()) >= 10, kinds
+    alone = min(search._score_leaves(leaf[None], _scan._NONE) for leaf in leaves)
+    read = []
+    box_sums = _scan.box_sums
+
+    def counting(table, lo, hi):
+        read.append(np.broadcast(*lo, *hi).size)
+        return box_sums(table, lo, hi)
+
+    monkeypatch.setattr(_scan, "box_sums", counting)
+    assert search._score_leaves(leaves, _scan._NONE) == alone
+    assert sum(read) == sum(math.prod(counts) for counts in per_axis)
+
+
 def test_best_rectangle_no_admissible_candidate(search):
     x = np.arange(24.0).reshape(2, 3, 4)
     lo = [range(2), range(3), range(4)]

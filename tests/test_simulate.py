@@ -158,6 +158,23 @@ def test_max_stable_stencil_and_centering():
     assert frechet_centering(2.5) == pytest.approx(1.48919, abs=5e-6)  # Gamma(0.6)
 
 
+@pytest.mark.parametrize("dims", [(16, 16, 16), (6, 6, 6, 6)])
+def test_max_stable_beyond_the_cell_budget_fails_before_allocating(dims):
+    """At base 0.99 the stencil reaches shell 1374, so the padded draw of a
+    3-D or 4-D field, and the stencil's offset grid, would hold billions of
+    cells: both raise SimulationError having allocated nothing large."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(SimulationError, match="over the budget of 134217728 cells"):
+            gen_field(FieldSpec(kind="max-stable", decay_base=0.99), dims)
+        with pytest.raises(SimulationError, match="stencil at decay_base 0.99"):
+            decay_stencil(0.99, len(dims))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
 def test_max_stable_demeaned():
     out = gen_field(FieldSpec(kind="max-stable", seed=4, tail_index=2.75), (64, 64))
     assert abs(out.data.mean()) < 1e-12
