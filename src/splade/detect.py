@@ -118,27 +118,18 @@ def components(mask: np.ndarray, part: BlockPartition, min_cells: int, connectiv
 
 
 def component_bbox(comp, part: BlockPartition) -> Rect:
-    """Bounding box of the component's cells: block i on axis k starts at
-    min(i * L_k, n_k) and ends at min((i + 1) * L_k, n_k)."""
-    lo = tuple(min(i * l, n) for i, l, n in zip(map(min, zip(*comp)), part.strides, part.dims))
-    hi = tuple(min((i + 1) * l, n) for i, l, n in zip(map(max, zip(*comp)), part.strides, part.dims))
-    return Rect(lo, hi)
+    """Bounding box of the component's cells: ``part.cells`` of its blocks' extremes."""
+    return part.cells(map(min, zip(*comp)), map(max, zip(*comp)))
 
 
 def envelope(comp, part: BlockPartition, margin_blocks: int) -> Rect:
-    """Bounding box of the component's cells, expanded by whole blocks per side."""
+    """``component_bbox`` grown by ``margin_blocks`` whole blocks per side, clipped to the domain."""
     if not comp:
         raise DetectionError("empty component has no envelope")
     if margin_blocks < 0:
         raise DetectionError("margin_blocks must be >= 0")
-    return _grow(component_bbox(comp, part), part, margin_blocks)
-
-
-def _grow(bbox: Rect, part: BlockPartition, margin_blocks: int) -> Rect:
-    """``bbox`` expanded by ``margin_blocks`` whole blocks per side, clipped to the domain."""
-    lo = tuple(max(0, b - margin_blocks * l) for b, l in zip(bbox.lo, part.strides))
-    hi = tuple(min(n, b + margin_blocks * l) for b, l, n in zip(bbox.hi, part.strides, part.dims))
-    return Rect(lo, hi)
+    return part.cells([i - margin_blocks for i in map(min, zip(*comp))],
+                      [i + margin_blocks for i in map(max, zip(*comp))])
 
 
 def _cut_pair(a: Rect, b: Rect, box_a: Rect, box_b: Rect) -> tuple[Rect, Rect]:
@@ -222,14 +213,14 @@ def min_component_cells(n: int, alpha: float, factor: float) -> int:
 
 
 def _first_stage(means, vols, part, mu0, sigma, lo, hi, cfg, min_cells):
-    """Flag blocks against thresholds matched to their volumes ``vols``, and group
-    them into components split by contrast sign; ``lo``/``hi`` are the grid's extremes."""
-    q = threshold_q(sigma, vols, part.num_blocks, cfg.kappa_level) if sigma > 0.0 else 0.0
+    """Thresholds matched to the block volumes ``vols`` (before their floor; 0 when sigma is 0), the
+    blocks they flag, and those blocks' components split by sign; ``lo``/``hi`` are the grid's extremes."""
+    q = threshold_q(sigma, vols, part.num_blocks, cfg.kappa_level) if sigma > 0.0 else np.zeros(vols.shape)
     # floor at machine-noise scale so ulp residue (e.g. from baseline
     # subtraction) never reads as signal when sigma-hat collapses to ~0
-    q = np.maximum(q, 64.0 * np.finfo(np.float64).eps * max(hi - mu0, mu0 - lo))
-    flags = flag_blocks(means, q, mu0)
-    return flags, components(np.sign(means - mu0) * flags, part, min_cells, cfg.connectivity)
+    floor = 64.0 * np.finfo(np.float64).eps * max(hi - mu0, mu0 - lo)
+    flags = flag_blocks(means, np.maximum(q, floor), mu0)
+    return q, flags, components(np.sign(means - mu0) * flags, part, min_cells, cfg.connectivity)
 
 
 def _blocks_to_cells(flags: np.ndarray, part: BlockPartition) -> np.ndarray:
@@ -281,7 +272,7 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
             sigma = math.sqrt(masked_lrv(grid.data, layer, bandwidths, centre))
 
     means, vols = block_means(grid.data, part), part.volumes()
-    flags, comps = _first_stage(means, vols, part, mu0, sigma, lo, hi, cfg, min_cells)
+    q, flags, comps = _first_stage(means, vols, part, mu0, sigma, lo, hi, cfg, min_cells)
     bboxes = [component_bbox(c, part) for c in comps]
 
     fallback = False
@@ -299,10 +290,10 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
         if cfg.sigma is None and enough:
             sigma = math.sqrt(masked_lrv(grid.data, clean, bandwidths, float(values.mean())))
         del clean, values  # grid-sized: free them before stage 2's tables set the call's peak
-        flags, comps = _first_stage(means, vols, part, mu0, sigma, lo, hi, cfg, min_cells)
+        q, flags, comps = _first_stage(means, vols, part, mu0, sigma, lo, hi, cfg, min_cells)
         bboxes = [component_bbox(c, part) for c in comps]
 
-    envs = [_grow(b, part, cfg.envelope_margin_blocks) for b in bboxes]
+    envs = [envelope(c, part, cfg.envelope_margin_blocks) for c in comps]
     envs = resolve_envelope_overlaps(envs, bboxes)
 
     patches, degenerate = [], 0
@@ -323,15 +314,10 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
     whole = [(0,)] * grid.ndim  # one block: the patch
     jumps = tuple(block_sums(grid.data[r.slices()], whole).item() / r.volume() - mu0 for r in patches)
 
-    interior_vol = int(np.prod(part.strides))
     diagnostics = {
         "mu0": mu0,
         "sigma": sigma,
-        "q": (
-            threshold_q(sigma, interior_vol, part.num_blocks, cfg.kappa_level)
-            if sigma > 0.0
-            else 0.0
-        ),
+        "q": float(q.flat[0]),  # block 0 is never truncated: a full block's threshold
         "flagged_blocks": int(flags.sum()),
         "component_cells": [int(vols[tuple(np.transpose(c))].sum()) for c in comps],
         "fallback": fallback,

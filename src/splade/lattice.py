@@ -15,6 +15,9 @@ reads every channel's corner at one flat index of the last d axes.  Sums
 that are read once (block means, a grand mean, a patch's total) skip the
 table: ``block_sums`` adds the cells directly.
 
+``BlockPartition`` alone maps blocks to cells: ``edges`` gives each axis's
+block boundaries, and ``cells`` the box of a run of blocks, grown or not.
+
 A ``Grid`` wraps its caller's float64 array, strided or not, and nothing
 writes into it.  All objects here are immutable after construction and safe
 to share across threads; every operation is pure.
@@ -283,17 +286,20 @@ class BlockPartition:
         l, n, m = self.strides[axis], self.dims[axis], self.counts[axis]
         return np.minimum(np.arange(m + 1, dtype=np.int64) * l, n)
 
+    def cells(self, first, last) -> Rect:
+        """The cells of blocks ``first[k]`` to ``last[k]`` on each axis k, both included;
+        indices are clipped to the tiling, so a range past either end stops at the edge."""
+        top = [m - 1 for m in self.counts]
+        lo = [min(max(i, 0), t) * l for i, t, l in zip(first, top, self.strides)]
+        hi = [min((min(max(j, 0), t) + 1) * l, n) for j, t, l, n in zip(last, top, self.strides, self.dims)]
+        return Rect(tuple(lo), tuple(hi))
+
     def block(self, index) -> Rect:
-        lo = tuple(int(self.edges(k)[s]) for k, s in enumerate(index))
-        hi = tuple(int(self.edges(k)[s + 1]) for k, s in enumerate(index))
-        return Rect(lo, hi)
+        return self.cells(index, index)
 
     def volumes(self) -> np.ndarray:
-        widths = [np.diff(self.edges(k)) for k in range(len(self.dims))]
-        out = widths[0].astype(np.int64)
-        for w in widths[1:]:
-            out = np.multiply.outer(out, w)
-        return out
+        widths = (np.diff(self.edges(k)) for k in range(len(self.dims)))
+        return math.prod(np.ix_(*widths))  # their outer product, broadcast over open axes
 
     @property
     def num_blocks(self) -> int:

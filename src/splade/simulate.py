@@ -46,12 +46,12 @@ _SAR_MAX_SWEEPS = 1000
 # smaller of the two keeps the step buffer at an eighth of a 512^2 grid.
 _STRIP_CELLS = 2**15
 _STENCIL_CUTOFF = 1e-6
-# Cells a max-stable draw, or the offset grid of ``decay_stencil``, may hold:
-# 2^27 float64 cells are 1 GiB.  The stencil reaches shell
+# Cells a max-stable or m-dependent draw, or the offset grid of ``decay_stencil``,
+# may hold: 2^27 float64 cells are 1 GiB.  The stencil reaches shell
 # kmax = floor(log(1e-6) / log(base)) and the draw pads every axis by kmax, so
 # at base 0.99 (kmax = 1374) a 16^3 field would draw 1390^3 = 2.7e9 cells; at
-# base 0.6 (kmax = 27) a 4096^2 field draws 1.7e7.
-_MAX_STABLE_CELLS = 2**27
+# base 0.6 (kmax = 27) a 4096^2 field draws 1.7e7.  An m-dependent draw pads by 2m.
+_MAX_DRAW_CELLS = 2**27
 
 
 class SimulationError(LatticeError):
@@ -130,7 +130,7 @@ def _gen_sar(rng, dims, rho):
     if rho == 0.0:
         return e
     n = dims[0]
-    counts = _neighbor_sum(np.ones(dims), 0, n, np.empty(dims))
+    counts = _neighbor_sum(np.ones(dims, np.uint8), 0, n, np.empty(dims, np.uint8))  # each <= 2d
     if not counts.all():  # only a one-cell grid has a cell without neighbours
         raise SimulationError(f"sar needs at least two cells, got dims {dims}")
     eps, new = e.copy(), np.empty_like(e)
@@ -155,27 +155,38 @@ def _gen_sar(rng, dims, rho):
 
 
 def _gen_linear(rng, dims, stencil):
-    offsets, coeffs = zip(*stencil)
+    offsets = [off for off, _ in stencil]
     d = len(dims)
     if any(len(o) != d for o in offsets):
         raise SimulationError("stencil offset rank does not match dims")
     pad_lo = [max(0, max(o[k] for o in offsets)) for k in range(d)]
     pad_hi = [max(0, -min(o[k] for o in offsets)) for k in range(d)]
     padded = rng.standard_normal(tuple(n + pad_lo[k] + pad_hi[k] for k, n in enumerate(dims)))
+    return _stencil_sum(padded, dims, pad_lo, stencil)
+
+
+def _stencil_sum(padded, dims, pad_lo, stencil):
+    """sum_s c_s * padded[x + pad_lo - s] over the ``(offset s, c_s)`` pairs, in their order."""
     out = np.zeros(dims, dtype=np.float64)
-    for off, c in zip(offsets, coeffs):
-        sl = tuple(
-            slice(pad_lo[k] - off[k], pad_lo[k] - off[k] + dims[k]) for k in range(d)
-        )
-        out += c * padded[sl]
+    for off, c in stencil:
+        out += c * padded[tuple(slice(p - o, p - o + n) for p, o, n in zip(pad_lo, off, dims))]
     return out
 
 
 def _gen_m_dependent(rng, dims, m):
-    # _gen_linear reads the draw at x - offset, so offsets from +m down to -m
-    # sum the window [x - m, x + m]^d in ascending order, as they always have
-    stencil = [(off, 1.0) for off in product(range(m, -m - 1, -1), repeat=len(dims))]
-    return _gen_linear(rng, dims, stencil) / (2 * m + 1) ** (len(dims) / 2.0)
+    # _stencil_sum reads the draw at x - offset, so offsets from +m down to -m, made one
+    # at a time, never listed, sum the window [x - m, x + m]^d in ascending order
+    shape, d = tuple(n + 2 * m for n in dims), len(dims)
+    _check_budget(shape, f"m-dependent draw for dims {tuple(dims)} at m {m}", "m")
+    stencil = ((off, 1.0) for off in product(range(m, -m - 1, -1), repeat=d))
+    return _stencil_sum(rng.standard_normal(shape), dims, [m] * d, stencil) / (2 * m + 1) ** (d / 2.0)
+
+
+def _check_budget(shape, what: str, knob: str) -> None:
+    """Raise ``SimulationError`` when ``what``, of this shape, would hold over ``_MAX_DRAW_CELLS`` cells."""
+    if (cells := math.prod(shape)) > _MAX_DRAW_CELLS:
+        raise SimulationError(f"{what} would hold {cells:.3g} cells, over the budget of "
+                              f"{_MAX_DRAW_CELLS} cells; lower {knob} or the grid")
 
 
 def _shell_weights(base: float, shape_at, what: str):
@@ -183,15 +194,11 @@ def _shell_weights(base: float, shape_at, what: str):
 
     ``shape_at(kmax)`` is the shape of the ``what`` the caller allocates next;
     raises ``SimulationError`` first when it holds more than
-    ``_MAX_STABLE_CELLS`` cells.
+    ``_MAX_DRAW_CELLS`` cells.
     """
     kmax = int(math.floor(math.log(_STENCIL_CUTOFF) / math.log(base)))
-    cells = math.prod(shape_at(kmax))
-    if cells > _MAX_STABLE_CELLS:
-        raise SimulationError(
-            f"max-stable {what} at decay_base {base} would hold {cells:.3g} cells (stencil reach "
-            f"{kmax} per axis), over the budget of {_MAX_STABLE_CELLS} cells; lower decay_base or the grid"
-        )
+    what = f"max-stable {what} at decay_base {base} (stencil reach {kmax} per axis)"
+    _check_budget(shape_at(kmax), what, "decay_base")
     return base ** np.arange(kmax + 1, dtype=np.float64)
 
 

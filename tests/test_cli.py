@@ -444,7 +444,7 @@ CLI_ERRORS = {
         f"bench noise {noise}": ({}, lambda t, noise=noise: [
             "bench", "--scenario", "config1", "--grid", "64", "--reps", "1", "--noise", noise,
             "--out", str(t / "b.csv")])
-        for noise in ["sar", "maxstable", "sar:abc", "mdep:1.5", "sar:0.4:junk"]
+        for noise in ["sar", "maxstable", "sar:abc", "mdep:1.5", "sar:0.4:junk", "mdep:100000"]
     },
     **{
         f"bench reps {reps}": ({}, lambda t, reps=reps: [
@@ -470,6 +470,7 @@ CLI_ERRORS = {
 CLI_ERROR_TEXT = {
     "simulate mu0 inf": "baseline must be finite",
     "simulate max-stable over the cell budget": "over the budget of 134217728 cells",
+    "bench noise mdep:100000": "m-dependent draw for dims (64, 64) at m 100000 would hold 4e+10 cells",
     "spec scenario form unknown key": "unknown scenario spec keys ['jmup']",  # was ignored, exit 0
     "spec explicit form unknown key": "unknown explicit spec keys ['jmup']",
     "spec explicit form with dims and n": "unknown explicit spec keys ['n']",

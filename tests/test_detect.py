@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import itertools
 import math
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from splade import _scan, detect, lattice
-from splade.calibrate import BOUNDARY_BETA, boundary_layer_mask, default_bandwidths, masked_lrv
+from splade.calibrate import BOUNDARY_BETA, boundary_layer_mask, default_bandwidths, masked_lrv, threshold_q
 from splade.detect import (
     BlockPartition,
     DetectionError,
@@ -49,6 +50,38 @@ def test_partition_tiles_exactly():
             cover[part.block((i, j)).slices()] += 1
     assert np.all(cover == 1)
     assert int(part.volumes().sum()) == 70
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_partition_cells_match_edges(d):
+    """``BlockPartition.cells`` against ``edges`` on random tilings: on every
+    axis a single block, the last block (truncated where the stride does not
+    divide the axis), runs past the low end, past the high end and past both,
+    runs wholly beyond either end, and the whole tiling, in every combination
+    across the axes."""
+    rng = np.random.default_rng(60 + d)
+    truncated = 0
+    for _ in range({1: 40, 2: 20, 3: 8, 4: 4}[d]):
+        dims = tuple(int(n) for n in rng.integers(4, {1: 500, 2: 80, 3: 30, 4: 14}[d], size=d))
+        part = BlockPartition.build(dims, float(rng.uniform(0.2, 0.8)))
+        edges = [part.edges(k) for k in range(d)]
+        runs = []
+        for m in part.counts:
+            i = int(rng.integers(0, m))
+            runs.append([(i, i), (m - 1, m - 1), (i - 3, i), (i, m + 2), (-1, m), (0, m - 1),
+                         (-3, -1), (m, m + 1)])
+        for combo in itertools.product(*runs):
+            first, last = zip(*combo)
+            clip = [(min(max(a, 0), m - 1), min(max(b, 0), m - 1))
+                    for a, b, m in zip(first, last, part.counts)]
+            want = Rect(tuple(int(e[a]) for e, (a, _) in zip(edges, clip)),
+                        tuple(int(e[b + 1]) for e, (_, b) in zip(edges, clip)))
+            assert part.cells(first, last) == want, (dims, part.strides, combo)
+        last_block = part.block(tuple(m - 1 for m in part.counts))
+        assert last_block == Rect(tuple(int(e[-2]) for e in edges), dims)
+        truncated += last_block.volume() < math.prod(part.strides)
+        assert part.cells((0,) * d, tuple(m - 1 for m in part.counts)) == Rect((0,) * d, dims)
+    assert truncated > 0
 
 
 def test_block_means_hand_example():
@@ -514,10 +547,45 @@ def test_detect_computes_block_means_once_with_fallback(monkeypatch):
     shapes = _record_tables(monkeypatch)
     x = _config1_128()
     assert splade_detect(x).diagnostics["fallback"]
-    # one threshold call per first stage (all block volumes at once), one for
-    # diagnostics; one long-run variance per calibration region
-    assert calls == {"block_means": 1, "threshold_q": 3, "masked_lrv": 2}
+    # one threshold call per first stage (all block volumes at once), whose
+    # block 0 is the diagnostics' q; one long-run variance per calibration region
+    assert calls == {"block_means": 1, "threshold_q": 2, "masked_lrv": 2}
     assert shapes and all(s[:2] != (129, 129) for s in shapes), shapes
+
+
+def _centre_patch_128():
+    """iid noise at 128^2 with one patch, jump 2, clear of the calibration layer."""
+    data = gen_field(FieldSpec(kind="iid-gaussian", seed=5), (128, 128)).data.copy()
+    data[48:80, 48:80] += 2.0
+    return Grid.from_array(data)
+
+
+@pytest.mark.parametrize(
+    "grid, mu0, sigma, fallback",
+    [
+        ("config1", None, None, True),
+        ("centre", None, None, False),
+        ("config1", 0.0, None, True),
+        ("config1", None, 1.0, True),
+        ("centre", 0.0, 1.0, False),
+        ("config1", None, 0.0, True),
+        ("config1", 0.0, 0.0, False),
+        ("constant", None, None, False),  # estimated sigma 0
+    ],
+)
+def test_diagnostics_q_is_a_full_blocks_threshold(grid, mu0, sigma, fallback):
+    """``diagnostics["q"]`` is the unfloored threshold of a full block,
+    prod(strides) cells, at the final sigma, bit for bit; 0 when sigma is 0."""
+    x = {"config1": _config1_128, "centre": _centre_patch_128,
+         "constant": lambda: Grid.from_array(np.full((128, 128), 1.5))}[grid]()
+    cfg = SpladeConfig(mu0=mu0, sigma=sigma)
+    det = splade_detect(x, cfg)
+    assert det.diagnostics["fallback"] == fallback
+    part = BlockPartition.build(x.dims, cfg.alpha)
+    got = det.diagnostics["sigma"]
+    want = threshold_q(got, math.prod(part.strides), part.num_blocks, cfg.kappa_level) if got > 0.0 else 0.0
+    assert (got == 0.0) == (sigma == 0.0 or grid == "constant")
+    assert np.float64(det.diagnostics["q"]).tobytes() == np.float64(want).tobytes()
 
 
 @pytest.mark.parametrize("jump, k_hat", [(None, 0), (2.0, 1)])

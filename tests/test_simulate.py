@@ -88,8 +88,9 @@ def test_max_stable_equals_per_offset_maxima_bit_for_bit(dims, tail_index, base)
 
 @pytest.mark.parametrize("dims", [(512, 512), (1024, 1024)])
 def test_sar_sweeps_make_no_grid_sized_temporaries(dims):
-    # the innovations, the counts and two sweep buffers are four grids; the
-    # whole-grid sweep peaked at 7.0x with its temporaries
+    # the innovations and two sweep buffers are three grids, and the byte-sized
+    # neighbour counts an eighth of one; the whole-grid sweep peaked at 7.0x
+    # with its temporaries
     tracemalloc.start()
     try:
         out = gen_field(FieldSpec(kind="sar", seed=7, rho=0.4), dims)
@@ -172,6 +173,24 @@ def test_max_stable_beyond_the_cell_budget_fails_before_allocating(dims):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_m_dependent_never_lists_its_stencil_and_checks_its_budget():
+    """A one-cell 2-D field at m = 100 sums 201^2 = 40401 offsets, made one at a
+    time next to a 323 kB draw: listed first, they peaked at ~8 MB.  At
+    m = 100000 a 64^2 field's draw would hold 200064^2 = 4e10 cells: it raises
+    SimulationError having allocated nothing large."""
+    gen_field(FieldSpec(kind="m-dependent"), (2, 2))  # the generator's first call imports ~0.8 MB
+    tracemalloc.start()
+    try:
+        out = gen_field(FieldSpec(kind="m-dependent", seed=3, m=100), (1, 1))
+        with pytest.raises(SimulationError, match="m-dependent draw .* over the budget of 134217728 cells"):
+            gen_field(FieldSpec(kind="m-dependent", m=100000), (64, 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.data.shape == (1, 1) and np.isfinite(out.data).all()
     assert peak < 2**20, peak
 
 
