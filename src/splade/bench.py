@@ -47,10 +47,10 @@ def parse_noise(text: str, seed: int = 0) -> FieldSpec:
             fields = {"kind": "iid-gaussian"}
         elif kind == "sar" and len(args) == 1:
             fields = {"kind": "sar", "rho": float(args[0])}
-        elif kind in ("maxstable", "max-stable") and len(args) in (1, 2):
+        elif kind == "maxstable" and len(args) in (1, 2):
             base = float(args[1]) if len(args) > 1 else 0.6
             fields = {"kind": "max-stable", "tail_index": float(args[0]), "decay_base": base}
-        elif kind in ("mdep", "m-dependent") and len(args) == 1:
+        elif kind == "mdep" and len(args) == 1:
             fields = {"kind": "m-dependent", "m": int(args[0])}
     except ValueError:
         pass

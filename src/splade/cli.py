@@ -33,7 +33,7 @@ from .simulate import FieldSpec, canonical_scenario, gen_field, inject_patches
 from .single import Stage1Params
 
 
-def _field_spec_from_json(obj, seed_default=0) -> FieldSpec:
+def _field_spec_from_json(obj) -> FieldSpec:
     if not isinstance(obj, dict):
         raise LatticeError(f"field spec must be a JSON object, got {obj!r}")
     unknown = set(obj) - {f.name for f in fields(FieldSpec)}
@@ -41,7 +41,7 @@ def _field_spec_from_json(obj, seed_default=0) -> FieldSpec:
         raise LatticeError(f"unknown field spec keys {sorted(unknown)}")
     if "kind" not in obj:
         raise LatticeError("field spec needs a 'kind'")
-    return FieldSpec(**{"seed": seed_default, **obj})
+    return FieldSpec(**obj)
 
 
 def _truth_doc(patchset: PatchSet, dims, scenario: str, seed: int) -> dict:

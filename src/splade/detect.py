@@ -117,13 +117,9 @@ def components(mask: np.ndarray, part: BlockPartition, min_cells: int, connectiv
     return [tuple(comps[root]) for root in sorted(comps)]
 
 
-def component_bbox(comp, part: BlockPartition) -> Rect:
-    """Bounding box of the component's cells: ``part.cells`` of its blocks' extremes."""
-    return part.cells(map(min, zip(*comp)), map(max, zip(*comp)))
-
-
 def envelope(comp, part: BlockPartition, margin_blocks: int) -> Rect:
-    """``component_bbox`` grown by ``margin_blocks`` whole blocks per side, clipped to the domain."""
+    """The component's cells' bounding box grown by ``margin_blocks`` whole blocks per side,
+    clipped to the domain; margin 0 gives the bounding box itself."""
     if not comp:
         raise DetectionError("empty component has no envelope")
     if margin_blocks < 0:
@@ -273,7 +269,7 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
 
     means, vols = block_means(grid.data, part), part.volumes()
     q, flags, comps = _first_stage(means, vols, part, mu0, sigma, lo, hi, cfg, min_cells)
-    bboxes = [component_bbox(c, part) for c in comps]
+    bboxes = [envelope(c, part, 0) for c in comps]
 
     fallback = False
     # The layer is an OR of per-axis slabs, so the cells outside it form one box,
@@ -291,7 +287,7 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
             sigma = math.sqrt(masked_lrv(grid.data, clean, bandwidths, float(values.mean())))
         del clean, values  # grid-sized: free them before stage 2's tables set the call's peak
         q, flags, comps = _first_stage(means, vols, part, mu0, sigma, lo, hi, cfg, min_cells)
-        bboxes = [component_bbox(c, part) for c in comps]
+        bboxes = [envelope(c, part, 0) for c in comps]
 
     envs = [envelope(c, part, cfg.envelope_margin_blocks) for c in comps]
     envs = resolve_envelope_overlaps(envs, bboxes)
@@ -321,7 +317,6 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
         "flagged_blocks": int(flags.sum()),
         "component_cells": [int(vols[tuple(np.transpose(c))].sum()) for c in comps],
         "fallback": fallback,
-        "lrv_clamped": False,  # kept for the doc format: a sum of squares needs no clamp
         "degenerate_envelopes": degenerate,
     }
     return Detection(

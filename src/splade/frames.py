@@ -8,6 +8,8 @@ frame order; users transcode video to frames externally.
 
 from __future__ import annotations
 
+import re
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from .lattice import Grid, LatticeError
 
 CHANNELS = ("r", "g", "b", "mean")
 _EXTENSIONS = (".ppm", ".pgm", ".pnm")
+_PNM_WORD = re.compile(rb"#[^\n]*|\S+")  # a comment runs to the end of its line
 
 
 class FrameError(LatticeError):
@@ -26,34 +29,17 @@ def read_pnm(path) -> np.ndarray:
     """Binary PPM/PGM as float array in [0, 1]; shape (h, w) or (h, w, 3)."""
     with open(path, "rb") as f:
         raw = f.read()
-
-    pos = 0
-
-    def token():
-        nonlocal pos
-        while pos < len(raw):
-            if raw[pos : pos + 1].isspace():
-                pos += 1
-            elif raw[pos : pos + 1] == b"#":
-                while pos < len(raw) and raw[pos : pos + 1] != b"\n":
-                    pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        return raw[start:pos]
-
-    magic = token()
+    # the header's first four words (magic, width, height, maxval), skipping # comments
+    words = list(islice((m for m in _PNM_WORD.finditer(raw) if not m[0].startswith(b"#")), 4))
+    magic, *header = [m[0] for m in words] + [b""] * (4 - len(words))
     if magic not in (b"P5", b"P6"):
         raise FrameError(f"{path}: unsupported format {magic!r} (binary P5/P6 only)")
-    header = [token() for _ in range(3)]  # width, height, maxval
     if not all(t.isdigit() for t in header):
         raise FrameError(f"{path}: bad header {header!r}, expected three numbers")
     width, height, maxval = (int(t) for t in header)
     if not 0 < maxval < 65536:
         raise FrameError(f"{path}: bad maxval {maxval}")
-    pos += 1  # single whitespace byte before payload
+    pos = words[-1].end() + 1  # single whitespace byte before payload
     channels = 3 if magic == b"P6" else 1
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     count = width * height * channels

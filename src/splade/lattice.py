@@ -104,7 +104,7 @@ class Rect:
     def volume(self) -> int:
         if self.is_empty:
             return 0
-        return int(np.prod([h - l for l, h in zip(self.lo, self.hi)]))
+        return math.prod(h - l for l, h in zip(self.lo, self.hi))
 
     def slices(self) -> tuple[slice, ...]:
         return tuple(slice(l, h) for l, h in zip(self.lo, self.hi))

@@ -10,6 +10,7 @@ Hausdorff distance is computed exactly without materializing cell masks.
 from __future__ import annotations
 
 import csv
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -46,17 +47,20 @@ def ari(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _table_ari(cont: np.ndarray) -> float:
-    """ARI off a contingency table: the cell count of every pair of clusters."""
+    """ARI off a contingency table: the cell count of every pair of clusters.
 
-    def comb2(x):
-        x = x.astype(np.int64)
-        return x * (x - 1) // 2
+    Pairs are counted in Python ints, so a grid of any cell count scores exactly.
+    """
+    cont = cont.tolist()
 
-    n = int(cont.sum())
-    sum_cells = int(comb2(cont).sum())
-    sum_rows = int(comb2(cont.sum(axis=1)).sum())
-    sum_cols = int(comb2(cont.sum(axis=0)).sum())
-    total = n * (n - 1) // 2
+    def pairs(counts):
+        return sum(math.comb(c, 2) for c in counts)
+
+    n = sum(map(sum, cont))
+    sum_cells = pairs(c for row in cont for c in row)
+    sum_rows = pairs(map(sum, cont))
+    sum_cols = pairs(map(sum, zip(*cont)))
+    total = math.comb(n, 2)
     expected = sum_rows * sum_cols / max(total, 1)  # one cell: no pairs, denom 0 below
     max_index = 0.5 * (sum_rows + sum_cols)
     denom = max_index - expected
@@ -102,7 +106,8 @@ def _intersections(truth, est, dims) -> np.ndarray:
     er = [r for r in est if not r.is_empty] + [whole]
     # The last row and column start as the whole grid; subtracting the
     # rectangles leaves the background.
-    cap = np.array([[r.intersect(s).volume() for s in er] for r in tr], dtype=np.int64)
+    # Python ints: a grid of 2^63 cells or more would wrap int64
+    cap = np.array([[r.intersect(s).volume() for s in er] for r in tr], dtype=object)
     cap[-1] -= cap[:-1].sum(axis=0)
     cap[:, -1] -= cap[:, :-1].sum(axis=1)
     return cap[cap.sum(axis=1) != 0][:, cap.sum(axis=0) != 0]  # drop an empty background
@@ -112,7 +117,7 @@ def _table_hausdorff(cap: np.ndarray) -> float:
     if 0 in cap.shape:  # a side without members: equal only when both are
         return 0.0 if cap.shape == (0, 0) else 1.0
     union = cap.sum(axis=1, keepdims=True) + cap.sum(axis=0) - cap
-    dist = np.divide(union - cap, union, out=np.zeros(union.shape), where=union != 0)
+    dist = (union - cap) / union  # no member is empty, so no union is; int / int is rounded once
     return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
 
 

@@ -46,11 +46,12 @@ _SAR_MAX_SWEEPS = 1000
 # smaller of the two keeps the step buffer at an eighth of a 512^2 grid.
 _STRIP_CELLS = 2**15
 _STENCIL_CUTOFF = 1e-6
-# Cells a max-stable or m-dependent draw, or the offset grid of ``decay_stencil``,
+# Cells a max-stable, m-dependent or linear draw, or the offset grid of ``decay_stencil``,
 # may hold: 2^27 float64 cells are 1 GiB.  The stencil reaches shell
 # kmax = floor(log(1e-6) / log(base)) and the draw pads every axis by kmax, so
-# at base 0.99 (kmax = 1374) a 16^3 field would draw 1390^3 = 2.7e9 cells; at
-# base 0.6 (kmax = 27) a 4096^2 field draws 1.7e7.  An m-dependent draw pads by 2m.
+# at base 0.99 (kmax = 1374) a 16^3 field would draw 1390^3 = 2.7e9 cells; at base 0.6
+# (kmax = 27) a 4096^2 field draws 1.7e7.  An m-dependent draw pads by 2m, a linear one
+# by the spread of its stencil's offsets.
 _MAX_DRAW_CELLS = 2**27
 
 
@@ -161,8 +162,9 @@ def _gen_linear(rng, dims, stencil):
         raise SimulationError("stencil offset rank does not match dims")
     pad_lo = [max(0, max(o[k] for o in offsets)) for k in range(d)]
     pad_hi = [max(0, -min(o[k] for o in offsets)) for k in range(d)]
-    padded = rng.standard_normal(tuple(n + pad_lo[k] + pad_hi[k] for k, n in enumerate(dims)))
-    return _stencil_sum(padded, dims, pad_lo, stencil)
+    shape = tuple(n + pad_lo[k] + pad_hi[k] for k, n in enumerate(dims))
+    _check_budget(shape, f"linear draw for dims {tuple(dims)}", "the stencil's offsets")
+    return _stencil_sum(rng.standard_normal(shape), dims, pad_lo, stencil)
 
 
 def _stencil_sum(padded, dims, pad_lo, stencil):

@@ -472,7 +472,6 @@ def brute_force_detect(grid: Grid, cfg) -> dict:
             "flagged_blocks": int(np.count_nonzero(signs)),
             "component_cells": [int(sum(int(vols[b]) for b in c)) for c in comps],
             "fallback": fallback,
-            "lrv_clamped": False,
             "degenerate_envelopes": degenerate,
         },
     }

@@ -292,6 +292,22 @@ def test_eval_one_cell_grid(tmp_path):
     assert (rec.ari, rec.hausdorff) == (1.0, 0.0)
 
 
+@pytest.mark.parametrize("side, truth_hi, est_hi, want_ari", [
+    (60000, (30000, 30000), (30000, 15000), 0.49090909085509643),  # was ARI 2.5335
+    (2**32, (2**32, 2**31), (2**32, 2**30), 0.25),  # was ARI 2.0 and Hausdorff -0.5
+])
+def test_eval_scores_grids_beyond_int64_exactly(side, truth_hi, est_hi, want_ari, tmp_path):
+    """A cluster of 9e8 cells has ~4e17 pairs, whose int64 square overflowed, and
+    an int64 volume of 2^64 cells wraps to 0; the exact values come from
+    rational arithmetic.  Each estimate holds half its truth: Hausdorff 0.5."""
+    def doc(hi):
+        return {"dims": [side, side], "k_hat": 1, "patches": [{"lo": [0, 0], "hi": list(hi), "jump_estimate": 1.0}]}
+
+    assert main(_eval_argv(tmp_path, doc(est_hi), doc(truth_hi))) == 0
+    rec = read_bench_csv(str(tmp_path / "r.csv"))[0]
+    assert abs(rec.ari - want_ari) <= 1e-9 and rec.hausdorff == 0.5
+
+
 def _noise_grid_file(tmp_path):
     """A SPLG grid whose payload is not UTF-8 (a zero grid's NUL bytes are)."""
     path = tmp_path / "noise.splg"
@@ -386,6 +402,12 @@ CLI_ERRORS = {
         "simulate", "--spec", _spec_file(t, {"dims": [16, 16, 16], "patches": [],
                                              "field": {"kind": "max-stable", "decay_base": 0.99}}),
         "--out", str(t / "g.splg")]),
+    # offsets of +-1e8 pad a 64^2 draw to 4e16 cells, 3.2e17 bytes: beyond any
+    # address space, so even an unchecked draw could only fail to allocate
+    "simulate linear over the cell budget": ({}, lambda t: [
+        "simulate", "--spec", _spec_file(t, {"dims": [64, 64], "patches": [], "field": {
+            "kind": "linear", "stencil": [[[10**8, 0], 1.0], [[-10**8, 10**8], 1.0], [[0, -10**8], 1.0]]}}),
+        "--out", str(t / "g.splg")]),
     "simulate mu0 inf": ({}, lambda t: [
         "simulate", "--spec", _spec_file(t, {"dims": [64, 64], "field": {"kind": "iid-gaussian"},
                                              "mu0": float("inf")}),
@@ -470,6 +492,7 @@ CLI_ERRORS = {
 CLI_ERROR_TEXT = {
     "simulate mu0 inf": "baseline must be finite",
     "simulate max-stable over the cell budget": "over the budget of 134217728 cells",
+    "simulate linear over the cell budget": "linear draw for dims (64, 64) would hold 4e+16 cells, over the budget",
     "bench noise mdep:100000": "m-dependent draw for dims (64, 64) at m 100000 would hold 4e+10 cells",
     "spec scenario form unknown key": "unknown scenario spec keys ['jmup']",  # was ignored, exit 0
     "spec explicit form unknown key": "unknown explicit spec keys ['jmup']",

@@ -18,7 +18,6 @@ from splade.detect import (
     DetectionError,
     SpladeConfig,
     block_means,
-    component_bbox,
     components,
     envelope,
     flag_blocks,
@@ -239,7 +238,7 @@ def test_envelopes_five_blocks_apart_stay_disjoint():
     c2 = ((0, 6),)  # 5 block rows between them on axis 1
     e1 = envelope(c1, part, 2)
     e2 = envelope(c2, part, 2)
-    out = resolve_envelope_overlaps([e1, e2], [component_bbox(c1, part), component_bbox(c2, part)])
+    out = resolve_envelope_overlaps([e1, e2], [envelope(c1, part, 0), envelope(c2, part, 0)])
     assert out == [e1, e2]  # no cut needed
     gap = out[1].lo[1] - out[0].hi[1]
     assert gap >= part.strides[1]  # at least one clear block between envelopes
@@ -249,7 +248,7 @@ def test_envelope_overlap_shrink_preserves_bboxes():
     part = BlockPartition.build((64, 64), 0.5)  # stride 8
     c1 = ((1, 1), (1, 2))
     c2 = ((1, 4),)
-    b1, b2 = component_bbox(c1, part), component_bbox(c2, part)
+    b1, b2 = envelope(c1, part, 0), envelope(c2, part, 0)
     e1 = envelope(c1, part, 2)
     e2 = envelope(c2, part, 2)
     assert not e1.intersect(e2).is_empty
@@ -279,7 +278,7 @@ def test_envelope_cut_separates_and_keeps_separable_boxes(d):
         mask = np.where(rng.random(part.counts) < 0.12, rng.choice([-1, 1], size=part.counts), 0)
         comps = components(mask, part, 0)
         margin = int(rng.integers(0, 4))
-        boxes = [component_bbox(c, part) for c in comps]
+        boxes = [envelope(c, part, 0) for c in comps]
         envs = [envelope(c, part, margin) for c in comps]
         out = resolve_envelope_overlaps(envs, boxes)
         assert len(out) == len(envs)
@@ -333,7 +332,7 @@ def test_crowded_envelopes_are_separated_in_one_pass():
     comps = components(np.sign(data[::11, ::11]), part, 0)
     det = splade_detect(Grid.from_array(data), cfg)
     assert len(comps) == 12
-    assert list(det.patches) == sorted((component_bbox(c, part) for c in comps), key=lambda r: (r.lo, r.hi))
+    assert list(det.patches) == sorted((envelope(c, part, 0) for c in comps), key=lambda r: (r.lo, r.hi))
     assert det.diagnostics["degenerate_envelopes"] == 0
     lattice.check_disjoint(det.patches)
 

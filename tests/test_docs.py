@@ -4,7 +4,11 @@ import inspect
 import re
 from pathlib import Path
 
+import pytest
+
 import splade
+from splade.bench import parse_noise
+from splade.lattice import LatticeError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -30,3 +34,19 @@ def test_readme_entry_points_are_package_attributes():
     wrong = [(name, args) for name, args in calls
              if len(args.split(",")) != len(inspect.signature(getattr(splade, name)).parameters)]
     assert not wrong, wrong
+
+
+def test_readme_noise_descriptors_parse():
+    """Every form on README's "Noise descriptors:" line parses, one per CLI noise
+    kind, with its optional part and without; no other spelling does."""
+    text = README.read_text()
+    forms = re.findall(r"`([^`]+)`", text[text.index("Noise descriptors:"):].split("\n\n")[0])
+    values = {"RHO": "0.4", "ALPHA": "3", "BASE": "0.6", "M": "2"}
+    kinds = set()
+    for form in forms:
+        for spelled in {re.sub(r"\[(.*?)\]", r"\1", form), re.sub(r"\[.*?\]", "", form)}:
+            kinds.add(parse_noise(re.sub(r"[A-Z]+", lambda m: values[m[0]], spelled)).kind)
+    assert kinds == {"iid-gaussian", "sar", "max-stable", "m-dependent"}, forms
+    for alias in ("max-stable:3", "m-dependent:2"):
+        with pytest.raises(LatticeError, match="bad noise descriptor"):
+            parse_noise(alias)

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,24 @@ def test_read_rejects_ascii_pnm(tmp_path):
     p.write_bytes(b"P2\n2 2\n255\n0 1 2 3\n")
     with pytest.raises(FrameError):
         read_pnm(p)
+
+
+@pytest.mark.parametrize("raw, message", [
+    # a comment may follow a word on its line; tab and CR separate words
+    (b"P5 #c\n2\t#x y\n1\r\n255\n\x07\xc8", None),
+    (b"P5#c\n2 1\n255\n\x07\xc8", "unsupported format b'P5#c'"),  # a # inside a word is part of it
+    (b"P5\n2 1#c\n255\n\x07\xc8", "bad header [b'2', b'1#c', b'255']"),
+    (b"P5\n2 1", "bad header [b'2', b'1', b'']"),  # a short header reads as empty words
+    (b"# only a comment", "unsupported format b''"),
+])
+def test_pnm_header_words(raw, message, tmp_path):
+    p = tmp_path / "x.pgm"
+    p.write_bytes(raw)
+    if message is None:
+        assert read_pnm(p).tolist() == [[7 / 255, 200 / 255]]
+    else:
+        with pytest.raises(FrameError, match=re.escape(message)):
+            read_pnm(p)
 
 
 def test_frame_identical_to_baseline_gives_zero(tmp_path):

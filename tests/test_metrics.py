@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,9 @@ from splade.metrics import (
     hausdorff,
     jaccard_distance,
     labels_from_patches,
+    _intersections,
     read_bench_csv,
+    score,
     summarize,
     write_bench_csv,
 )
@@ -50,6 +55,44 @@ def test_ari_background_vs_one_patch_no_blowup():
     b = labels_from_patches((8, 8), [Rect((2, 2), (5, 5))])
     v = ari(a, b)
     assert np.isfinite(v) and v <= 0.0 + 1e-12
+
+
+def _fraction_ari(table) -> Fraction:
+    """The ARI of a contingency table in exact rational arithmetic."""
+    n = sum(map(sum, table))
+    cells = sum(math.comb(c, 2) for row in table for c in row)
+    rows = sum(math.comb(sum(row), 2) for row in table)
+    cols = sum(math.comb(sum(col), 2) for col in zip(*table))
+    expected = Fraction(rows * cols, math.comb(n, 2))
+    return (cells - expected) / (Fraction(rows + cols, 2) - expected)
+
+
+def _two_rects(rng, side):
+    """Two rectangles in a side x side grid, apart across a random cut of axis 0."""
+    cut = int(rng.integers(1, side))
+    rects = []
+    for lo, hi in ((0, cut), (cut, side)):
+        a0, b0 = sorted(int(v) for v in rng.integers(lo, hi + 1, size=2))
+        a1, b1 = sorted(int(v) for v in rng.integers(0, side + 1, size=2))
+        rects.append(Rect((a0, a1), (b0, b1)))
+    return rects
+
+
+@pytest.mark.parametrize("bits", [20, 32])
+def test_score_is_exact_on_grids_of_any_size(bits):
+    """Two patches against two on grids of 2^40 and 2^64 cells: the ARI
+    matches exact rational arithmetic and never exceeds 1, and the Hausdorff
+    distance stays in [0, 1].  Pair counts squared in int64 overflowed from
+    ~3e9 cells in one cluster, and an int64 volume wraps at 2^64 cells."""
+    rng = np.random.default_rng(bits)
+    side = 2**bits
+    for _ in range(50):
+        truth, est = _two_rects(rng, side), _two_rects(rng, side)
+        table = _intersections(truth, est, (side, side)).tolist()
+        assert sum(map(sum, table)) == side**2 and min(c for row in table for c in row) >= 0
+        rec = score("x", 0, (side, side), truth, est, 0.0)
+        assert rec.ari <= 1.0 and 0.0 <= rec.hausdorff <= 1.0
+        assert abs(rec.ari - float(_fraction_ari(table))) <= 1e-12, (truth, est)
 
 
 def test_ari_shape_mismatch():

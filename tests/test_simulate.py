@@ -164,6 +164,7 @@ def test_max_stable_beyond_the_cell_budget_fails_before_allocating(dims):
     """At base 0.99 the stencil reaches shell 1374, so the padded draw of a
     3-D or 4-D field, and the stencil's offset grid, would hold billions of
     cells: both raise SimulationError having allocated nothing large."""
+    gen_field(FieldSpec(kind="max-stable"), (2, 2))  # the generator's first call imports ~0.7 MB
     tracemalloc.start()
     try:
         with pytest.raises(SimulationError, match="over the budget of 134217728 cells"):
@@ -192,6 +193,28 @@ def test_m_dependent_never_lists_its_stencil_and_checks_its_budget():
         tracemalloc.stop()
     assert out.data.shape == (1, 1) and np.isfinite(out.data).all()
     assert peak < 2**20, peak
+
+
+def test_linear_draw_beyond_the_cell_budget_fails_before_drawing(monkeypatch):
+    """Offsets of +-20000 pad a 64^2 draw to 40064^2 = 1.61e9 cells (12.8 GB): it
+    raises SimulationError before asking the generator for a cell, while a
+    small stencil draws its padded shape."""
+    shapes = []
+
+    class Spy:
+        def standard_normal(self, shape):
+            shapes.append(shape)
+            raise AssertionError(f"drew {shape}")
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Spy())
+    wide = (((20000, 0), 1.0), ((-20000, 20000), 1.0), ((0, -20000), 1.0))
+    with pytest.raises(SimulationError, match=r"linear draw for dims \(64, 64\) would hold 1.61e\+09 cells, "
+                                              "over the budget of 134217728 cells; lower the stencil's offsets"):
+        gen_field(FieldSpec(kind="linear", stencil=wide), (64, 64))
+    assert shapes == []
+    with pytest.raises(AssertionError, match="drew"):
+        gen_field(FieldSpec(kind="linear", stencil=(((2, 0), 1.0), ((-1, 3), 1.0))), (5, 5))
+    assert shapes == [(8, 8)]
 
 
 def test_max_stable_demeaned():
