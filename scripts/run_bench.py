@@ -14,7 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from splade.bench import check_inputs, run_bench  # noqa: E402
-from splade.lattice import LatticeError  # noqa: E402
+from splade.cli import run_reporting_errors  # noqa: E402
 from splade.metrics import summarize, write_bench_csv  # noqa: E402
 
 
@@ -27,22 +27,15 @@ def main(argv=None) -> int:
     ap.add_argument("--scenarios", nargs="+", default=["config1", "config2"])
     ap.add_argument("--noises", nargs="+", default=["sar:0.04", "sar:0.4", "sar:0.8"])
     ap.add_argument("--jumps", nargs="+", type=float, default=[0.4, 0.6, 0.8, 1.0])
-    args = ap.parse_args(argv)
-    try:
-        # every cell's inputs are checked before the first cell runs
-        for scenario in args.scenarios:
-            for noise in args.noises:
-                for jump in args.jumps:
-                    check_inputs(scenario, args.grid, noise, jump, args.reps)
-        sweep(args)
-    except (LatticeError, OSError, MemoryError) as e:
-        # numpy's MemoryError names the allocation; a bare one has no message
-        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
-        return 1
-    return 0
+    return run_reporting_errors(sweep, ap.parse_args(argv))
 
 
-def sweep(args) -> None:
+def sweep(args) -> int:
+    # every cell's inputs are checked before the first cell runs
+    for scenario in args.scenarios:
+        for noise in args.noises:
+            for jump in args.jumps:
+                check_inputs(scenario, args.grid, noise, jump, args.reps)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -63,6 +56,7 @@ def sweep(args) -> None:
                     f" {mean_ari:6.3f} {mean_haus:6.3f} {med_t:6.2f}"
                 )
     print(f"\nper-replicate rows in {outdir}/", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":

@@ -163,8 +163,7 @@ class _Search:
         self.root = np.array(
             [[[r.start - h, r.stop - h] for r, h in zip(lo + hi, self.hull + self.hull)]], dtype=np.int32
         )
-        self.vmin, self.vmax = vmin, vmax
-        # integer volumes v with vmin < v < vmax
+        # the admissible volumes: integers v with vmin < v < vmax
         self.v_first = max(math.floor(vmin) + 1, 1)
         self.v_last = math.ceil(vmax) - 1
 
@@ -241,7 +240,7 @@ class _Search:
         roundoffs = 4.0**d * (cells + 1) * _UNIT_ROUNDOFF
         scale = float(np.abs(self.centred).sum()) + cells * abs(self.delta)
         self.slack = roundoffs * scale
-        q_tot = float(box_sums(self.tables[2], (0,) * d, self.centred.shape))
+        q_tot = float(self.tables[2][(-1,) * d])  # the whole hull's sum
         q_abs = roundoffs * q_tot
         eta = math.sqrt(cells) * 4.0**d * _UNIT_ROUNDOFF * scale
         self.q_err = q_abs + eta * (2.0 * math.sqrt(q_tot + 3.0 * q_abs) + eta)
@@ -266,7 +265,7 @@ class _Search:
         s = np.square(z, out=out)
         with np.errstate(over="ignore"):  # only empty pairs, about to be masked
             s /= np.maximum((self.n - volf) * volf, 1e-300)
-        s[(volf <= self.vmin) | (volf >= self.vmax)] = -1.0
+        s[(volf < self.v_first) | (volf > self.v_last)] = -1.0
         return s
 
     def _bound(self, nodes):

@@ -186,4 +186,7 @@ def threshold_q(sigma: float, block_volume, num_blocks: int, kappa_level: float)
     if not 0.0 < kappa_level < 1.0:
         raise CalibrationError(f"kappa_level must be in (0, 1), got {kappa_level}")
     tail = -math.expm1(math.log1p(-kappa_level) / num_blocks) / 2.0
+    if tail == 0.0:
+        raise CalibrationError(f"kappa_level {kappa_level} is too small for {num_blocks} blocks: "
+                               "the per-block tail probability underflows to 0")
     return -sigma / np.sqrt(block_volume) * _NORMAL.inv_cdf(tail)

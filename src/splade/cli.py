@@ -263,15 +263,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run_reporting_errors(fn, *args) -> int:
+    """``fn(*args)``'s exit status, or 1 after one ``error: ...`` line on stderr
+    for any error the command line reports: bad input, files and flags, or
+    memory."""
     try:
-        return args.func(args)
+        return fn(*args)
     except (LatticeError, OSError, KeyError, json.JSONDecodeError, UnicodeDecodeError, MemoryError) as e:
         # numpy's MemoryError names the allocation; a bare one has no message
         print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return run_reporting_errors(args.func, args)
 
 
 if __name__ == "__main__":

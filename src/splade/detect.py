@@ -204,8 +204,9 @@ class Detection:
 
 
 def min_component_cells(n: int, alpha: float, factor: float) -> int:
-    """Survival threshold for component cell counts: factor * n^alpha * sqrt(ln n)."""
-    return int(math.ceil(factor * n**alpha * math.sqrt(math.log(n))))
+    """Survival threshold for component cell counts: factor * n^alpha * sqrt(ln n), capped at n
+    (no component covers more, so the cap changes no outcome; an inf product reads n)."""
+    return math.ceil(min(factor * n**alpha * math.sqrt(math.log(n)), n))
 
 
 def _first_stage(means, vols, part, mu0, sigma, lo, hi, cfg, min_cells):

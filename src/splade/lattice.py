@@ -6,11 +6,10 @@ NumPy slice ``lo:hi``.  ``lo`` is the exclusive lower corner, ``hi`` the
 inclusive upper corner, and the cell count is ``prod(hi - lo)``.  A rectangle
 with ``hi_k <= lo_k`` on any axis is empty.
 
-The layout of a prefix table (a zero border on its last d axes, leading axes
-such as channels carried through, the order of the 2^d corner terms) is known
-to this module alone: ``prefix_table`` builds one and ``box_sums`` reads box
-sums off one, in float64 at every size.  A table with channels holds them on
-its leading axis, so each channel is a contiguous table, and ``box_sums``
+The layout of a prefix table (a zero border on its last d axes, a leading
+channel axis, the order of the 2^d corner terms) is known to this module
+alone: ``prefix_table`` builds one and ``box_sums`` reads box sums off one, in
+float64 at every size.  Each channel is a contiguous table, and ``box_sums``
 reads every channel's corner at one flat index of the last d axes.  Sums
 that are read once (block means, a grand mean, a patch's total) skip the
 table: ``block_sums`` adds the cells directly.
@@ -72,7 +71,7 @@ class Grid:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
 
 @dataclass(frozen=True, order=True)
@@ -164,21 +163,19 @@ class PatchSet:
         return tuple(j for _, j in self.patches)
 
 
-def prefix_table(cells, d: int) -> np.ndarray:
-    """Zero-bordered running sums of ``cells`` over its last ``d`` axes.
+def prefix_table(channels, d: int) -> np.ndarray:
+    """Zero-bordered running sums of each of ``channels`` over its last ``d`` axes.
 
-    ``table[..., i1, ..., id]`` is the sum of ``cells[..., 0:i1, ..., 0:id]``;
-    leading axes of ``cells`` carry through.  ``cells`` may also be a list of
-    equal-shaped arrays, which become a leading channel axis without being
-    stacked first.  The first pass runs ``np.cumsum`` from the cells straight
-    into the table, the later passes in place, one per axis.
+    ``channels`` is a list of equal-shaped arrays, held on the table's leading
+    axis: ``table[c, ..., i1, ..., id]`` is the sum of
+    ``channels[c][..., 0:i1, ..., 0:id]``, and any other leading axes carry
+    through.  The first pass runs ``np.cumsum`` from each array straight into
+    the table, with no stacked copy, the later passes in place, one per axis.
     """
-    stacked = isinstance(cells, list)
-    channels = cells if stacked else [cells]
     shape = np.shape(channels[0])
-    table = np.zeros((len(channels),) * stacked + shape[:-d] + tuple(n + 1 for n in shape[-d:]))
+    table = np.zeros((len(channels),) + shape[:-d] + tuple(n + 1 for n in shape[-d:]))
     inner = table[(Ellipsis,) + (slice(1, None),) * d]
-    for src, dst in zip(channels, inner if stacked else [inner]):
+    for src, dst in zip(channels, inner):
         np.cumsum(src, axis=-d, out=dst)
     for ax in range(1 - d, 0):
         np.cumsum(inner, axis=ax, out=inner)
@@ -229,7 +226,7 @@ def box_sums(table: np.ndarray, lo, hi) -> np.ndarray:
 
 def build_prefix_sum(grid: Grid) -> np.ndarray:
     """The prefix table of the whole grid (``prefix_table`` of its cells)."""
-    return prefix_table(grid.data, grid.ndim)
+    return prefix_table([grid.data], grid.ndim)[0]
 
 
 def block_sums(data: np.ndarray, starts) -> np.ndarray:
@@ -303,4 +300,4 @@ class BlockPartition:
 
     @property
     def num_blocks(self) -> int:
-        return int(np.prod(self.counts))
+        return math.prod(self.counts)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -121,12 +122,9 @@ def _table_hausdorff(cap: np.ndarray) -> float:
     return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
 
 
-BENCH_CSV_HEADER = ("scenario", "seed", "k_hat", "k_true", "ari", "hausdorff", "time_s")
-
-
 @dataclass(frozen=True)
 class BenchRecord:
-    """One replicate's outcome; wall time measured around the detector only."""
+    """One replicate's outcome, one bench CSV row; wall time measured around the detector only."""
 
     scenario: str
     seed: int
@@ -136,16 +134,9 @@ class BenchRecord:
     hausdorff: float
     time_s: float
 
-    def row(self) -> tuple:
-        return (
-            self.scenario,
-            self.seed,
-            self.k_hat,
-            self.k_true,
-            repr(self.ari),
-            repr(self.hausdorff),
-            repr(self.time_s),
-        )
+
+_BENCH_FIELDS = get_type_hints(BenchRecord)  # each CSV column's name and the type that reads it, in order
+BENCH_CSV_HEADER = tuple(_BENCH_FIELDS)
 
 
 def score(scenario, seed, dims, truth_rects, est_rects, time_s) -> BenchRecord:
@@ -177,27 +168,20 @@ def summarize(records) -> BenchSummary:
 
 
 def write_bench_csv(path, records) -> None:
+    """One row per record: the header, then each field's ``str()`` (a Python float's ``repr``)."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(BENCH_CSV_HEADER)
-        for r in records:
-            w.writerow(r.row())
+        w.writerows(map(astuple, records))
 
 
 def read_bench_csv(path) -> list[BenchRecord]:
     with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or tuple(rows[0]) != BENCH_CSV_HEADER:
-        raise MetricError(f"bad bench CSV header in {path}")
-    return [
-        BenchRecord(
-            scenario=r[0],
-            seed=int(r[1]),
-            k_hat=int(r[2]),
-            k_true=int(r[3]),
-            ari=float(r[4]),
-            hausdorff=float(r[5]),
-            time_s=float(r[6]),
-        )
-        for r in rows[1:]
-    ]
+        reader = csv.reader(f)
+        if tuple(next(reader, ())) != BENCH_CSV_HEADER:
+            raise MetricError(f"bad bench CSV header in {path}")
+        types = _BENCH_FIELDS.values()
+        try:
+            return [BenchRecord(*(t(x) for t, x in zip(types, row, strict=True))) for row in reader]
+        except ValueError as e:  # a value its type cannot read, or a row of the wrong length
+            raise MetricError(f"bad bench CSV row at line {reader.line_num} of {path}: {e}") from None

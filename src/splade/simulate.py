@@ -260,6 +260,8 @@ def gen_field(spec: FieldSpec, dims) -> Grid:
     dims = tuple(int(x) for x in dims)
     if not dims or min(dims) < 1:
         raise SimulationError(f"field dims must be positive, got {dims}")
+    if math.prod(dims) * 8 > np.iinfo(np.intp).max:  # more bytes than numpy can describe
+        raise SimulationError(f"field dims {dims} hold too many cells for one array")
     rng = np.random.default_rng(int(spec.seed) & (2**64 - 1))
     if spec.kind == "iid-gaussian":
         data = rng.standard_normal(dims)

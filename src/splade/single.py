@@ -100,9 +100,9 @@ def _stage1_bounds(m: int) -> SearchBounds:
 
 
 def window_half_width(stride: int, axis_len: int, grid_size: int, d: int, kappa: float, const: float) -> int:
-    """Half-width of the refinement window around a coarse corner estimate."""
-    hw = math.ceil(const * stride * axis_len**kappa * math.log(grid_size) ** (1.0 / d))
-    return min(max(int(hw), 1), axis_len)
+    """Half-width of the refinement window around a coarse corner estimate, in 1..axis_len."""
+    hw = const * stride * axis_len**kappa * math.log(grid_size) ** (1.0 / d)
+    return max(math.ceil(min(hw, axis_len)), 1)  # capped before the ceil: an inf width reads axis_len
 
 
 def algorithm1(grid: Grid, params: Stage1Params) -> Rect:

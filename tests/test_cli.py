@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from splade.gridio import (
     read_patch_doc,
     write_grid,
 )
-from splade.lattice import Grid
+from splade.lattice import Grid, LatticeError
 from splade.metrics import read_bench_csv
 from splade.simulate import FieldSpec, canonical_scenario, gen_field, inject_patches
 
@@ -249,6 +250,14 @@ def _grid_file(tmp_path):
     return str(path)
 
 
+def _config1_grid_file(tmp_path):
+    """config1 at 128^2 with jump 2 on SAR(0.04) noise: three patches to find."""
+    path = tmp_path / "c1.splg"
+    noise = gen_field(FieldSpec(kind="sar", rho=0.04, seed=3), (128, 128))
+    write_grid(str(path), inject_patches(noise, canonical_scenario("config1", 128, 2.0)))
+    return str(path)
+
+
 def _frames_dir(tmp_path, header, payload):
     d = tmp_path / "frames"
     d.mkdir()
@@ -408,6 +417,14 @@ CLI_ERRORS = {
         "simulate", "--spec", _spec_file(t, {"dims": [64, 64], "patches": [], "field": {
             "kind": "linear", "stencil": [[[10**8, 0], 1.0], [[-10**8, 10**8], 1.0], [[0, -10**8], 1.0]]}}),
         "--out", str(t / "g.splg")]),
+    **{
+        f"simulate {kind} beyond one array": ({}, lambda t, kind=kind: [
+            "simulate", "--spec", _spec_file(t, {"dims": [2**32, 2**32], "field": {"kind": kind}}),
+            "--out", str(t / "g.splg")])
+        for kind in ("iid-gaussian", "sar")  # each was numpy's "ValueError: array is too big"
+    },
+    "detect level 5e-324": ({}, lambda t: ["detect", "--in", _config1_grid_file(t), "--out", str(t / "o.json"),
+                                           "--level", "5e-324"]),
     "simulate mu0 inf": ({}, lambda t: [
         "simulate", "--spec", _spec_file(t, {"dims": [64, 64], "field": {"kind": "iid-gaussian"},
                                              "mu0": float("inf")}),
@@ -515,6 +532,10 @@ CLI_ERROR_TEXT = {
     "SPLG rank 0": "rank 0 outside 1..4",  # was a traceback from the payload's reshape
     "SPLG rank 5": "rank 5 outside 1..4",
     "detect spread below 1e-100": "squared sums would underflow",  # was exit 0, sigma 0, k_hat 7
+    "simulate iid-gaussian beyond one array": "hold too many cells for one array",
+    "simulate sar beyond one array": "hold too many cells for one array",
+    # was a StatisticsError from the normal quantile: the per-block tail underflows to 0
+    "detect level 5e-324": "kappa_level 5e-324 is too small for 144 blocks",
 }
 
 
@@ -532,6 +553,48 @@ def test_cli_errors_are_one_line(case, tmp_path, monkeypatch, capsys):
     assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
     assert "Traceback" not in err
     assert CLI_ERROR_TEXT.get(case, "error:") in err
+
+
+_MAX = sys.float_info.max
+# each numeric detect flag's smallest and largest finite accepted values; the
+# whole sweep takes ~0.5 s
+DETECT_FLAG_ENDS = {
+    "--alpha": (5e-324, 1 - 2**-53),
+    "--alpha2": (5e-324, 0.99 - 2**-53),  # alpha2 + kappa2 (0.01) < 1
+    "--kappa2": (0.0, 0.5 - 2**-53),  # alpha2 (0.5) + kappa2 < 1
+    "--window-const": (5e-324, _MAX),  # was an OverflowError from the window's ceil
+    "--level": (5e-324, 1 - 2**-53),
+    "--mu0": (-_MAX, _MAX),
+    "--sigma": (0.0, _MAX),
+    "--margin-blocks": (0, 2**64),  # any int >= 0; this one is past int64
+    "--min-size-factor": (5e-324, _MAX),  # was an OverflowError from the size threshold's ceil
+}
+
+
+def _detect_flag_accepted(flag, value) -> bool:
+    args = build_parser().parse_args(["detect", "--in", "g", "--out", "o", f"{flag}={value!r}"])
+    try:
+        _config_from_args(args)
+    except LatticeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("flag, end", [(flag, end) for flag in sorted(DETECT_FLAG_ENDS) for end in (0, 1)])
+def test_detect_flag_extremes_end_cleanly(flag, end, tmp_path, capsys):
+    """Each numeric detect flag at either end of its accepted range ends in exit
+    0 or 1, at most one error line and no traceback."""
+    value = DETECT_FLAG_ENDS[flag][end]
+    assert _detect_flag_accepted(flag, value)
+    if isinstance(value, float):  # one float further is refused: this is the end
+        assert not _detect_flag_accepted(flag, math.nextafter(value, math.inf if end else -math.inf))
+    elif not end:
+        assert not _detect_flag_accepted(flag, value - 1)
+    out = str(tmp_path / "o.json")
+    assert main(["detect", "--in", _config1_grid_file(tmp_path), "--out", out, f"{flag}={value!r}"]) in (0, 1)
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if "error:" in line]) <= 1, err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("module, message", [("cli", "Unable to allocate 745. GiB"), ("bench", "")])

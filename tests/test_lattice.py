@@ -31,19 +31,19 @@ def _rect_sum(table, r: Rect) -> float:
 
 
 def test_prefix_sum_2x2_hand():
-    table = prefix_table(np.array([[1.0, 2.0], [3.0, 4.0]]), 2)
+    table = prefix_table([np.array([[1.0, 2.0], [3.0, 4.0]])], 2)[0]
     assert _rect_sum(table, Rect((0, 0), (2, 2))) == 10.0
 
 
 def test_rect_sum_single_cell_and_constant():
-    table = prefix_table(np.array([[1.0, 2.0], [3.0, 4.0]]), 2)
+    table = prefix_table([np.array([[1.0, 2.0], [3.0, 4.0]])], 2)[0]
     assert _rect_sum(table, Rect((1, 1), (2, 2))) == 4.0
-    const = prefix_table(np.full((5, 7), 2.5), 2)
+    const = prefix_table([np.full((5, 7), 2.5)], 2)[0]
     assert _rect_sum(const, Rect((1, 2), (4, 6))) == pytest.approx(2.5 * 12)
 
 
 def test_empty_rect_sums_to_zero():
-    table = prefix_table(np.arange(12.0).reshape(3, 4), 2)
+    table = prefix_table([np.arange(12.0).reshape(3, 4)], 2)[0]
     assert _rect_sum(table, Rect((2, 2), (2, 2))) == 0.0
     assert _rect_sum(table, Rect((2, 3), (1, 3))) == 0.0
 
@@ -51,7 +51,7 @@ def test_empty_rect_sums_to_zero():
 def test_exhaustive_prefix_vs_direct_6x6():
     rng = np.random.default_rng(42)
     g = Grid.from_array(rng.standard_normal((6, 6)))
-    table = prefix_table(g.data, 2)
+    table = prefix_table([g.data], 2)[0]
     count = 0
     for r in all_rects(g.dims):
         assert _rect_sum(table, r) == pytest.approx(direct_rect_sum(g, r), abs=1e-9)
@@ -62,7 +62,7 @@ def test_exhaustive_prefix_vs_direct_6x6():
 def test_prefix_vs_direct_3d_random_rects():
     rng = np.random.default_rng(7)
     g = Grid.from_array(rng.standard_normal((4, 4, 4)))
-    table = prefix_table(g.data, 3)
+    table = prefix_table([g.data], 3)[0]
     rects = []
     for _ in range(20):
         lo = tuple(int(rng.integers(0, 4)) for _ in range(3))
@@ -94,7 +94,7 @@ def test_patchset_rejects_non_finite_baseline():
 
 def test_float64_table_sums_a_constant_grid_of_thirds():
     # rectangle sums of a constant 1/3 grid stay within 1e-9 of |R| / 3
-    table = prefix_table(np.full((64, 64), 1.0 / 3.0), 2)
+    table = prefix_table([np.full((64, 64), 1.0 / 3.0)], 2)[0]
     assert table.dtype == np.float64
     r = Rect((10, 10), (60, 60))
     assert _rect_sum(table, r) == pytest.approx(r.volume() / 3.0, abs=1e-9)
@@ -109,7 +109,7 @@ def test_window_sums_match_copied_subgrid(dims):
     d, x = len(dims), g.data
     win = Rect(tuple(1 for _ in dims), tuple(m - 1 for m in dims))
     sub = Grid.from_array(x[win.slices()].copy())
-    table = prefix_table(x[win.slices()], d)
+    table = prefix_table([x[win.slices()]], d)[0]
     assert table[sub.dims] == pytest.approx(float(sub.data.sum()), rel=1e-12)  # one entry: the whole window
     for r in all_rects(sub.dims):
         assert _rect_sum(table, r) == pytest.approx(direct_rect_sum(sub, r), rel=1e-12, abs=1e-9)
@@ -117,17 +117,15 @@ def test_window_sums_match_copied_subgrid(dims):
     # corner arrays that broadcast to a 5 x 4 set of boxes, lo <= hi in every pair
     lo = [rng.integers(0, m // 2 + 1, size=(5, 1)) for m in dims]
     hi = [rng.integers(m // 2, m + 1, size=(1, 4)) for m in dims]
-    sums = box_sums(prefix_table(x, d), lo, hi)
+    sums = box_sums(prefix_table([x], d)[0], lo, hi)
     for i, j in np.ndindex(5, 4):
         box = tuple(slice(int(l[i, 0]), int(h[0, j])) for l, h in zip(lo, hi))
         assert sums[i, j] == pytest.approx(float(x[box].sum()), rel=1e-12, abs=1e-9)
-    # a leading axis of 2 carries through (the layout of the scan's channels),
-    # whether the channels come as a list or as one stacked array
-    for channels in ([x, -x], np.stack((x, -x))):
-        pair = box_sums(prefix_table(channels, d), lo, hi)
-        assert pair.shape == (2, 5, 4)
-        np.testing.assert_array_equal(pair[0], sums)
-        np.testing.assert_array_equal(pair[1], -sums)
+    # a leading axis of 2 carries through (the layout of the scan's channels)
+    pair = box_sums(prefix_table([x, -x], d), lo, hi)
+    assert pair.shape == (2, 5, 4)
+    np.testing.assert_array_equal(pair[0], sums)
+    np.testing.assert_array_equal(pair[1], -sums)
 
 
 # corner shapes that broadcast together to (2, 3, 4)
@@ -144,8 +142,7 @@ def test_box_sums_equal_fancy_indexing_bit_for_bit(d, channels):
     rng = np.random.default_rng(10 * d + channels)
     dims = tuple(int(m) for m in rng.integers(2, 7, size=d))
     x = rng.standard_normal((channels,) * bool(channels) + dims) * 1e3
-    table = prefix_table(list(x) if channels else x, d)
-    np.testing.assert_array_equal(table, prefix_table(x, d))  # a stacked array: the same table
+    table = prefix_table(list(x), d) if channels else prefix_table([x], d)[0]
     lead = table.shape[:-d]
 
     def corner(k, kind, shape):

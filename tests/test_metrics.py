@@ -215,6 +215,24 @@ def test_bench_csv_roundtrip(tmp_path):
     assert header == ",".join(BENCH_CSV_HEADER)
 
 
+def test_bench_csv_roundtrips_numpy_values(tmp_path):
+    """Values are written as their ``str()``: a numpy float reads back (its
+    ``repr``, ``np.float64(0.5)``, did not), and a Python float keeps its ``repr``."""
+    rec = BenchRecord("config1", np.int64(7), 3, 3, np.float64(0.5), 0.1 + 0.2, np.float32(0.25))
+    path = tmp_path / "rows.csv"
+    write_bench_csv(path, [rec])
+    assert path.read_text().splitlines()[1] == "config1,7,3,3,0.5,0.30000000000000004,0.25"
+    assert read_bench_csv(path) == [rec]
+
+
+@pytest.mark.parametrize("row", ["config1,7,3,3,0.5,0.25", "config1,7,3,3,0.5,0.25,1.5,9", ""])
+def test_bench_csv_row_of_the_wrong_length_is_an_error(row, tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text(",".join(BENCH_CSV_HEADER) + "\nconfig1,8,3,3,0.5,0.25,1.5\n" + row + "\n")
+    with pytest.raises(MetricError, match="line 3 of"):
+        read_bench_csv(path)
+
+
 def test_summarize_bench_records():
     recs = [
         BenchRecord("config1", 7, 3, 3, 0.75, 0.125, 1.5),
