@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from splade.calibrate import BOUNDARY_BETA, CalibrationError, boundary_layer_mask, threshold_q
+from splade.calibrate import BOUNDARY_BETA, CalibrationError, threshold_q
 from splade.detect import resolve_envelope_overlaps
 from splade.lattice import BlockPartition, Grid, Rect, shifted
 from splade.simulate import SimulationError, frechet_centering
@@ -173,6 +173,20 @@ def brute_force_components(mask: np.ndarray, part: BlockPartition, min_cells: in
             comps.append(tuple(sorted(comp)))
     comps.sort()
     return comps
+
+
+def coordinate_layer_mask(dims, beta: float) -> np.ndarray:
+    """The boundary layer from its coordinate test: the cells with some 1-based
+    coordinate i_k <= n_k^beta or >= n_k - n_k^beta + 1, one float test per axis."""
+    mask = np.zeros(dims, dtype=bool)
+    for k, n in enumerate(dims):
+        t = n**beta
+        coord = np.arange(1, n + 1, dtype=np.float64)
+        line = (coord <= t) | (coord >= n - t + 1.0)
+        shape = [1] * len(dims)
+        shape[k] = n
+        mask |= line.reshape(shape)
+    return mask
 
 
 def bartlett_weight(lag, bandwidths) -> float:
@@ -361,15 +375,16 @@ def brute_force_detect(grid: Grid, cfg) -> dict:
     and ``diagnostics``, as a dict.
 
     Block means are exact sums of sliced cells (``math.fsum``) over the block
-    volume, components come from ``brute_force_components``, the long-run
-    variance from ``lag_sum_lrv``, both stages of every envelope search from
-    ``brute_force_search`` on the sliced cells, and the jumps from exact sums.
-    Shared with the package are only closed forms and geometry with tests of
-    their own: ``threshold_q``, ``boundary_layer_mask``, ``BlockPartition``,
-    ``window_half_width`` and the envelope cut ``resolve_envelope_overlaps``,
-    a closed form in the two components' boxes whose own property test checks
-    that its outputs are disjoint, lie inside its inputs and keep every box
-    that some axis separates (``test_envelope_cut_separates_and_keeps_separable_boxes``).
+    volume, components come from ``brute_force_components``, the layer from
+    ``coordinate_layer_mask``, the long-run variance from ``lag_sum_lrv``, both
+    stages of every envelope search from ``brute_force_search`` on the sliced
+    cells, and the jumps from exact sums.  Shared with the package are only
+    closed forms and geometry with tests of their own: ``threshold_q``,
+    ``BlockPartition``, ``window_half_width`` and the envelope cut
+    ``resolve_envelope_overlaps``, a closed form in the two components' boxes
+    whose own property test checks that its outputs are disjoint, lie inside
+    its inputs and keep every box that some axis separates
+    (``test_envelope_cut_separates_and_keeps_separable_boxes``).
 
     Rounding may decide a test that the exact values pass by a hair; this
     raises ``OnThreshold`` instead.  For a grid of N cells of magnitude at most
@@ -404,7 +419,7 @@ def brute_force_detect(grid: Grid, cfg) -> dict:
     mu0, sigma = cfg.mu0, cfg.sigma
     estimated = mu0 is None or sigma is None
     if estimated:
-        layer = boundary_layer_mask(dims, BOUNDARY_BETA)
+        layer = coordinate_layer_mask(dims, BOUNDARY_BETA)
         if mu0 is None:
             mu0 = float(data[layer].mean())
         if sigma is None:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,7 @@ from splade.calibrate import (
 from splade.lattice import Grid
 from splade.simulate import FieldSpec, gen_field
 
-from helpers import brute_force_lrv, lag_sum_lrv, strided
+from helpers import brute_force_lrv, coordinate_layer_mask, lag_sum_lrv, strided
 
 
 def test_boundary_layer_matches_direct_enumeration():
@@ -33,6 +34,32 @@ def test_boundary_layer_matches_direct_enumeration():
                 if (idx + 1) <= t or (idx + 1) >= n - t + 1:
                     expect = True
             assert mask[i, j] == expect, (i, j)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_boundary_layer_mask_matches_coordinate_test(d):
+    # the slabs give the coordinate test's mask bit for bit: axes of 1 to 40
+    # cells (every length in 1-D), betas across (0, 1), and axes of 1024 and
+    # 4096 cells, where n^0.7 (1024) and n^0.5 (both) land on integers
+    rng = np.random.default_rng(d)
+    betas = (1e-9, 0.05, 0.2, 0.5, 0.7, 0.75, 0.9, 1 - 1e-9)
+    shapes = [(n,) for n in range(1, 41)] if d == 1 else [(1,) * d, (40,) * min(d, 3) + (2,) * (d - 3)]
+    shapes += [tuple(int(n) for n in rng.integers(1, 41, d)) for _ in range(12)]
+    shapes += [(1024,) * d, (4096,) * d] if d == 1 else [(1024, 4096, *(1,) * (d - 2))]
+    for dims in shapes:
+        for beta in betas:
+            got, want = boundary_layer_mask(dims, beta), coordinate_layer_mask(dims, beta)
+            assert got.dtype == want.dtype and got.shape == want.shape, (dims, beta)
+            assert np.array_equal(got, want), (dims, beta)
+
+
+def test_boundary_layer_mask_errors():
+    for beta in (0.0, 1.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(CalibrationError, match=r"beta must be in \(0, 1\)"):
+            boundary_layer_mask((8, 8), beta)
+    for dims in [(0,), (0, 5), (3, 0, 2)]:
+        with pytest.raises(CalibrationError, match="yields an empty boundary layer"):
+            boundary_layer_mask(dims, 0.5)
 
 
 def _layer_mu0(g, beta):
@@ -87,6 +114,17 @@ def test_kernel_validation():
     assert all(type(b) is int for b in default_bandwidths((64, 100)))
 
 
+def test_masked_lrv_rejects_a_mask_of_another_shape_or_dtype():
+    # a mask of another shape must not broadcast against the data, nor a non-bool one index it
+    data = np.arange(20.0).reshape(4, 5)
+    for mask in (np.ones((4, 1), bool), np.ones((5, 4), bool), np.ones(20, bool), np.ones((4, 5, 1), bool)):
+        with pytest.raises(CalibrationError, match=rf"shape \(4, 5\), got bool {re.escape(str(mask.shape))}"):
+            masked_lrv(data, mask, (1, 1), 0.0)
+    for dtype in (np.float64, np.int64, np.uint8):
+        with pytest.raises(CalibrationError, match=f"got {np.dtype(dtype)} "):
+            masked_lrv(data, np.ones((4, 5), dtype), (1, 1), 0.0)
+
+
 def test_lrv_constant_grid_zero():
     g = Grid.from_array(np.full((48, 48), 2.0))
     assert _layer_lrv(g, 0.7) == 0.0
@@ -119,15 +157,24 @@ def test_lrv_sar_exceeds_plain_variance():
 @pytest.mark.parametrize("kind", ["bartlett"])  # the case ids name the kernel
 @pytest.mark.parametrize(
     "dims, bandwidths",
-    [((7,), (3,)), ((6, 5), (3, 2)), ((3, 8), (5, 2)), ((3, 4, 3), (2, 1, 5))],
+    [
+        ((7,), (3,)),
+        ((6, 5), (3, 2)),
+        ((3, 8), (5, 2)),
+        ((3, 4, 3), (2, 1, 5)),
+        ((40,), (3,)),
+        ((5, 30), (2, 3)),
+        ((7, 2, 16), (3, 1, 2)),
+    ],
 )
 def test_masked_lrv_matches_double_sum(kind, dims, bandwidths, monkeypatch):
     # (3, 8) with bandwidth 5 on the short axis and (3, 4, 3) with 5 on the
     # last have kernel lags as long as the axis, whose cell pairs are empty;
-    # every strip size of ``_strip_sizes`` gives the same value
+    # every strip size of ``_strip_sizes`` gives the same value, also on the
+    # masks whose empty runs the strips cut or skip (``_lrv_masks``)
     rng = np.random.default_rng(len(dims) * 10 + len(kind))
     data = rng.standard_normal(dims) + np.indices(dims).sum(axis=0) * 0.3
-    for mask in (np.ones(dims, dtype=bool), rng.random(dims) < 0.6):
+    for mask in (np.ones(dims, dtype=bool), rng.random(dims) < 0.6, *_lrv_masks(dims, bandwidths)):
         want, _ = brute_force_lrv(data, mask, bandwidths)
         mean = float(data[mask].mean())
         for cells in _strip_sizes(dims, bandwidths):
@@ -154,14 +201,20 @@ def test_masked_lrv_matches_lag_sum(kind, dims, bandwidths, monkeypatch):
     # medium grids with prime axis lengths, default bandwidths and bandwidths
     # longer than an axis, on data offset by 1e3 and on an alternating +-1
     # field, whose moving sums cancel to near zero, at the default strip size
-    # (one strip for every grid here) and at each size of ``_strip_sizes``;
-    # a Fortran-ordered copy and a strided view of each input give the
-    # C-ordered result bit for bit
+    # (one strip for every grid here) and at each size of ``_strip_sizes``,
+    # on the layer and on the masks whose empty runs the strips cut or skip
+    # (``_lrv_masks``); a Fortran-ordered copy and a strided view of each
+    # input give the C-ordered result bit for bit
     rng = np.random.default_rng(sum(dims) + len(kind))
     offset = rng.standard_normal(dims) + 1e3
     alternating = np.indices(dims).sum(axis=0) % 2 * 2.0 - 1.0
     bandwidths = bandwidths or default_bandwidths(dims)
-    masks = (np.ones(dims, dtype=bool), rng.random(dims) < 0.5, boundary_layer_mask(dims, 0.7))
+    masks = (
+        np.ones(dims, dtype=bool),
+        rng.random(dims) < 0.5,
+        boundary_layer_mask(dims, 0.7),
+        *_lrv_masks(dims, bandwidths),
+    )
     for data in (offset, alternating):
         for mask in masks:
             want, _ = lag_sum_lrv(data, mask, bandwidths)
@@ -179,18 +232,47 @@ def test_masked_lrv_matches_lag_sum(kind, dims, bandwidths, monkeypatch):
 
 
 def _strip_sizes(dims, bandwidths, max_strips=256):
-    """``_STRIP_CELLS`` values for strips of 1, 2 and ceil((b_0 - 1) / 2) padded-grid rows.
+    """``_STRIP_CELLS`` values for strips of 1, 2 and ceil((b_0 - 1) / 2) own rows at full width.
 
-    Each strip also holds the b_0 - 1 halo rows before it, so the last size
-    has fewer rows than its halo once b_0 > 3.  Sizes that would walk more
-    than ``max_strips`` strips are left out: they are the one- and two-cell
-    strips of the long 1-D grids, whose seams the small grids of
+    Each strip also holds up to b_0 - 1 halo rows before its own, so the last
+    size has fewer own rows than halo rows once b_0 > 3; a strip whose last
+    axis is cut takes more rows.  Sizes that would walk more than
+    ``max_strips`` strips are left out: they are the one- and two-cell strips
+    of the long 1-D grids, whose seams the small grids of
     ``test_masked_lrv_matches_double_sum`` cover.
     """
     padded = [n + b - 1 for n, b in zip(dims, bandwidths)]
     row, halo = math.prod(padded[1:]), bandwidths[0] - 1
     rows = sorted({1, 2, math.ceil(halo / 2)} - {0})
-    return [row * (halo + k) for k in rows if math.ceil(padded[0] / k) <= max_strips]
+    return [row * k for k in rows if math.ceil(padded[0] / k) <= max_strips]
+
+
+def _lrv_masks(dims, bandwidths):
+    """Masks whose empty runs ``masked_lrv`` cuts or skips.
+
+    Every row without a last-axis run of b - 1, b, b + 1 or n - 2 cells (those
+    that fit between a first and a last masked column); one masked column; one
+    masked column per row on a diagonal, so each row's windows reach past the
+    columns kept for the rows before it; and the first and last rows of axis
+    0 alone, so the strips between them are skipped.  In 1-D the last axis is
+    axis 0, so the runs there are empty strips too.
+    """
+    n, b = dims[-1], bandwidths[-1]
+    masks = []
+    for gap in sorted({b - 1, b, b + 1, n - 2}):
+        if 0 < gap <= n - 2:
+            cut = np.ones(dims, dtype=bool)
+            cut[..., 1 : 1 + gap] = False
+            masks.append(cut)
+    column, ends = np.zeros(dims, dtype=bool), np.zeros(dims, dtype=bool)
+    column[..., n // 2] = True
+    ends[0] = ends[-1] = True
+    masks += [column, ends]
+    if len(dims) > 1:
+        diagonal = np.zeros(dims, dtype=bool)
+        diagonal[np.arange(dims[0]), ..., np.arange(dims[0]) % n] = True
+        masks.append(diagonal)
+    return masks
 
 
 @pytest.mark.parametrize("step", [1, 7])
@@ -206,8 +288,30 @@ def test_moving_sums_match_a_loop(step):
         assert sorted(map(id, (sums, *scratch))) == sorted(map(id, (p, q, r)))
 
 
-def test_masked_lrv_makes_no_grid_sized_buffer():
-    dims = (1024, 1024)
+@pytest.mark.parametrize(
+    "dims, most",
+    [((262144,), 0.06), ((1024, 1024), 1.02), ((96, 96, 96), 3.34)],
+)
+def test_masked_lrv_sums_only_where_the_layer_reaches(dims, most, monkeypatch):
+    # the cells handed to the moving sums, over the padded grid's: the 1-D
+    # layer's middle strips are skipped, the 2-D layer's middle rows keep only
+    # their masked columns, and after axis 0 no strip sums its halo rows again
+    # (before the strips were laid out from the mask: 1.01x, 2.17x and 4.53x)
+    summed = []
+
+    def spy(p, q, r, step, b):
+        summed.append(p.size if b > 1 else 0)  # a width-1 sum adds nothing
+        return _moving_sums(p, q, r, step, b)
+
+    monkeypatch.setattr(calibrate, "_moving_sums", spy)
+    bandwidths = default_bandwidths(dims)
+    masked_lrv(np.zeros(dims), boundary_layer_mask(dims, 0.7), bandwidths, 0.0)
+    padded = math.prod(n + b - 1 for n, b in zip(dims, bandwidths))
+    assert sum(summed) <= most * padded
+
+
+@pytest.mark.parametrize("dims", [(1024, 1024), (262144,), (96, 96, 96)])
+def test_masked_lrv_makes_no_grid_sized_buffer(dims):
     data = np.random.default_rng(5).standard_normal(dims)
     mask = boundary_layer_mask(dims, 0.7)
     mean = float(data[mask].mean())
