@@ -16,6 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from splade.bench import check_inputs, run_bench  # noqa: E402
 from splade.cli import run_reporting_errors  # noqa: E402
 from splade.metrics import summarize, write_bench_csv  # noqa: E402
+from splade.simulate import SCENARIOS  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -24,7 +25,7 @@ def main(argv=None) -> int:
     ap.add_argument("--grid", type=int, default=256)
     ap.add_argument("--reps", type=int, default=20)
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--scenarios", nargs="+", default=["config1", "config2"])
+    ap.add_argument("--scenarios", nargs="+", default=list(SCENARIOS))
     ap.add_argument("--noises", nargs="+", default=["sar:0.04", "sar:0.4", "sar:0.8"])
     ap.add_argument("--jumps", nargs="+", type=float, default=[0.4, 0.6, 0.8, 1.0])
     return run_reporting_errors(sweep, ap.parse_args(argv))

@@ -46,7 +46,7 @@ node's bound is the smaller of the two, each widened for rounding:
   and in the Cauchy-Schwarz term it covers the error of the scorer's Z, which
   enters the score as Z / sqrt(v).
 * ``q_err`` bounds how far sqrt(Q(R_max) + q_err) must reach to cover the
-  exact Q of the hull's cells; see ``_build_bound_tables``.
+  exact Q of the hull's cells; see ``_rounding_allowances``.
 
 Both are sums over the hull of |x - ref| and (x - tbar)^2.  An offset on every
 cell moves ref with it (to the nearest integer), so it changes each |x - ref|
@@ -158,7 +158,7 @@ class _Search:
         self.centred = cells[tuple(slice(h, t) for h, t in zip(self.hull, top))] - ref
         y = self.centred - self.delta
         # channel 0 (S') scores pairs; channels 1 (Y+) and 2 (Q) bound nodes
-        self.tables = prefix_table([self.centred, np.maximum(y, 0.0), y * y], d)
+        self.tables = prefix_table([self.centred, np.maximum(y, 0.0), y * y])
         # the root node: slot k < d is lo on axis k, slot d + k is hi, as table indices
         self.root = np.array(
             [[[r.start - h, r.stop - h] for r, h in zip(lo + hi, self.hull + self.hull)]], dtype=np.int32
@@ -172,7 +172,7 @@ class _Search:
         nodes = self.root
         if _pairs(nodes)[0] <= _BATCH_PAIRS:
             return self._score_leaves(nodes, _NONE)
-        self._build_bound_tables()
+        self._rounding_allowances()
         best, incumbent = _NONE, -1.0
         leaves, leaf_bounds = [], []
         nodes = _split(nodes, _ROOT_SPLITS)
@@ -204,7 +204,7 @@ class _Search:
             start = stop
         return best
 
-    def _build_bound_tables(self):
+    def _rounding_allowances(self):
         """The bound's rounding allowances ``slack`` and ``q_err``, for the
         Y+ and Q channels of ``tables``.
 

@@ -18,7 +18,7 @@ from functools import partial
 
 from . import bench as bench_mod
 from . import frames as frames_mod
-from .detect import Detection, SpladeConfig
+from .detect import CONNECTIVITIES, Detection, SpladeConfig
 from .gridio import (
     detection_to_doc,
     doc_to_detection,
@@ -29,7 +29,7 @@ from .gridio import (
 )
 from .lattice import LatticeError, PatchSet, Rect
 from .metrics import score, summarize, write_bench_csv
-from .simulate import FieldSpec, canonical_scenario, gen_field, inject_patches
+from .simulate import SCENARIOS, FieldSpec, canonical_scenario, gen_field, inject_patches
 from .single import Stage1Params
 
 
@@ -46,12 +46,7 @@ def _field_spec_from_json(obj) -> FieldSpec:
 
 def _truth_doc(patchset: PatchSet, dims, scenario: str, seed: int) -> dict:
     """Patch doc of the truth, with the scenario and field seed that ``eval`` rows report."""
-    det = Detection(
-        k_hat=len(patchset.rects),
-        patches=patchset.rects,
-        jumps=patchset.jumps,
-        diagnostics={"mu0": patchset.baseline, "truth": True},
-    )
+    det = Detection(patchset.rects, patchset.jumps, {"mu0": patchset.baseline, "truth": True})
     return {**detection_to_doc(det, dims), "scenario": scenario, "seed": seed}
 
 
@@ -137,7 +132,7 @@ def _add_detect_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", type=_auto_or_float, default="auto")
     p.add_argument("--margin-blocks", type=int, default=cfg.envelope_margin_blocks)
     p.add_argument("--min-size-factor", type=float, default=cfg.min_size_factor)
-    p.add_argument("--connectivity", choices=("faces", "faces+corners"), default=cfg.connectivity)
+    p.add_argument("--connectivity", choices=CONNECTIVITIES, default=cfg.connectivity)
 
 
 def _timed_doc(grid, cfg: SpladeConfig) -> dict:
@@ -243,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("bench", help="replicate loop over a synthetic scenario")
-    p.add_argument("--scenario", choices=("config1", "config2"), required=True)
+    p.add_argument("--scenario", choices=SCENARIOS, required=True)
     p.add_argument("--grid", type=int, required=True)
     p.add_argument("--noise", default="sar:0.04")
     p.add_argument("--jump", type=float, default=1.0)

@@ -71,9 +71,12 @@ def flag_blocks(means: np.ndarray, q, mu0: float) -> np.ndarray:
     return np.abs(means - mu0) > q
 
 
+CONNECTIVITIES = ("faces", "faces+corners")  # the neighbours a block joins: faces only, or the 3^d cube
+
+
 def _neighbor_offsets(d: int, connectivity: str):
     """Unit offsets to face neighbours, or to every neighbour in the 3^d cube."""
-    if connectivity not in ("faces", "faces+corners"):
+    if connectivity not in CONNECTIVITIES:
         raise DetectionError(f"unknown connectivity {connectivity!r}")
     reach = 1 if connectivity == "faces" else d
     return [o for o in product((-1, 0, 1), repeat=d) if 0 < sum(map(abs, o)) <= reach]
@@ -191,16 +194,19 @@ class SpladeConfig:
 
 @dataclass(frozen=True)
 class Detection:
-    """Estimated patch count and rectangles, with per-patch mean contrasts."""
+    """Detected rectangles, with per-patch mean contrasts; ``k_hat`` is read off the patches."""
 
-    k_hat: int
     patches: tuple[Rect, ...]
     jumps: tuple[float, ...]
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.k_hat != len(self.patches) or len(self.jumps) != len(self.patches):
-            raise DetectionError("k_hat and patch/jump lengths disagree")
+        if len(self.jumps) != len(self.patches):
+            raise DetectionError(f"{len(self.patches)} patches but {len(self.jumps)} jumps")
+
+    @property
+    def k_hat(self) -> int:
+        return len(self.patches)
 
 
 def min_component_cells(n: int, alpha: float, factor: float) -> int:
@@ -307,7 +313,7 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
             if not clipped.is_empty:
                 patches.append(clipped)
 
-    patches.sort(key=lambda r: (r.lo, r.hi))
+    patches.sort()
     whole = [(0,)] * grid.ndim  # one block: the patch
     jumps = tuple(block_sums(grid.data[r.slices()], whole).item() / r.volume() - mu0 for r in patches)
 
@@ -320,9 +326,4 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
         "fallback": fallback,
         "degenerate_envelopes": degenerate,
     }
-    return Detection(
-        k_hat=len(patches),
-        patches=tuple(patches),
-        jumps=jumps,
-        diagnostics=diagnostics,
-    )
+    return Detection(patches=tuple(patches), jumps=jumps, diagnostics=diagnostics)

@@ -70,7 +70,7 @@ def read_grid(path) -> Grid:
     if len(raw) > expected:
         raise GridFileError(f"{path}: {len(raw) - expected} trailing bytes")
     data = np.frombuffer(raw, dtype="<f8", count=count, offset=head)
-    return Grid(dims=tuple(int(x) for x in dims), data=data.reshape(dims).copy())
+    return Grid(data.reshape(dims).copy())
 
 
 def detection_to_doc(det: Detection, dims) -> dict:
@@ -93,13 +93,10 @@ def doc_to_detection(doc: dict) -> tuple[Detection, tuple[int, ...]]:
         if not dims or min(dims) < 1 or not all(r.within(dims) for r in patches):
             raise ValueError(f"dims {list(dims)} must be sizes >= 1 that hold every patch")
         check_disjoint(patches)  # labels and the Hausdorff background assume disjoint patches
+        if (k_hat := operator.index(doc["k_hat"])) != len(patches):
+            raise ValueError(f"k_hat {k_hat} differs from the patch count {len(patches)}")
         jumps = tuple(float(p["jump_estimate"]) for p in doc["patches"])
-        det = Detection(
-            k_hat=operator.index(doc["k_hat"]),
-            patches=patches,
-            jumps=jumps,
-            diagnostics=dict(doc.get("diagnostics", {})),
-        )
+        det = Detection(patches=patches, jumps=jumps, diagnostics=dict(doc.get("diagnostics", {})))
     except KeyError as e:
         raise LatticeError(f"malformed patch doc: missing key {e}") from None
     except (TypeError, ValueError) as e:

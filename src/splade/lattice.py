@@ -17,9 +17,12 @@ table: ``block_sums`` adds the cells directly.
 ``BlockPartition`` alone maps blocks to cells: ``edges`` gives each axis's
 block boundaries, and ``cells`` the box of a run of blocks, grown or not.
 
-A ``Grid`` wraps its caller's float64 array, strided or not, and nothing
-writes into it.  All objects here are immutable after construction and safe
-to share across threads; every operation is pure.
+No object stores a value it can derive.  A ``Grid`` wraps its caller's
+float64 array, strided or not, and nothing writes into it; its ``dims``,
+``ndim`` and ``size`` are the array's.  A ``BlockPartition`` holds the grid's
+``dims`` and the block sides ``strides``; its ``counts`` are read off them.
+All objects here are immutable after construction and safe to share across
+threads; every operation is pure.
 """
 
 from __future__ import annotations
@@ -38,40 +41,39 @@ class LatticeError(ValueError):
     """Invalid grid, rectangle, or query."""
 
 
-def _as_dims(dims) -> tuple[int, ...]:
-    t = tuple(int(x) for x in dims)
-    if not 1 <= len(t) <= MAX_DIM:
-        raise LatticeError(f"dimension {len(t)} outside supported range 1..{MAX_DIM}")
-    if any(x < 1 for x in t):
-        raise LatticeError(f"dims entries must be >= 1, got {t}")
-    return t
-
-
 @dataclass(frozen=True)
 class Grid:
-    """A dense d-dimensional real-valued lattice field."""
+    """A dense d-dimensional real-valued lattice field.
 
-    dims: tuple[int, ...]
-    data: np.ndarray  # float64, shape == dims: the caller's array, any strides, never written
+    ``data`` is the only field: the caller's array as float64, any strides,
+    never written.  ``dims``, ``ndim`` and ``size`` are read off its shape.
+    """
+
+    data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", _as_dims(self.dims))
         arr = np.asarray(self.data, dtype=np.float64)
-        if arr.shape != self.dims:
-            raise LatticeError(f"data shape {arr.shape} != dims {self.dims}")
+        if not 1 <= arr.ndim <= MAX_DIM:
+            raise LatticeError(f"dimension {arr.ndim} outside supported range 1..{MAX_DIM}")
+        if 0 in arr.shape:
+            raise LatticeError(f"dims entries must be >= 1, got {arr.shape}")
         object.__setattr__(self, "data", arr)
 
     @classmethod
     def from_array(cls, arr) -> "Grid":
-        return cls(dims=np.shape(arr), data=arr)
+        return cls(arr)
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return self.data.shape
 
     @property
     def ndim(self) -> int:
-        return len(self.dims)
+        return self.data.ndim
 
     @property
     def size(self) -> int:
-        return math.prod(self.dims)
+        return self.data.size
 
 
 @dataclass(frozen=True, order=True)
@@ -109,12 +111,15 @@ class Rect:
         return tuple(slice(l, h) for l, h in zip(self.lo, self.hi))
 
     def intersect(self, other: "Rect") -> "Rect":
+        if other.ndim != self.ndim:
+            raise LatticeError(f"cannot intersect a rank-{self.ndim} rectangle with a rank-{other.ndim} one")
         lo = tuple(max(a, b) for a, b in zip(self.lo, other.lo))
         hi = tuple(min(a, b) for a, b in zip(self.hi, other.hi))
         return Rect(lo, hi)
 
     def within(self, dims) -> bool:
-        return len(dims) == self.ndim and all(0 <= l and h <= n for l, h, n in zip(self.lo, self.hi, dims))
+        """Both corners lie on the grid ``dims``: an empty box too, whose slices would else wrap."""
+        return len(dims) == self.ndim and all(0 <= l <= n and 0 <= h <= n for l, h, n in zip(self.lo, self.hi, dims))
 
     def shift(self, offset) -> "Rect":
         return Rect(
@@ -163,22 +168,22 @@ class PatchSet:
         return tuple(j for _, j in self.patches)
 
 
-def prefix_table(channels, d: int) -> np.ndarray:
-    """Zero-bordered running sums of each of ``channels`` over its last ``d`` axes.
+def prefix_table(channels) -> np.ndarray:
+    """Zero-bordered running sums of each of ``channels`` over all of its d axes.
 
-    ``channels`` is a list of equal-shaped arrays, held on the table's leading
-    axis: ``table[c, ..., i1, ..., id]`` is the sum of
-    ``channels[c][..., 0:i1, ..., 0:id]``, and any other leading axes carry
-    through.  The first pass runs ``np.cumsum`` from each array straight into
-    the table, with no stacked copy, the later passes in place, one per axis.
+    ``channels`` is a list of equal-shaped d-dimensional arrays, held on the
+    table's leading axis: ``table[c, i1, ..., id]`` is the sum of
+    ``channels[c][0:i1, ..., 0:id]``.  The first pass runs ``np.cumsum`` from
+    each array straight into the table, with no stacked copy, the later passes
+    in place, one per axis.
     """
     shape = np.shape(channels[0])
-    table = np.zeros((len(channels),) + shape[:-d] + tuple(n + 1 for n in shape[-d:]))
-    inner = table[(Ellipsis,) + (slice(1, None),) * d]
+    table = np.zeros((len(channels),) + tuple(n + 1 for n in shape))
+    inner = table[(slice(None),) + (slice(1, None),) * len(shape)]
     for src, dst in zip(channels, inner):
-        np.cumsum(src, axis=-d, out=dst)
-    for ax in range(1 - d, 0):
-        np.cumsum(inner, axis=ax, out=inner)
+        np.cumsum(src, axis=0, out=dst)
+    for ax in range(1, len(shape)):
+        np.cumsum(inner, axis=ax + 1, out=inner)
     return table
 
 
@@ -226,7 +231,7 @@ def box_sums(table: np.ndarray, lo, hi) -> np.ndarray:
 
 def build_prefix_sum(grid: Grid) -> np.ndarray:
     """The prefix table of the whole grid (``prefix_table`` of its cells)."""
-    return prefix_table([grid.data], grid.ndim)[0]
+    return prefix_table([grid.data])[0]
 
 
 def block_sums(data: np.ndarray, starts) -> np.ndarray:
@@ -263,21 +268,24 @@ class BlockPartition:
     """Tiling of the lattice into rectangles of side floor(n_k^alpha).
 
     Edge blocks are truncated to the domain, so the blocks tile the lattice
-    exactly: disjoint, union covering every cell.
+    exactly: disjoint, union covering every cell.  ``dims`` and ``strides``
+    (the block sides l_k) are the fields; ``counts``, ceil(n_k / l_k) blocks
+    per axis, is read off them.
     """
 
     dims: tuple[int, ...]
     strides: tuple[int, ...]
-    counts: tuple[int, ...]
 
     @classmethod
     def build(cls, dims, alpha: float) -> "BlockPartition":
         if not 0.0 < alpha < 1.0:
             raise LatticeError(f"alpha must be in (0, 1), got {alpha}")
         dims = tuple(int(x) for x in dims)
-        strides = tuple(max(1, int(math.floor(n**alpha))) for n in dims)
-        counts = tuple(-(-n // l) for n, l in zip(dims, strides))
-        return cls(dims=dims, strides=strides, counts=counts)
+        return cls(dims=dims, strides=tuple(max(1, int(math.floor(n**alpha))) for n in dims))
+
+    @property
+    def counts(self) -> tuple[int, ...]:
+        return tuple(-(-n // l) for n, l in zip(self.dims, self.strides))
 
     def edges(self, axis: int) -> np.ndarray:
         l, n, m = self.strides[axis], self.dims[axis], self.counts[axis]

@@ -1,6 +1,6 @@
-"""Evaluation metrics: ARI over cell labelings, Jaccard distance between cell
-sets, and the normalized two-sided Hausdorff distance between patch
-collections (background sets included).
+"""Evaluation metrics: ARI over cell labelings, Jaccard distance between two
+rectangles' cell sets, and the normalized two-sided Hausdorff distance between
+patch collections (background sets included).
 
 When both collections consist of disjoint rectangles plus the background, all
 pairwise Jaccard distances reduce to rectangle-intersection arithmetic, so the
@@ -24,12 +24,20 @@ class MetricError(LatticeError):
     """Mismatched shapes or malformed labelings."""
 
 
-def labels_from_patches(dims, rects) -> np.ndarray:
-    """Cell labeling: 0 = background, j >= 1 = membership in the j-th rectangle."""
-    out = np.zeros(dims, dtype=np.int32)
-    for j, r in enumerate(rects, start=1):
+def _check_in_grid(dims, rects) -> None:
+    """Raise MetricError naming the first of ``rects`` that is not a box of the grid ``dims``."""
+    for r in rects:
+        if r.ndim != len(dims):
+            raise MetricError(f"rectangle {r} has rank {r.ndim}, the grid {tuple(dims)} rank {len(dims)}")
         if not r.within(dims):
             raise MetricError(f"rectangle {r} out of bounds for {dims}")
+
+
+def labels_from_patches(dims, rects) -> np.ndarray:
+    """Cell labeling: 0 = background, j >= 1 = membership in the j-th rectangle."""
+    _check_in_grid(dims, rects)
+    out = np.zeros(dims, dtype=np.int32)
+    for j, r in enumerate(rects, start=1):
         out[r.slices()] = j
     return out
 
@@ -70,18 +78,10 @@ def _table_ari(cont: np.ndarray) -> float:
     return (sum_cells - expected) / denom
 
 
-def jaccard_distance(a, b) -> float:
-    """|A symdiff B| / |A union B| with the empty-empty convention of 0."""
-    if isinstance(a, Rect) and isinstance(b, Rect):
-        va, vb = a.volume(), b.volume()
-        vi = a.intersect(b).volume()
-    else:
-        am = np.asarray(a, dtype=bool)
-        bm = np.asarray(b, dtype=bool)
-        if am.shape != bm.shape:
-            raise MetricError("mask shapes differ")
-        va, vb = int(am.sum()), int(bm.sum())
-        vi = int((am & bm).sum())
+def jaccard_distance(a: Rect, b: Rect) -> float:
+    """|A symdiff B| / |A union B| of two rectangles' cells, with the empty-empty convention of 0."""
+    va, vb = a.volume(), b.volume()
+    vi = a.intersect(b).volume()
     union = va + vb - vi
     if union == 0:
         return 0.0
@@ -93,14 +93,17 @@ def hausdorff(truth, est, dims) -> float:
 
     Each collection is its non-empty rectangles plus the background set; the
     distance is the larger of the two one-sided max-min Jaccard distances.
-    ``truth`` and ``est`` are rectangle sequences; rectangles within a
-    collection must be pairwise disjoint.
+    ``truth`` and ``est`` are rectangle sequences inside the grid ``dims``
+    (one outside it, or of another rank, is a ``MetricError``); rectangles
+    within a collection must be pairwise disjoint.
     """
     return _table_hausdorff(_intersections(truth, est, dims))
 
 
 def _intersections(truth, est, dims) -> np.ndarray:
     """Cells of each truth member in each estimate member: the ARI's contingency table."""
+    _check_in_grid(dims, truth)
+    _check_in_grid(dims, est)
     # Members: each side's rectangles, then its background.
     whole = Rect((0,) * len(dims), tuple(dims))
     tr = [r for r in truth if not r.is_empty] + [whole]

@@ -34,8 +34,6 @@ import numpy as np
 
 from .lattice import Grid, LatticeError, PatchSet, Rect, shifted
 
-FIELD_KINDS = ("iid-gaussian", "sar", "linear", "m-dependent", "max-stable")
-
 _SAR_TOL = 1e-10
 _SAR_MAX_SWEEPS = 1000
 # Cells per strip of a sar sweep, which also reads one row on each side of it.
@@ -255,6 +253,17 @@ def _gen_max_stable(rng, dims, tail_index, base):
     return out
 
 
+# Each field kind's draw (rng, dims, spec) -> array; FieldSpec accepts exactly these kinds.
+_DRAWS = {
+    "iid-gaussian": lambda rng, dims, spec: rng.standard_normal(dims),
+    "sar": lambda rng, dims, spec: _gen_sar(rng, dims, spec.rho),
+    "linear": lambda rng, dims, spec: _gen_linear(rng, dims, spec.stencil),
+    "m-dependent": lambda rng, dims, spec: _gen_m_dependent(rng, dims, spec.m),
+    "max-stable": lambda rng, dims, spec: _gen_max_stable(rng, dims, spec.tail_index, spec.decay_base),
+}
+FIELD_KINDS = tuple(_DRAWS)
+
+
 def gen_field(spec: FieldSpec, dims) -> Grid:
     """Generate a mean-zero stationary noise field on the given lattice."""
     dims = tuple(int(x) for x in dims)
@@ -263,19 +272,7 @@ def gen_field(spec: FieldSpec, dims) -> Grid:
     if math.prod(dims) * 8 > np.iinfo(np.intp).max:  # more bytes than numpy can describe
         raise SimulationError(f"field dims {dims} hold too many cells for one array")
     rng = np.random.default_rng(int(spec.seed) & (2**64 - 1))
-    if spec.kind == "iid-gaussian":
-        data = rng.standard_normal(dims)
-    elif spec.kind == "sar":
-        data = _gen_sar(rng, dims, spec.rho)
-    elif spec.kind == "linear":
-        data = _gen_linear(rng, dims, spec.stencil)
-    elif spec.kind == "m-dependent":
-        data = _gen_m_dependent(rng, dims, spec.m)
-    elif spec.kind == "max-stable":
-        data = _gen_max_stable(rng, dims, spec.tail_index, spec.decay_base)
-    else:  # pragma: no cover - guarded by FieldSpec
-        raise SimulationError(f"unknown field kind {spec.kind!r}")
-    return Grid.from_array(data)
+    return Grid.from_array(_DRAWS[spec.kind](rng, dims, spec))
 
 
 def inject_patches(noise: Grid, patchset: PatchSet) -> Grid:
@@ -298,20 +295,26 @@ def _frac_rect(n: int, fx: tuple[float, float], fy: tuple[float, float]) -> Rect
 
 # Canonical 2-D layouts (fractions of N, x-range then y-range).  These pin the
 # two standard benchmark scenes: three rectangles with jumps (+d, +d, -d), and
-# four quadrant squares plus a center square with jumps (d, 2d, 3d, 4d, 5d).
+# four quadrant squares plus a center square, of side 0.18 N, with jumps
+# (d, 2d, 3d, 4d, 5d).
 _CONFIG1 = (
     ((0.15, 0.35), (0.15, 0.85), 1.0),
     ((0.55, 0.85), (0.55, 0.85), 1.0),
     ((0.55, 0.85), (0.15, 0.45), -1.0),
 )
-_SQUARE_SIDE = 0.18
-_CONFIG2_CENTERS = (
-    ((0.25, 0.25), 1.0),  # bottom left
-    ((0.25, 0.75), 2.0),  # top left
-    ((0.75, 0.75), 3.0),  # top right
-    ((0.75, 0.25), 4.0),  # bottom right
-    ((0.50, 0.50), 5.0),  # center
+_HALF_SIDE = 0.18 / 2.0
+_CONFIG2 = tuple(
+    ((cx - _HALF_SIDE, cx + _HALF_SIDE), (cy - _HALF_SIDE, cy + _HALF_SIDE), mult)
+    for (cx, cy), mult in (
+        ((0.25, 0.25), 1.0),  # bottom left
+        ((0.25, 0.75), 2.0),  # top left
+        ((0.75, 0.75), 3.0),  # top right
+        ((0.75, 0.25), 4.0),  # bottom right
+        ((0.50, 0.50), 5.0),  # center
+    )
 )
+_LAYOUTS = {"config1": _CONFIG1, "config2": _CONFIG2}
+SCENARIOS = tuple(_LAYOUTS)
 
 
 def canonical_scenario(name: str, n: int, jump: float) -> PatchSet:
@@ -320,19 +323,7 @@ def canonical_scenario(name: str, n: int, jump: float) -> PatchSet:
         raise SimulationError(f"scenario needs N >= 64, got {n}")
     if jump == 0.0:
         raise SimulationError("jump must be nonzero")
-    if name == "config1":
-        patches = tuple(
-            (_frac_rect(n, fx, fy), mult * jump) for fx, fy, mult in _CONFIG1
-        )
-    elif name == "config2":
-        half = _SQUARE_SIDE / 2.0
-        patches = tuple(
-            (
-                _frac_rect(n, (cx - half, cx + half), (cy - half, cy + half)),
-                mult * jump,
-            )
-            for (cx, cy), mult in _CONFIG2_CENTERS
-        )
-    else:
+    if name not in _LAYOUTS:
         raise SimulationError(f"unknown scenario {name!r}")
+    patches = tuple((_frac_rect(n, fx, fy), mult * jump) for fx, fy, mult in _LAYOUTS[name])
     return PatchSet(patches=patches, baseline=0.0)

@@ -93,6 +93,46 @@ def test_detect_flag_overrides(tmp_path):
     assert read_patch_doc(est_path)["k_hat"] == 3
 
 
+# each detect flag, a value other than its default, and the config field it sets
+_DETECT_FLAG_FIELDS = {
+    "--alpha": ("0.45", "alpha"),
+    "--alpha2": ("0.4", "stage2.alpha"),
+    "--kappa2": ("0.02", "stage2.kappa"),
+    "--window-const": ("0.7", "stage2.window_const"),
+    "--level": ("0.01", "kappa_level"),
+    "--mu0": ("0.25", "mu0"),
+    "--sigma": ("0.5", "sigma"),
+    "--margin-blocks": ("1", "envelope_margin_blocks"),
+    "--min-size-factor": ("0.5", "min_size_factor"),
+    "--connectivity": ("faces+corners", "connectivity"),
+}
+
+
+def _config_fields(cfg, prefix=""):
+    """Every leaf field of a config, nested dataclasses spelled ``outer.inner``."""
+    out = {}
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            out.update(_config_fields(value, f"{prefix}{f.name}."))
+        else:
+            out[prefix + f.name] = value
+    return out
+
+
+def test_detect_flags_cover_every_config_field():
+    assert sorted(name for _, name in _DETECT_FLAG_FIELDS.values()) == sorted(_config_fields(SpladeConfig()))
+
+
+@pytest.mark.parametrize("flag", sorted(_DETECT_FLAG_FIELDS))
+def test_each_detect_flag_sets_its_own_field(flag):
+    """A flag given alone moves its own config field and no other."""
+    value, name = _DETECT_FLAG_FIELDS[flag]
+    args = build_parser().parse_args(["detect", "--in", "x.splg", "--out", "o.json", flag, value])
+    default, got = _config_fields(SpladeConfig()), _config_fields(_config_from_args(args))
+    assert [key for key in default if got[key] != default[key]] == [name]
+
+
 def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["detect", "--in", "x", "--out", "y", "--bogus", "1"])
@@ -457,6 +497,7 @@ CLI_ERRORS = {
                                                                   "jump_estimate": 1.0}]}),
             ("dims fractional", {**_PATCH_DOC, "dims": [64.5, 64]}),
             ("k_hat not a number", {**_PATCH_DOC, "k_hat": "x"}),
+            ("k_hat not its patch count", {**_PATCH_DOC, "k_hat": 2}),
             ("jump not a number", {**_PATCH_DOC, "patches": [{"lo": [1, 2], "hi": [5, 5],
                                                               "jump_estimate": "a"}]}),
             ("patches not a list", {**_PATCH_DOC, "patches": 5}),
@@ -521,6 +562,7 @@ CLI_ERROR_TEXT = {
     "eval estimate without dims": "missing key 'dims'",
     "eval estimate patch without jump_estimate": "missing key 'jump_estimate'",
     "eval estimate patch out of bounds": "dims [64, 64] must be sizes >= 1 that hold every patch",
+    "eval estimate k_hat not its patch count": "k_hat 2 differs from the patch count 1",
     "eval dims zero": "dims [0, 64] must be sizes >= 1",
     "eval dims empty": "dims [] must be sizes >= 1",
     "SPLADE_THREADS 0": "SPLADE_THREADS must be an integer >= 1, got '0'",

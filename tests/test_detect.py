@@ -1,7 +1,9 @@
+import dataclasses
 import importlib
 import importlib.util
 import itertools
 import math
+import pickle
 import sys
 import tracemalloc
 from pathlib import Path
@@ -15,6 +17,7 @@ from splade import _scan, detect, lattice
 from splade.calibrate import BOUNDARY_BETA, boundary_layer_mask, default_bandwidths, masked_lrv, threshold_q
 from splade.detect import (
     BlockPartition,
+    Detection,
     DetectionError,
     SpladeConfig,
     block_means,
@@ -49,6 +52,26 @@ def test_partition_tiles_exactly():
             cover[part.block((i, j)).slices()] += 1
     assert np.all(cover == 1)
     assert int(part.volumes().sum()) == 70
+
+
+def test_partition_counts_are_read_off_dims_and_strides():
+    """A tiling holds only its dims and block sides, so no caller can hand it a
+    block count that leaves blocks of volume 0 past the grid's edge."""
+    assert [f.name for f in dataclasses.fields(BlockPartition)] == ["dims", "strides"]
+    part = BlockPartition((10,), (3,))
+    assert part.counts == (4,)
+    assert part.volumes().tolist() == [3, 3, 3, 1]
+    assert part.cells([6], [6]) == Rect((9,), (10,))  # clipped to the last block
+    assert pickle.loads(pickle.dumps(part)) == part
+
+
+def test_detection_k_hat_is_its_patch_count():
+    assert [f.name for f in dataclasses.fields(Detection)] == ["patches", "jumps", "diagnostics"]
+    det = Detection((Rect((0, 0), (2, 2)), Rect((4, 4), (6, 6))), (1.0, -1.0), {"mu0": 0.0})
+    assert det.k_hat == 2
+    assert pickle.loads(pickle.dumps(det)) == det
+    with pytest.raises(DetectionError, match="2 patches but 1 jumps"):
+        Detection(det.patches, (1.0,))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -198,7 +221,7 @@ def test_components_match_bfs_oracle(d):
         strides = rng.integers(1, 4, size=d)
         # edge blocks truncated by up to stride - 1 cells
         dims = tuple(int(c * l - rng.integers(0, l)) for c, l in zip(counts, strides))
-        part = BlockPartition(dims, tuple(int(l) for l in strides), tuple(int(c) for c in counts))
+        part = BlockPartition(dims, tuple(int(l) for l in strides))
         signs = rng.choice([-1, 1], size=part.counts)
         mask = np.where(rng.random(part.counts) < rng.uniform(0.1, 0.8), signs, 0)
         for m in (mask, mask != 0):
@@ -274,7 +297,7 @@ def test_envelope_cut_separates_and_keeps_separable_boxes(d):
         counts = rng.integers(2, max_count + 1, size=d)
         strides = rng.integers(1, 5, size=d)
         dims = tuple(int(c * l - rng.integers(0, l)) for c, l in zip(counts, strides))
-        part = BlockPartition(dims, tuple(int(l) for l in strides), tuple(int(c) for c in counts))
+        part = BlockPartition(dims, tuple(int(l) for l in strides))
         mask = np.where(rng.random(part.counts) < 0.12, rng.choice([-1, 1], size=part.counts), 0)
         comps = components(mask, part, 0)
         margin = int(rng.integers(0, 4))
@@ -528,9 +551,9 @@ def _record_tables(monkeypatch):
     shapes = []
     original = lattice.prefix_table
 
-    def recorded(cells, d):
-        table = original(cells, d)
-        shapes.append(table.shape[-d:])
+    def recorded(cells):
+        table = original(cells)
+        shapes.append(table.shape[1:])
         return table
 
     monkeypatch.setattr(lattice, "prefix_table", recorded)

@@ -1,4 +1,4 @@
-"""The package's exported names and the README's entry-point table stay in step."""
+"""The package's exported names, the README's entry-point table and its file formats stay in step."""
 
 import inspect
 import re
@@ -8,7 +8,10 @@ import pytest
 
 import splade
 from splade.bench import parse_noise
+from splade.cli import main
+from splade.gridio import read_patch_doc, write_grid
 from splade.lattice import LatticeError
+from splade.simulate import FieldSpec, canonical_scenario, gen_field, inject_patches
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -50,3 +53,17 @@ def test_readme_noise_descriptors_parse():
     for alias in ("max-stable:3", "m-dependent:2"):
         with pytest.raises(LatticeError, match="bad noise descriptor"):
             parse_noise(alias)
+
+
+def test_readme_lists_every_detect_diagnostics_key(tmp_path):
+    """README's "File formats" names exactly the diagnostics keys ``splade detect`` writes."""
+    text = README.read_text()
+    listed = text[text.index("The diagnostics keys of a `splade detect` doc are"):text.index("The truth doc")]
+    names = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", listed.split(" are ", 1)[1]))
+    grid = inject_patches(gen_field(FieldSpec(kind="iid-gaussian", seed=1), (128, 128)),
+                          canonical_scenario("config1", 128, 2.0))
+    write_grid(tmp_path / "g.splg", grid)
+    assert main(["detect", "--in", str(tmp_path / "g.splg"), "--out", str(tmp_path / "d.json")]) == 0
+    keys = read_patch_doc(tmp_path / "d.json")["diagnostics"]
+    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(keys)

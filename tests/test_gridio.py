@@ -86,7 +86,6 @@ def test_trailing_bytes_rejected(tmp_path):
 
 def test_patch_doc_roundtrip(tmp_path):
     det = Detection(
-        k_hat=2,
         patches=(Rect((0, 1), (4, 5)), Rect((8, 8), (12, 14))),
         jumps=(1.25, -0.5),
         diagnostics={"mu0": 0.017, "sigma": 1.083, "q": 0.31, "flagged_blocks": 9,

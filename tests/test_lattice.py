@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -19,11 +21,19 @@ from helpers import all_rects, direct_rect_sum, fancy_box_sums
 
 def test_grid_validation():
     with pytest.raises(LatticeError):
-        Grid(dims=(2, 3), data=np.zeros((3, 2)))
-    with pytest.raises(LatticeError):
-        Grid(dims=(2, 0), data=np.zeros((2, 0)))
+        Grid(np.zeros((2, 0)))
     with pytest.raises(LatticeError):
         Grid.from_array(np.zeros((2, 2, 2, 2, 2)))  # d = 5 unsupported
+
+
+def test_grid_shape_is_read_off_its_data():
+    assert [f.name for f in dataclasses.fields(Grid)] == ["data"]
+    g = Grid.from_array(np.arange(15).reshape(3, 5))
+    assert g.data.dtype == np.float64
+    assert (g.dims, g.ndim, g.size) == ((3, 5), 2, 15)
+    back = pickle.loads(pickle.dumps(g))
+    assert back.dims == g.dims
+    np.testing.assert_array_equal(back.data, g.data)
 
 
 def _rect_sum(table, r: Rect) -> float:
@@ -31,19 +41,19 @@ def _rect_sum(table, r: Rect) -> float:
 
 
 def test_prefix_sum_2x2_hand():
-    table = prefix_table([np.array([[1.0, 2.0], [3.0, 4.0]])], 2)[0]
+    table = prefix_table([np.array([[1.0, 2.0], [3.0, 4.0]])])[0]
     assert _rect_sum(table, Rect((0, 0), (2, 2))) == 10.0
 
 
 def test_rect_sum_single_cell_and_constant():
-    table = prefix_table([np.array([[1.0, 2.0], [3.0, 4.0]])], 2)[0]
+    table = prefix_table([np.array([[1.0, 2.0], [3.0, 4.0]])])[0]
     assert _rect_sum(table, Rect((1, 1), (2, 2))) == 4.0
-    const = prefix_table([np.full((5, 7), 2.5)], 2)[0]
+    const = prefix_table([np.full((5, 7), 2.5)])[0]
     assert _rect_sum(const, Rect((1, 2), (4, 6))) == pytest.approx(2.5 * 12)
 
 
 def test_empty_rect_sums_to_zero():
-    table = prefix_table([np.arange(12.0).reshape(3, 4)], 2)[0]
+    table = prefix_table([np.arange(12.0).reshape(3, 4)])[0]
     assert _rect_sum(table, Rect((2, 2), (2, 2))) == 0.0
     assert _rect_sum(table, Rect((2, 3), (1, 3))) == 0.0
 
@@ -51,7 +61,7 @@ def test_empty_rect_sums_to_zero():
 def test_exhaustive_prefix_vs_direct_6x6():
     rng = np.random.default_rng(42)
     g = Grid.from_array(rng.standard_normal((6, 6)))
-    table = prefix_table([g.data], 2)[0]
+    table = prefix_table([g.data])[0]
     count = 0
     for r in all_rects(g.dims):
         assert _rect_sum(table, r) == pytest.approx(direct_rect_sum(g, r), abs=1e-9)
@@ -62,7 +72,7 @@ def test_exhaustive_prefix_vs_direct_6x6():
 def test_prefix_vs_direct_3d_random_rects():
     rng = np.random.default_rng(7)
     g = Grid.from_array(rng.standard_normal((4, 4, 4)))
-    table = prefix_table([g.data], 3)[0]
+    table = prefix_table([g.data])[0]
     rects = []
     for _ in range(20):
         lo = tuple(int(rng.integers(0, 4)) for _ in range(3))
@@ -94,7 +104,7 @@ def test_patchset_rejects_non_finite_baseline():
 
 def test_float64_table_sums_a_constant_grid_of_thirds():
     # rectangle sums of a constant 1/3 grid stay within 1e-9 of |R| / 3
-    table = prefix_table([np.full((64, 64), 1.0 / 3.0)], 2)[0]
+    table = prefix_table([np.full((64, 64), 1.0 / 3.0)])[0]
     assert table.dtype == np.float64
     r = Rect((10, 10), (60, 60))
     assert _rect_sum(table, r) == pytest.approx(r.volume() / 3.0, abs=1e-9)
@@ -106,10 +116,10 @@ def test_window_sums_match_copied_subgrid(dims):
     copy of that window holds; box sums of corner arrays broadcast."""
     rng = np.random.default_rng(len(dims))
     g = Grid.from_array(rng.standard_normal(dims) + 1e3)
-    d, x = len(dims), g.data
+    x = g.data
     win = Rect(tuple(1 for _ in dims), tuple(m - 1 for m in dims))
     sub = Grid.from_array(x[win.slices()].copy())
-    table = prefix_table([x[win.slices()]], d)[0]
+    table = prefix_table([x[win.slices()]])[0]
     assert table[sub.dims] == pytest.approx(float(sub.data.sum()), rel=1e-12)  # one entry: the whole window
     for r in all_rects(sub.dims):
         assert _rect_sum(table, r) == pytest.approx(direct_rect_sum(sub, r), rel=1e-12, abs=1e-9)
@@ -117,12 +127,12 @@ def test_window_sums_match_copied_subgrid(dims):
     # corner arrays that broadcast to a 5 x 4 set of boxes, lo <= hi in every pair
     lo = [rng.integers(0, m // 2 + 1, size=(5, 1)) for m in dims]
     hi = [rng.integers(m // 2, m + 1, size=(1, 4)) for m in dims]
-    sums = box_sums(prefix_table([x], d)[0], lo, hi)
+    sums = box_sums(prefix_table([x])[0], lo, hi)
     for i, j in np.ndindex(5, 4):
         box = tuple(slice(int(l[i, 0]), int(h[0, j])) for l, h in zip(lo, hi))
         assert sums[i, j] == pytest.approx(float(x[box].sum()), rel=1e-12, abs=1e-9)
     # a leading axis of 2 carries through (the layout of the scan's channels)
-    pair = box_sums(prefix_table([x, -x], d), lo, hi)
+    pair = box_sums(prefix_table([x, -x]), lo, hi)
     assert pair.shape == (2, 5, 4)
     np.testing.assert_array_equal(pair[0], sums)
     np.testing.assert_array_equal(pair[1], -sums)
@@ -142,7 +152,7 @@ def test_box_sums_equal_fancy_indexing_bit_for_bit(d, channels):
     rng = np.random.default_rng(10 * d + channels)
     dims = tuple(int(m) for m in rng.integers(2, 7, size=d))
     x = rng.standard_normal((channels,) * bool(channels) + dims) * 1e3
-    table = prefix_table(list(x), d) if channels else prefix_table([x], d)[0]
+    table = prefix_table(list(x)) if channels else prefix_table([x])[0]
     lead = table.shape[:-d]
 
     def corner(k, kind, shape):

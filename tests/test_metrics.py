@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splade.lattice import Rect
+from splade.lattice import LatticeError, Rect
 from splade.metrics import (
     BENCH_CSV_HEADER,
     BenchRecord,
@@ -128,13 +128,40 @@ def test_jaccard_rect_matches_mask():
 
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=40, deadline=None)
-def test_jaccard_triangle_inequality_masks(seed):
+def test_jaccard_triangle_inequality(seed):
+    """On random rectangles of a 6 x 6 grid, empty ones among them."""
     rng = np.random.default_rng(seed)
-    a, b, c = (rng.random((6, 6)) < 0.4 for _ in range(3))
+    a, b, c = (Rect(*np.sort(rng.integers(0, 7, size=(2, 2)), axis=0).tolist()) for _ in range(3))
     dab = jaccard_distance(a, b)
     dbc = jaccard_distance(b, c)
     dac = jaccard_distance(a, c)
     assert dac <= dab + dbc + 1e-12
+
+
+def test_rectangles_of_different_ranks_are_an_error():
+    """Once cut to the shorter rank and scored: Hausdorff 0.75 and ARI 0.244."""
+    line, square = Rect((0,), (4,)), Rect((0, 0), (4, 4))
+    with pytest.raises(LatticeError, match="rank-1 rectangle with a rank-2"):
+        jaccard_distance(line, square)
+    for truth, est in [([line], [square]), ([square], [line])]:
+        with pytest.raises(LatticeError, match="has rank 1, the grid \\(8, 8\\) rank 2"):
+            hausdorff(truth, est, (8, 8))
+        with pytest.raises(LatticeError, match="has rank 1, the grid \\(8, 8\\) rank 2"):
+            score("custom", 0, (8, 8), truth, est, 0.0)
+
+
+@pytest.mark.parametrize("outside", [Rect((0, 0), (20, 20)), Rect((-3, -3), (2, 2)), Rect((2, 2), (-1, -1))])
+def test_rectangles_outside_the_grid_are_an_error(outside):
+    """Once scored as if clipped: Hausdorff 0.859 and 0.917 against the inside box.  The
+    empty third box, its hi off the grid, once labelled the 25 cells of the slices 2:-1."""
+    inside = Rect((1, 1), (4, 4))
+    for truth, est in [([outside], [inside]), ([inside], [outside])]:
+        with pytest.raises(MetricError, match="out of bounds for \\(8, 8\\)"):
+            hausdorff(truth, est, (8, 8))
+        with pytest.raises(MetricError, match="out of bounds for \\(8, 8\\)"):
+            score("custom", 0, (8, 8), truth, est, 0.0)
+    with pytest.raises(MetricError, match="out of bounds for \\(8, 8\\)"):
+        labels_from_patches((8, 8), [outside])
 
 
 def test_hausdorff_exact_match_zero():
@@ -191,7 +218,7 @@ def test_hausdorff_accepts_empty_detection():
     from splade.lattice import PatchSet
 
     truth = PatchSet(patches=((Rect((2, 2), (6, 6)), 1.0),))
-    empty = Detection(k_hat=0, patches=(), jumps=())
+    empty = Detection(patches=(), jumps=())
     val = hausdorff(truth.rects, empty.patches, (16, 16))
     assert val == pytest.approx(mask_hausdorff(truth.rects, [], (16, 16)))
     assert hausdorff(empty.patches, empty.patches, (16, 16)) == 0.0

@@ -247,7 +247,7 @@ def test_bound_is_at_least_every_score_of_its_node(d):
         lo_axes, hi_axes = [lo for lo, _ in axes], [hi for _, hi in axes]
         for cells in _tables(x, exact):
             search = _scan._Search(cells, lo_axes, hi_axes, n * lam1, min(n * lam2, n))
-            search._build_bound_tables()
+            search._rounding_allowances()
             nodes = _random_nodes(rng, search.root[0], 150)
             bounds, _ = search._bound(nodes)
             for node, bound in zip(nodes, bounds):
