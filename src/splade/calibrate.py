@@ -120,21 +120,17 @@ def _strips(mask: np.ndarray, bw, padded) -> list:
     padded last axis, ``width`` entries in all, are the columns it keeps.
     """
     halo, inner, last = bw[0] - 1, math.prod(padded[1:-1]), mask.shape[-1]
-    # which last-axis columns hold a masked cell, per index of axis 0; a mask
-    # whose first index on every middle axis is full has them all, in every row
-    if mask[(slice(None), *[0] * (mask.ndim - 2), slice(None))].all():
-        occ, starts, ends = None, [0], [padded[0]]
-    else:
-        occ = mask.any(axis=tuple(range(1, mask.ndim - 1))) if mask.ndim > 2 else mask
-        starts, ends = _reach(occ.any(axis=1) if last > 1 else occ[:, 0], bw[0])
+    # which last-axis columns hold a masked cell, per index of axis 0
+    occ = mask.any(axis=tuple(range(1, mask.ndim - 1))) if mask.ndim > 2 else mask
+    starts, ends = _reach(occ.any(axis=1) if last > 1 else occ[:, 0], bw[0])
     plan, k, s = [], 0, starts[0]
     while k < len(starts):
         s = max(s, starts[k])
         h = min(halo, s - starts[k])  # rows before a run's start are empty
         cols, width = [(0, padded[-1])], padded[-1]
         own = max(1, _STRIP_CELLS // (inner * width))
-        seen = None if occ is None else occ[s - h : s + own].any(axis=0)
-        if seen is not None and not seen.all():
+        seen = occ[s - h : s + own].any(axis=0)
+        if not seen.all():
             cols = list(zip(*_reach(seen, bw[-1])))
             width = sum(e - c for c, e in cols)
             more = max(1, _STRIP_CELLS // (inner * width))

@@ -22,7 +22,9 @@ all flagged blocks and re-runs the first stage once.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, product
 
 import numpy as np
@@ -187,8 +189,14 @@ class SpladeConfig:
             raise DetectionError(f"mu0 must be finite, got {self.mu0}")
         if self.sigma is not None and not 0.0 <= self.sigma < math.inf:
             raise DetectionError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if self.envelope_margin_blocks < 0:
+        try:  # operator.index: a fractional or string margin is an error, not truncated
+            margin = operator.index(self.envelope_margin_blocks)
+        except TypeError:
+            raise DetectionError(f"envelope_margin_blocks must be an integer, "
+                                 f"got {self.envelope_margin_blocks!r}") from None
+        if margin < 0:
             raise DetectionError("envelope_margin_blocks must be >= 0")
+        object.__setattr__(self, "envelope_margin_blocks", margin)
         _neighbor_offsets(1, self.connectivity)
 
 
@@ -215,22 +223,17 @@ def min_component_cells(n: int, alpha: float, factor: float) -> int:
     return math.ceil(min(factor * n**alpha * math.sqrt(math.log(n)), n))
 
 
-def _first_stage(means, vols, part, mu0, sigma, lo, hi, cfg, min_cells):
+def _first_stage(means, vols, part, lo, hi, cfg, min_cells, mu0, sigma):
     """Thresholds matched to the block volumes ``vols`` (before their floor; 0 when sigma is 0), the
-    blocks they flag, and those blocks' components split by sign; ``lo``/``hi`` are the grid's extremes."""
+    blocks they flag, those blocks' components split by sign, and the components' bounding boxes;
+    ``lo``/``hi`` are the grid's extremes."""
     q = threshold_q(sigma, vols, part.num_blocks, cfg.kappa_level) if sigma > 0.0 else np.zeros(vols.shape)
     # floor at machine-noise scale so ulp residue (e.g. from baseline
     # subtraction) never reads as signal when sigma-hat collapses to ~0
     floor = 64.0 * np.finfo(np.float64).eps * max(hi - mu0, mu0 - lo)
     flags = flag_blocks(means, np.maximum(q, floor), mu0)
-    return q, flags, components(np.sign(means - mu0) * flags, part, min_cells, cfg.connectivity)
-
-
-def _blocks_to_cells(flags: np.ndarray, part: BlockPartition) -> np.ndarray:
-    """Cell-level mask: every cell of the blocks set in ``flags``."""
-    for ax in range(flags.ndim):
-        flags = np.repeat(flags, np.diff(part.edges(ax)), axis=ax)
-    return flags
+    comps = components(np.sign(means - mu0) * flags, part, min_cells, cfg.connectivity)
+    return q, flags, comps, [envelope(c, part, 0) for c in comps]
 
 
 def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
@@ -275,17 +278,16 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
             sigma = math.sqrt(masked_lrv(grid.data, layer, bandwidths, centre))
 
     means, vols = block_means(grid.data, part), part.volumes()
-    q, flags, comps = _first_stage(means, vols, part, mu0, sigma, lo, hi, cfg, min_cells)
-    bboxes = [envelope(c, part, 0) for c in comps]
+    screen = partial(_first_stage, means, vols, part, lo, hi, cfg, min_cells)
+    q, flags, comps, bboxes = screen(mu0, sigma)
 
-    fallback = False
     # The layer is an OR of per-axis slabs, so the cells outside it form one box,
     # and a set of blocks misses the layer exactly when their bounding box does.
-    if estimated and any(layer[b.slices()].any() for b in bboxes):
+    fallback = estimated and any(layer[b.slices()].any() for b in bboxes)
+    if fallback:
         # Anomalies reach into the calibration layer: re-estimate on the cells
         # outside every flagged block, then redo the first stage once.
-        fallback = True
-        clean = _blocks_to_cells(~flags, part)
+        clean = part.cell_mask(~flags)
         values = grid.data[clean]  # one gather: the median, the count and the LRV's centre
         enough = values.size >= _FALLBACK_MIN_CELLS
         if cfg.mu0 is None:
@@ -293,8 +295,7 @@ def splade_detect(grid: Grid, cfg: SpladeConfig | None = None) -> Detection:
         if cfg.sigma is None and enough:
             sigma = math.sqrt(masked_lrv(grid.data, clean, bandwidths, float(values.mean())))
         del clean, values  # grid-sized: free them before stage 2's tables set the call's peak
-        q, flags, comps = _first_stage(means, vols, part, mu0, sigma, lo, hi, cfg, min_cells)
-        bboxes = [envelope(c, part, 0) for c in comps]
+        q, flags, comps, bboxes = screen(mu0, sigma)
 
     envs = [envelope(c, part, cfg.envelope_margin_blocks) for c in comps]
     envs = resolve_envelope_overlaps(envs, bboxes)

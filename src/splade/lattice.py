@@ -15,7 +15,8 @@ that are read once (block means, a grand mean, a patch's total) skip the
 table: ``block_sums`` adds the cells directly.
 
 ``BlockPartition`` alone maps blocks to cells: ``edges`` gives each axis's
-block boundaries, and ``cells`` the box of a run of blocks, grown or not.
+block boundaries, ``cells`` the box of a run of blocks, grown or not, and
+``cell_mask`` expands a block-level mask to its cells.
 
 No object stores a value it can derive.  A ``Grid`` wraps its caller's
 float64 array, strided or not, and nothing writes into it; its ``dims``,
@@ -299,8 +300,11 @@ class BlockPartition:
         hi = [min((min(max(j, 0), t) + 1) * l, n) for j, t, l, n in zip(last, top, self.strides, self.dims)]
         return Rect(tuple(lo), tuple(hi))
 
-    def block(self, index) -> Rect:
-        return self.cells(index, index)
+    def cell_mask(self, flags: np.ndarray) -> np.ndarray:
+        """Every cell of the blocks set in the block-level bool array ``flags``."""
+        for ax in range(flags.ndim):
+            flags = np.repeat(flags, np.diff(self.edges(ax)), axis=ax)
+        return flags
 
     def volumes(self) -> np.ndarray:
         widths = (np.diff(self.edges(k)) for k in range(len(self.dims)))

@@ -84,6 +84,8 @@ class FieldSpec:
             raise SimulationError(
                 f"stencil must be [[offset, coefficient], ...] with integer offsets, got {self.stencil!r}"
             ) from None
+        if not all(math.isfinite(c) for _, c in stencil):
+            raise SimulationError(f"stencil coefficients must be finite, got {[c for _, c in stencil]}")
         object.__setattr__(self, "stencil", stencil)
         if self.kind == "sar" and not 0.0 <= self.rho < 1.0:
             raise SimulationError(f"sar needs 0 <= rho < 1, got {self.rho}")
@@ -162,7 +164,9 @@ def _gen_linear(rng, dims, stencil):
     pad_hi = [max(0, -min(o[k] for o in offsets)) for k in range(d)]
     shape = tuple(n + pad_lo[k] + pad_hi[k] for k, n in enumerate(dims))
     _check_budget(shape, f"linear draw for dims {tuple(dims)}", "the stencil's offsets")
-    return _stencil_sum(rng.standard_normal(shape), dims, pad_lo, stencil)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported once, below
+        out = _stencil_sum(rng.standard_normal(shape), dims, pad_lo, stencil)
+    return _check_finite(out, "linear draw", "the stencil's coefficients")
 
 
 def _stencil_sum(padded, dims, pad_lo, stencil):
@@ -180,6 +184,18 @@ def _gen_m_dependent(rng, dims, m):
     _check_budget(shape, f"m-dependent draw for dims {tuple(dims)} at m {m}", "m")
     stencil = ((off, 1.0) for off in product(range(m, -m - 1, -1), repeat=d))
     return _stencil_sum(rng.standard_normal(shape), dims, [m] * d, stencil) / (2 * m + 1) ** (d / 2.0)
+
+
+def _check_finite(data: np.ndarray, what: str, knob: str) -> np.ndarray:
+    """``data``, or ``SimulationError`` when the sums that made it overflowed float64.
+
+    NaN and inf show up in the extremes, so finite data costs two reductions and
+    no temporary; the cells are counted only on the error path.
+    """
+    if not (math.isfinite(data.min()) and math.isfinite(data.max())):
+        bad = data.size - int(np.count_nonzero(np.isfinite(data)))
+        raise SimulationError(f"{what} overflows float64 in {bad} cells; lower {knob}")
+    return data
 
 
 def _check_budget(shape, what: str, knob: str) -> None:
@@ -280,10 +296,11 @@ def inject_patches(noise: Grid, patchset: PatchSet) -> Grid:
     for r in patchset.rects:
         if not r.within(noise.dims):
             raise SimulationError(f"patch {r} out of bounds for dims {noise.dims}")
-    data = noise.data + patchset.baseline
-    for r, jump in patchset.patches:
-        data[r.slices()] += jump
-    return Grid.from_array(data)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported once, below
+        data = noise.data + patchset.baseline
+        for r, jump in patchset.patches:
+            data[r.slices()] += jump
+    return Grid.from_array(_check_finite(data, "adding the baseline and patch jumps", "them"))
 
 
 def _frac_rect(n: int, fx: tuple[float, float], fy: tuple[float, float]) -> Rect:

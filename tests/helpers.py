@@ -308,7 +308,7 @@ class OnThreshold(Exception):
 
 
 def _blocks(part: BlockPartition):
-    return [(idx, part.block(idx)) for idx in np.ndindex(*part.counts)]
+    return [(idx, part.cells(idx, idx)) for idx in np.ndindex(*part.counts)]
 
 
 def _exact_mean(data: np.ndarray, r: Rect) -> float:
@@ -440,7 +440,7 @@ def brute_force_detect(grid: Grid, cfg) -> dict:
 
     signs, comps = first_stage(mu0, sigma)
     fallback = False
-    if estimated and any(layer[part.block(b).slices()].any() for c in comps for b in c):
+    if estimated and any(layer[part.cells(b, b).slices()].any() for c in comps for b in c):
         fallback = True
         clean = np.ones(dims, dtype=bool)
         for idx, r in blocks:
@@ -456,8 +456,8 @@ def brute_force_detect(grid: Grid, cfg) -> dict:
     bboxes, envs = [], []
     reach = [cfg.envelope_margin_blocks * l for l in part.strides]
     for comp in comps:
-        cell_lo = [min(part.block(b).lo[k] for b in comp) for k in range(d)]
-        cell_hi = [max(part.block(b).hi[k] for b in comp) for k in range(d)]
+        cell_lo = [min(part.cells(b, b).lo[k] for b in comp) for k in range(d)]
+        cell_hi = [max(part.cells(b, b).hi[k] for b in comp) for k in range(d)]
         bboxes.append(Rect(tuple(cell_lo), tuple(cell_hi)))
         envs.append(Rect(tuple(max(0, a - r) for a, r in zip(cell_lo, reach)),
                          tuple(min(m, b + r) for b, r, m in zip(cell_hi, reach, dims))))

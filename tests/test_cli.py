@@ -239,6 +239,34 @@ def test_simulate_linear_field_spec(tmp_path):
     assert read_grid(grid_path).dims == (48, 48)
 
 
+_IID_64 = {"dims": [64, 64], "field": {"kind": "iid-gaussian"}}
+# spec -> the text of its one error line; each of these wrote a grid with
+# non-finite cells and exited 0 before the field spec and the sums were checked
+NON_FINITE_SPECS = {
+    "mu0 1e308 with a 1e308 jump": (
+        {**_IID_64, "mu0": 1e308, "patches": [{"lo": [0, 0], "hi": [10, 10], "jump": 1e308}]},
+        "adding the baseline and patch jumps overflows float64 in 100 cells"),
+    **{
+        f"linear coefficient {c}": ({"dims": [64, 64], "field": {"kind": "linear", "stencil": [[[0, 0], c]]}},
+                                    "stencil coefficients must be finite")
+        for c in (math.nan, math.inf)
+    },
+    "two linear coefficients of 1e308": (
+        {"dims": [64, 64], "field": {"kind": "linear", "stencil": [[[0, 0], 1e308], [[1, 0], 1e308]]}},
+        "linear draw overflows float64 in 1035 cells"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_SPECS))
+def test_simulate_refuses_non_finite_cells(case, tmp_path, capsys):
+    spec, text = NON_FINITE_SPECS[case]
+    out = tmp_path / "g.splg"
+    assert main(["simulate", "--spec", _spec_file(tmp_path, spec), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and text in err, err
+    assert not out.exists() and not (tmp_path / "g.splg.truth.json").exists()
+
+
 def _hot_frames_dir(tmp_path):
     """Three flat frames, then one with a bright 16x16 block at (10, 14)."""
     frames_dir = tmp_path / "frames"

@@ -49,7 +49,7 @@ def test_partition_tiles_exactly():
     cover = np.zeros((10, 7), dtype=int)
     for i in range(4):
         for j in range(4):
-            cover[part.block((i, j)).slices()] += 1
+            cover[part.cells((i, j), (i, j)).slices()] += 1
     assert np.all(cover == 1)
     assert int(part.volumes().sum()) == 70
 
@@ -99,10 +99,30 @@ def test_partition_cells_match_edges(d):
             want = Rect(tuple(int(e[a]) for e, (a, _) in zip(edges, clip)),
                         tuple(int(e[b + 1]) for e, (_, b) in zip(edges, clip)))
             assert part.cells(first, last) == want, (dims, part.strides, combo)
-        last_block = part.block(tuple(m - 1 for m in part.counts))
+        top = tuple(m - 1 for m in part.counts)
+        last_block = part.cells(top, top)
         assert last_block == Rect(tuple(int(e[-2]) for e in edges), dims)
         truncated += last_block.volume() < math.prod(part.strides)
-        assert part.cells((0,) * d, tuple(m - 1 for m in part.counts)) == Rect((0,) * d, dims)
+        assert part.cells((0,) * d, top) == Rect((0,) * d, dims)
+    assert truncated > 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_partition_cell_mask_is_the_union_of_its_blocks(d):
+    """``BlockPartition.cell_mask`` against the union of ``cells(i, i)`` over the
+    set blocks, on random tilings whose last block is truncated on some axis."""
+    rng = np.random.default_rng(70 + d)
+    truncated = 0
+    for _ in range({1: 30, 2: 15, 3: 8, 4: 4}[d]):
+        dims = tuple(int(n) for n in rng.integers(4, {1: 500, 2: 80, 3: 30, 4: 14}[d], size=d))
+        part = BlockPartition.build(dims, float(rng.uniform(0.2, 0.8)))
+        truncated += any(n % l for n, l in zip(dims, part.strides))
+        flags = rng.random(part.counts) < rng.uniform(0.1, 0.9)
+        want = np.zeros(dims, dtype=bool)
+        for idx in zip(*np.nonzero(flags)):
+            want[part.cells(idx, idx).slices()] = True
+        got = part.cell_mask(flags)
+        assert got.dtype == np.bool_ and np.array_equal(got, want), (dims, part.strides)
     assert truncated > 0
 
 
@@ -118,7 +138,7 @@ def test_block_means_constant_and_truncated():
     part = BlockPartition.build((10, 10), 0.5)  # stride 3, last block width 1
     m = block_means(g.data, part)
     assert np.allclose(m, 3.25)
-    assert part.block((3, 3)).volume() == 1
+    assert part.cells((3, 3), (3, 3)).volume() == 1
 
 
 @pytest.mark.parametrize("dims", [(37,), (40001,), (23, 17), (300, 301), (11, 13, 10), (7, 5, 11, 5)])
@@ -134,7 +154,7 @@ def test_block_means_match_exact_sums(dims):
         means = block_means(x, part)
         assert means.shape == part.counts
         for idx in np.ndindex(*part.counts):
-            r = part.block(idx)
+            r = part.cells(idx, idx)
             cells = x[r.slices()].ravel().tolist()
             # one pass per axis, each adding at most width - 1 roundings of the
             # sum of |cells|, and one rounding in the division
@@ -182,7 +202,7 @@ def test_flag_containment_noiseless_config1():
     for r, _ in truth.patches:
         for i in range(part.counts[0]):
             for j in range(part.counts[1]):
-                blk = part.block((i, j))
+                blk = part.cells((i, j), (i, j))
                 inside = all(
                     r.lo[k] <= blk.lo[k] and blk.hi[k] <= r.hi[k] for k in range(2)
                 )
@@ -350,7 +370,7 @@ def test_crowded_envelopes_are_separated_in_one_pass():
     for i, row in enumerate(CROWDED.splitlines()):
         for j, ch in enumerate(row):
             if ch != ".":
-                data[part.block((i, j)).slices()] = 4.0 if ch == "+" else -4.0
+                data[part.cells((i, j), (i, j)).slices()] = 4.0 if ch == "+" else -4.0
     cfg = SpladeConfig(mu0=0.0, sigma=1.0, min_size_factor=1e-6, envelope_margin_blocks=3)
     comps = components(np.sign(data[::11, ::11]), part, 0)
     det = splade_detect(Grid.from_array(data), cfg)
@@ -656,6 +676,24 @@ def test_config_validation():
     for bad in ({"mu0": float("nan")}, {"sigma": float("inf")}, {"min_size_factor": float("nan")}):
         with pytest.raises(DetectionError):
             SpladeConfig(**bad)
+
+
+@pytest.mark.parametrize("margin", [2.0, 1.5, "2", None])
+def test_config_margin_must_be_an_integer(margin):
+    """A fractional, string or missing margin is refused at construction, not
+    later by ``Rect`` on a grid whose components reach the first stage (a
+    config1 128^2 grid ended in "corners must be integers") or never, with
+    k_hat 0 on a null grid."""
+    with pytest.raises(DetectionError, match="envelope_margin_blocks must be an integer"):
+        SpladeConfig(envelope_margin_blocks=margin)
+
+
+def test_config_margin_is_read_as_an_int():
+    cfg = SpladeConfig(envelope_margin_blocks=np.int64(3))
+    assert type(cfg.envelope_margin_blocks) is int and cfg.envelope_margin_blocks == 3
+    assert cfg == SpladeConfig(envelope_margin_blocks=3)
+    with pytest.raises(DetectionError, match=">= 0"):
+        SpladeConfig(envelope_margin_blocks=-1)
 
 
 @given(seed=st.integers(0, 2**31 - 1))
